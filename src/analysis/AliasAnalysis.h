@@ -56,12 +56,12 @@ struct MemLocation {
 /// Queries are pure functions of the IR, so results are memoized: address
 /// decompositions per Value, and pair verdicts per canonicalized
 /// (AddrA, SizeA, AddrB, SizeB, CrossIteration) key — alias() is
-/// symmetric, so (A, B) and (B, A) share one entry. The O(N²)
-/// access-pair loop in MemoryDependence therefore never re-computes a
-/// query it (or any earlier pass holding the same AliasAnalysis) already
-/// issued. The caches key on Value pointers: invalidate() (or a fresh
-/// AliasAnalysis) is required after the IR is mutated. Instances are not
-/// thread-safe; use one per thread.
+/// symmetric, so (A, B) and (B, A) share one entry. MemoryDependence's
+/// WAR search therefore never re-computes a query it (or any earlier
+/// pass holding the same AliasAnalysis) already issued. The caches key
+/// on Value pointers: invalidate() (or a fresh AliasAnalysis) is required
+/// after the IR is mutated. Instances are not thread-safe; use one per
+/// thread.
 class AliasAnalysis {
 public:
   explicit AliasAnalysis(AliasPrecision P, bool EnableCache = true)

@@ -1,138 +1,137 @@
 #include "analysis/MemoryDependence.h"
 
+#include <algorithm>
+#include <iterator>
+
 using namespace wario;
 
 CFGReachability::CFGReachability(const Function &F, const LoopInfo &LI) {
-  unsigned N = 0;
   for (const BasicBlock *BB : F)
-    Index[BB] = N++;
-  Full.assign(N, std::vector<bool>(N, false));
-  Forward.assign(N, std::vector<bool>(N, false));
+    Index.emplace(BB, unsigned(Index.size()));
+  size_t N = Index.size();
+  Words = (N + 63) / 64;
+  Succs.resize(N);
+  std::vector<std::vector<unsigned>> ForwardSuccs(N);
+  for (const BasicBlock *BB : F)
+    for (const BasicBlock *S : BB->successors()) {
+      Succs[Index.at(BB)].push_back(Index.at(S));
+      if (!LI.isBackEdge(BB, S))
+        ForwardSuccs[Index.at(BB)].push_back(Index.at(S));
+    }
 
-  // BFS from every block; N is small for embedded code.
-  for (const BasicBlock *Start : F) {
-    unsigned S = Index.at(Start);
-    for (int UseBackEdges = 0; UseBackEdges != 2; ++UseBackEdges) {
-      auto &Row = UseBackEdges ? Full[S] : Forward[S];
-      std::vector<const BasicBlock *> Work{Start};
-      while (!Work.empty()) {
-        const BasicBlock *BB = Work.back();
+  // A flood from every block; N is small for embedded code.
+  Full.assign(N * Words, 0);
+  Forward.assign(N * Words, 0);
+  std::vector<unsigned> Work;
+  for (auto [Rows, Edges] : {std::pair{&Full, &Succs},
+                             std::pair{&Forward, &ForwardSuccs}})
+    for (size_t Start = 0; Start != N; ++Start) {
+      uint64_t *Row = &(*Rows)[Start * Words];
+      for (Work.assign(1, unsigned(Start)); !Work.empty();) {
+        unsigned B = Work.back();
         Work.pop_back();
-        for (const BasicBlock *Succ : BB->successors()) {
-          if (!UseBackEdges && LI.isBackEdge(BB, Succ))
-            continue;
-          unsigned T = Index.at(Succ);
-          if (Row[T])
-            continue;
-          Row[T] = true;
-          Work.push_back(Succ);
-        }
+        for (unsigned S : (*Edges)[B])
+          if (!(Row[S / 64] >> S % 64 & 1)) {
+            Row[S / 64] |= uint64_t(1) << S % 64;
+            Work.push_back(S);
+          }
       }
     }
-  }
 }
 
-bool CFGReachability::reaches(const BasicBlock *From,
-                              const BasicBlock *To) const {
-  return Full[Index.at(From)][Index.at(To)];
-}
-
-bool CFGReachability::forwardReaches(const BasicBlock *From,
-                                     const BasicBlock *To) const {
-  return Forward[Index.at(From)][Index.at(To)];
-}
-
-MemoryDependence::MemoryDependence(const Function &F, const AliasAnalysis &AA,
-                                   const LoopInfo &LI)
-    : Reach(F, LI) {
-  // Collect memory accesses with their block positions, in program order.
+std::vector<MemDep> wario::findWars(const Function &F, const AliasAnalysis &AA,
+                                    const LoopInfo &LI,
+                                    const CFGReachability &Reach,
+                                    const Loop *Scope) {
+  // Loads and stores in program order, with their block numbers and
+  // positions. Two blocks share a loop iff they share their outermost
+  // loop, because natural loops are either nested or disjoint.
   struct Access {
     Instruction *I;
-    const BasicBlock *BB;
-    unsigned Pos;
-    bool IsLoad; ///< Hoisted out of the O(N^2) pair loop below.
+    unsigned Block, Pos;
   };
-  std::vector<Access> Accesses;
+  std::vector<Access> Loads, Stores;
+  std::vector<const Loop *> Outermost;
   for (const BasicBlock *BB : F) {
-    unsigned Pos = 0;
-    for (Instruction *I : *BB) {
-      if (I->isMemoryAccess())
-        Accesses.push_back({I, BB, Pos, I->getOpcode() == Opcode::Load});
-      ++Pos;
-    }
+    unsigned B = unsigned(Outermost.size()), Pos = 0;
+    const Loop *L = LI.getLoopFor(BB);
+    while (L && L->getParent())
+      L = L->getParent();
+    Outermost.push_back(L);
+    if (!Scope || Scope->contains(BB))
+      for (Instruction *I : *BB) {
+        if (I->isMemoryAccess())
+          (I->getOpcode() == Opcode::Load ? Loads : Stores)
+              .push_back({I, B, Pos});
+        ++Pos;
+      }
   }
+  assert(Outermost.size() == Reach.numBlocks() && "stale reachability");
 
-  // X can execute and Y follow within the same iteration instance
-  // (no back edge on the path).
-  auto DirectFollow = [&](const Access &X, const Access &Y) {
-    if (X.BB == Y.BB)
-      return X.Pos < Y.Pos;
-    return Reach.forwardReaches(X.BB, Y.BB);
+  // Accesses with distinct identified bases never alias, so a load of a
+  // known base meets only the stores of that base and those of unknown
+  // base (nullptr), merged back into program order; a load of unknown
+  // base meets every store.
+  auto BaseOf = [&](const Access &A) {
+    return AA.getLocation(A.I->getAddressOperand()).Base;
   };
-  // X can execute and Y follow around at least one back edge. Both
-  // sitting in any common loop suffices for that to be realizable.
-  auto CarriedFollow = [&](const Access &X, const Access &Y) {
-    if (X.BB == Y.BB)
-      return Reach.onCycle(X.BB);
-    if (!Reach.reaches(X.BB, Y.BB))
-      return false;
-    Loop *LX = LI.getLoopFor(X.BB);
-    for (Loop *L = LX; L; L = L->getParent())
-      if (L->contains(Y.BB))
-        return true;
-    return !Reach.forwardReaches(X.BB, Y.BB); // Reachable only via cycle.
-  };
+  std::unordered_map<const Value *, std::vector<unsigned>> ByBase, Merged;
+  for (unsigned S = 0; S != Stores.size(); ++S) {
+    ByBase[BaseOf(Stores[S])].push_back(S);
+    Merged[nullptr].push_back(S);
+  }
 
   // A pair can produce *two* dependences: a direct one (same iteration
   // instance: index expressions denote the same values) and a carried one
   // (different iterations: cross-iteration aliasing). Both matter — e.g.
   // `w[t] = f(w[t+3])` has no direct WAR (disjoint within an iteration)
   // but a real carried WAR three iterations later.
-  // AA memoizes each symmetric (address, size) pair verdict, so the
-  // second half of this ordered-pair sweep costs hash lookups only.
-  for (const Access &A : Accesses) {
-    for (const Access &B : Accesses) {
-      if (A.I == B.I)
-        continue;
-      if (A.IsLoad && B.IsLoad)
-        continue;
-      DepKind Kind = A.IsLoad   ? DepKind::WAR
-                     : B.IsLoad ? DepKind::RAW
-                                : DepKind::WAW;
-      if (DirectFollow(A, B)) {
-        AliasResult AR = AA.alias(A.I, B.I, /*CrossIteration=*/false);
-        if (AR != AliasResult::NoAlias)
-          Deps.push_back({A.I, B.I, Kind, /*LoopCarried=*/false, AR});
+  std::vector<MemDep> Wars;
+  for (const Access &R : Loads) {
+    const Value *Base = BaseOf(R);
+    auto [Candidates, Fresh] = Merged.try_emplace(Base);
+    if (Fresh)
+      std::merge(ByBase[Base].begin(), ByBase[Base].end(),
+                 ByBase[nullptr].begin(), ByBase[nullptr].end(),
+                 std::back_inserter(Candidates->second));
+    for (unsigned S : Candidates->second) {
+      const Access &W = Stores[S];
+      // Direct: W can follow R with no back edge on the path. Carried: W
+      // can follow R around at least one back edge; both sitting in a
+      // common loop suffices for that to be realizable.
+      bool Direct, Carried;
+      if (R.Block == W.Block) {
+        Direct = R.Pos < W.Pos;
+        Carried = Reach.reaches(R.Block, R.Block); // On a cycle.
+      } else {
+        Direct = Reach.forwardReaches(R.Block, W.Block);
+        Carried = Reach.reaches(R.Block, W.Block) &&
+                  (!Direct || (Outermost[R.Block] &&
+                               Outermost[R.Block] == Outermost[W.Block]));
       }
-      if (CarriedFollow(A, B)) {
-        AliasResult AR = AA.alias(A.I, B.I, /*CrossIteration=*/true);
+      for (bool Cross : {false, true}) {
+        if (!(Cross ? Carried : Direct))
+          continue;
+        AliasResult AR = AA.alias(R.I, W.I, /*CrossIteration=*/Cross);
         if (AR != AliasResult::NoAlias)
-          Deps.push_back({A.I, B.I, Kind, /*LoopCarried=*/true, AR});
+          Wars.push_back({R.I, W.I, /*LoopCarried=*/Cross, AR});
       }
     }
   }
+  return Wars;
 }
 
 std::vector<const MemDep *> MemoryDependence::wars() const {
   std::vector<const MemDep *> Result;
   for (const MemDep &D : Deps)
-    if (D.Kind == DepKind::WAR)
-      Result.push_back(&D);
+    Result.push_back(&D);
   return Result;
 }
 
 std::vector<const MemDep *> MemoryDependence::warsIn(const Loop &L) const {
   std::vector<const MemDep *> Result;
   for (const MemDep &D : Deps)
-    if (D.Kind == DepKind::WAR && L.contains(D.Src) && L.contains(D.Dst))
-      Result.push_back(&D);
-  return Result;
-}
-
-std::vector<const MemDep *> MemoryDependence::rawsIn(const Loop &L) const {
-  std::vector<const MemDep *> Result;
-  for (const MemDep &D : Deps)
-    if (D.Kind == DepKind::RAW && L.contains(D.Src) && L.contains(D.Dst))
+    if (L.contains(D.Src) && L.contains(D.Dst))
       Result.push_back(&D);
   return Result;
 }

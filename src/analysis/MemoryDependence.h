@@ -1,11 +1,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Memory dependence analysis: the slice of a Program Dependence Graph the
-/// WARio passes consume. For every ordered pair of load/store instructions
-/// that can execute one after the other and may touch the same address, it
-/// records a WAR, RAW or WAW dependence, flagged as loop-carried when the
-/// later access is only reachable around a back edge.
+/// Memory dependence analysis: the write-after-read edges of a Program
+/// Dependence Graph, the only kind the WARio passes read. For every load
+/// and every store that can execute after it and may touch the same
+/// address, it records a WAR, flagged as loop-carried when the store is
+/// only reachable around a back edge.
 ///
 /// Cross-function effects need no modeling here: every function entry and
 /// exit carries a forced checkpoint (as in Ratchet), so no idempotent
@@ -21,43 +21,65 @@
 
 namespace wario {
 
-enum class DepKind { WAR, RAW, WAW };
-
-/// One memory dependence: Src can execute before Dst and the accesses may
-/// overlap.
+/// One WAR: the read Src can execute before the write Dst and the
+/// accesses may overlap.
 struct MemDep {
   Instruction *Src;
   Instruction *Dst;
-  DepKind Kind;
   /// True when Dst is reachable from Src only via a loop back edge.
   bool LoopCarried;
   AliasResult Alias;
 };
 
 /// Block-level reachability over a function CFG, with and without back
-/// edges. Built once per function; O(blocks^2) bits.
+/// edges. Blocks are numbered by their position in the function; the
+/// successor lists and one bit row per block are built once.
 class CFGReachability {
 public:
   CFGReachability(const Function &F, const LoopInfo &LI);
 
+  unsigned numBlocks() const { return unsigned(Succs.size()); }
+  unsigned index(const BasicBlock *BB) const { return Index.at(BB); }
+  const std::vector<unsigned> &successors(unsigned B) const { return Succs[B]; }
+
   /// True if a path with at least one edge leads from \p From to \p To.
-  bool reaches(const BasicBlock *From, const BasicBlock *To) const;
+  bool reaches(unsigned From, unsigned To) const {
+    return Full[From * Words + To / 64] >> To % 64 & 1;
+  }
   /// Same, but using no loop back edges.
-  bool forwardReaches(const BasicBlock *From, const BasicBlock *To) const;
+  bool forwardReaches(unsigned From, unsigned To) const {
+    return Forward[From * Words + To / 64] >> To % 64 & 1;
+  }
+  bool reaches(const BasicBlock *From, const BasicBlock *To) const {
+    return reaches(index(From), index(To));
+  }
+  bool forwardReaches(const BasicBlock *From, const BasicBlock *To) const {
+    return forwardReaches(index(From), index(To));
+  }
   /// True if \p BB lies on a cycle.
   bool onCycle(const BasicBlock *BB) const { return reaches(BB, BB); }
 
 private:
   std::unordered_map<const BasicBlock *, unsigned> Index;
-  std::vector<std::vector<bool>> Full;    // [from][to]
-  std::vector<std::vector<bool>> Forward; // [from][to]
+  std::vector<std::vector<unsigned>> Succs;
+  size_t Words = 0;                    ///< 64-bit words per row.
+  std::vector<uint64_t> Full, Forward; ///< [from][to] bit rows.
 };
 
-/// Computes all memory dependences of a function.
+/// The WARs of \p F (of \p Scope only, when given), grouped by read in
+/// program order and, per read, by write in program order; a direct
+/// dependence precedes the loop-carried one of the same pair. \p Reach
+/// must have been built for \p F and \p LI.
+std::vector<MemDep> findWars(const Function &F, const AliasAnalysis &AA,
+                             const LoopInfo &LI, const CFGReachability &Reach,
+                             const Loop *Scope = nullptr);
+
+/// The WARs of a whole function and the reachability they came from.
 class MemoryDependence {
 public:
   MemoryDependence(const Function &F, const AliasAnalysis &AA,
-                   const LoopInfo &LI);
+                   const LoopInfo &LI)
+      : Reach(F, LI), Deps(findWars(F, AA, LI, Reach)) {}
 
   const std::vector<MemDep> &deps() const { return Deps; }
 
@@ -66,9 +88,6 @@ public:
 
   /// WAR dependences entirely inside loop \p L.
   std::vector<const MemDep *> warsIn(const Loop &L) const;
-
-  /// RAW dependences entirely inside loop \p L (Src = write, Dst = read).
-  std::vector<const MemDep *> rawsIn(const Loop &L) const;
 
   const CFGReachability &reachability() const { return Reach; }
 

@@ -26,8 +26,8 @@ bool isCut(const MInst &I) {
   return I.Op == MOp::Checkpoint || I.Op == MOp::Bl;
 }
 
-/// Exact "is every load->store path cut" check, mirroring the middle-end
-/// warIsCut at MIR granularity.
+/// Exact "is every load->store path cut" check at MIR granularity (the
+/// middle-end CheckpointInserter asks the same of each IR WAR).
 bool warIsCut(const MFunction &F, MPos Load, MPos Store) {
   enum ScanResult { FoundStore, Blocked, FellThrough };
   auto Scan = [&](int Block, int From) {
@@ -73,7 +73,7 @@ bool warIsCut(const MFunction &F, MPos Load, MPos Store) {
 }
 
 /// Program points at which a checkpoint provably resolves (Load, Store);
-/// same structure as the middle-end resolvingPoints.
+/// the same ranges the middle-end CheckpointInserter derives per WAR.
 std::vector<MPos> resolvingPoints(const MFunction &F, MPos Load,
                                   MPos Store) {
   std::vector<MPos> Points;

@@ -44,11 +44,17 @@ RunReplyMsg wario::serve::makeRunReply(const RunResult &R, Provenance Prov) {
   M.MemHash = fnv1a(R.Emu.FinalMemory.data(), R.Emu.FinalMemory.size());
   M.RegionCount = R.Emu.RegionSizes.size();
   M.RegionHash = fnv1aU64s(R.Emu.RegionSizes);
-  M.FrontendSeconds = R.Pipeline.FrontendSeconds;
-  M.FrontHalfSeconds = R.Pipeline.FrontHalfSeconds;
-  M.MiddleEndSeconds = R.Pipeline.MiddleEndSeconds;
-  M.BackendSeconds = R.Pipeline.BackendSeconds;
-  M.EmulateSeconds = R.Pipeline.EmulateSeconds;
+  // R carries the seconds of whichever request computed each stage; the
+  // stages this request was answered from cache for cost it nothing. A
+  // hit at one level answers that level's stage and every stage below it.
+  bool Compiled = Prov.RunHit || Prov.CompileHit;
+  bool Mid = Compiled || Prov.MidHit;
+  bool Front = Mid || Prov.FrontHit;
+  M.FrontendSeconds = Front ? 0 : R.Pipeline.FrontendSeconds;
+  M.FrontHalfSeconds = Front ? 0 : R.Pipeline.FrontHalfSeconds;
+  M.MiddleEndSeconds = Mid ? 0 : R.Pipeline.MiddleEndSeconds;
+  M.BackendSeconds = Compiled ? 0 : R.Pipeline.BackendSeconds;
+  M.EmulateSeconds = Prov.RunHit ? 0 : R.Pipeline.EmulateSeconds;
   M.ProvenanceBits = Prov.bits();
   return M;
 }

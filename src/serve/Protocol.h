@@ -127,6 +127,7 @@ uint64_t fnv1a(const uint8_t *Data, size_t Size);
 uint64_t fnv1aU64s(const std::vector<uint64_t> &Vals);
 
 /// Builds a RunReplyMsg from a cache result (hashing the bulk fields).
+/// Stage seconds read zero for the stages \p Prov says came from cache.
 RunReplyMsg makeRunReply(const RunResult &R, Provenance Prov);
 
 //===----------------------------------------------------------------------===//

@@ -4,7 +4,8 @@
 #include "ir/IRBuilder.h"
 
 #include <algorithm>
-#include <map>
+#include <queue>
+#include <tuple>
 #include <unordered_set>
 
 using namespace wario;
@@ -19,111 +20,31 @@ bool isRegionCut(const Instruction *I) {
          I->getOpcode() == Opcode::Call;
 }
 
-/// Exact instruction-granular check: does every execution path from just
-/// after \p R to \p W pass a region cut? Mid-block branching is impossible
-/// in this IR, so a per-block linear scan composed with block-level BFS is
-/// exact.
-bool warIsCut(const Instruction *R, const Instruction *W) {
-  enum ScanResult { FoundW, Blocked, FellThrough };
-  auto Scan = [&](BasicBlock::const_iterator It,
-                  BasicBlock::const_iterator End) {
-    for (; It != End; ++It) {
-      if (*It == W)
-        return FoundW;
-      if (isRegionCut(*It))
-        return Blocked;
-    }
-    return FellThrough;
-  };
+/// The function's instructions in block order. Block B (numbered as in
+/// CFGReachability) holds positions [Begin[B], Begin[B + 1]) and has its
+/// first region cut at FirstCut[B] (its end if none). Instruction ids are
+/// dense per function, so positions and blocks are looked up by id.
+struct Layout {
+  std::vector<Instruction *> Insts;
+  std::vector<unsigned> Begin, FirstCut, PosOf, BlockOf;
 
-  const BasicBlock *RB = R->getParent();
-  auto StartIt = std::find(RB->begin(), RB->end(), R);
-  assert(StartIt != RB->end());
-  ++StartIt;
-
-  std::vector<const BasicBlock *> Work;
-  std::unordered_set<const BasicBlock *> Visited;
-  switch (Scan(StartIt, RB->end())) {
-  case FoundW:
-    return false;
-  case Blocked:
-    return true;
-  case FellThrough:
-    for (const BasicBlock *S : RB->successors())
-      if (Visited.insert(S).second)
-        Work.push_back(S);
-    break;
-  }
-  while (!Work.empty()) {
-    const BasicBlock *BB = Work.back();
-    Work.pop_back();
-    switch (Scan(BB->begin(), BB->end())) {
-    case FoundW:
-      return false;
-    case Blocked:
-      continue;
-    case FellThrough:
-      for (const BasicBlock *S : BB->successors())
-        if (Visited.insert(S).second)
-          Work.push_back(S);
-      break;
-    }
-  }
-  return true;
-}
-
-/// The program points (each "immediately before instruction X") at which
-/// a checkpoint provably resolves the WAR (R, W).
-///
-/// Every returned point lies on all R->W paths. Blocks are only entered
-/// at their head and only left at their terminator, so:
-///  - when R and W share a block with R first, any point in (R, W] works
-///    for both the fall-through and any wrap-around path;
-///  - when they share a block with W first (loop-carried), any point
-///    after R (the block cannot be left early) and any point from the
-///    block head to W (every re-entry passes it) works;
-///  - when R is in a different block, every R->W path finishes with a
-///    head-of-block(W) -> W segment, so every point up to W in W's block
-///    qualifies. This is what lets one checkpoint resolve a whole cluster
-///    of writes parked at a loop latch.
-std::vector<Instruction *> resolvingPoints(Instruction *R, Instruction *W,
-                                           bool Carried) {
-  std::vector<Instruction *> Points;
-  BasicBlock *RB = R->getParent(), *WB = W->getParent();
-  auto PushRange = [&](BasicBlock::iterator It, BasicBlock::iterator End) {
-    for (; It != End; ++It)
-      if ((*It)->getOpcode() != Opcode::Phi)
-        Points.push_back(*It);
-  };
-  if (RB == WB) {
-    auto RIt = std::find(RB->begin(), RB->end(), R);
-    auto WIt = std::find(RB->begin(), RB->end(), W);
-    assert(RIt != RB->end() && WIt != RB->end());
-    bool RFirst = false;
-    for (auto It = RB->begin(); It != RB->end(); ++It) {
-      if (*It == R) {
-        RFirst = true;
-        break;
+  explicit Layout(const Function &F)
+      : PosOf(F.nextInstId()), BlockOf(F.nextInstId()) {
+    for (const BasicBlock *BB : F) {
+      Begin.push_back(unsigned(Insts.size()));
+      FirstCut.push_back(~0u);
+      for (Instruction *I : *BB) {
+        if (FirstCut.back() == ~0u && isRegionCut(I))
+          FirstCut.back() = unsigned(Insts.size());
+        PosOf[I->getId()] = unsigned(Insts.size());
+        BlockOf[I->getId()] = unsigned(Begin.size() - 1);
+        Insts.push_back(I);
       }
-      if (*It == W)
-        break;
+      FirstCut.back() = std::min(FirstCut.back(), unsigned(Insts.size()));
     }
-    if (RFirst && !Carried) {
-      // The direct fall-through instance: any point in (R, W].
-      PushRange(std::next(RIt), std::next(WIt));
-    } else {
-      // Wrap-around instance (either order): the path leaves the block
-      // past R and re-enters at its head before W.
-      PushRange(std::next(RIt), RB->end());
-      PushRange(RB->begin(), std::next(WIt));
-    }
-    return Points;
+    Begin.push_back(unsigned(Insts.size()));
   }
-  auto WIt = std::find(WB->begin(), WB->end(), W);
-  assert(WIt != WB->end());
-  PushRange(WB->begin(), std::next(WIt));
-  return Points;
-}
+};
 
 } // namespace
 
@@ -137,22 +58,50 @@ wario::insertCheckpoints(Function &F, const CheckpointInserterOptions &Opts) {
   DominatorTree DT(F);
   LoopInfo LI(F, DT);
   MemoryDependence MD(F, AA, LI);
+  const CFGReachability &Reach = MD.reachability();
+  Stats.WarsFound = unsigned(MD.deps().size());
 
-  std::vector<const MemDep *> Wars = MD.wars();
-  Stats.WarsFound = unsigned(Wars.size());
-
-  struct War {
-    Instruction *R;
-    Instruction *W;
-    bool Carried;
-  };
-  std::vector<War> Unresolved;
-  for (const MemDep *D : Wars) {
-    if (warIsCut(D->Src, D->Dst)) {
-      ++Stats.WarsAlreadyCut;
-      continue;
+  // A WAR is already cut when every path from just after the read R to
+  // the write W passes a region cut. Blocks branch only at their end, so
+  // one flood per read (the WAR list is grouped by read) over the blocks
+  // a cut-free path enters at their head answers all of that read's
+  // writes: a W later in R's block is reached iff it precedes the first
+  // cut after R, any other W iff its block is entered and W precedes the
+  // block's first cut.
+  Layout L(F);
+  std::vector<const MemDep *> Unresolved;
+  std::vector<unsigned> EnteredAt(Reach.numBlocks(), 0), Work;
+  const Instruction *Read = nullptr;
+  unsigned Epoch = 0, RPos = 0, RBlock = 0, REnd = 0;
+  for (const MemDep &D : MD.deps()) {
+    if (D.Src != Read) {
+      Read = D.Src;
+      ++Epoch;
+      RPos = L.PosOf[Read->getId()];
+      RBlock = L.BlockOf[Read->getId()];
+      REnd = RPos + 1;
+      while (REnd != L.Begin[RBlock + 1] && !isRegionCut(L.Insts[REnd]))
+        ++REnd;
+      if (REnd == L.Begin[RBlock + 1])
+        Work.push_back(RBlock); // Work holds blocks left at their end.
+      while (!Work.empty()) {
+        unsigned B = Work.back();
+        Work.pop_back();
+        for (unsigned S : Reach.successors(B))
+          if (EnteredAt[S] != Epoch) {
+            EnteredAt[S] = Epoch;
+            if (L.FirstCut[S] == L.Begin[S + 1])
+              Work.push_back(S);
+          }
+      }
     }
-    Unresolved.push_back({D->Src, D->Dst, D->LoopCarried});
+    unsigned W = L.PosOf[D.Dst->getId()], WBlock = L.BlockOf[D.Dst->getId()];
+    if (WBlock == RBlock && W > RPos
+            ? W >= REnd
+            : EnteredAt[WBlock] != Epoch || W >= L.FirstCut[WBlock])
+      ++Stats.WarsAlreadyCut;
+    else
+      Unresolved.push_back(&D);
   }
   if (Unresolved.empty())
     return Stats;
@@ -166,11 +115,11 @@ wario::insertCheckpoints(Function &F, const CheckpointInserterOptions &Opts) {
     if (!Opts.SpecLogWars)
       return Stats; // Negative control: speculate without logging.
     std::unordered_set<Instruction *> Marked;
-    for (const War &V : Unresolved)
-      if (Marked.insert(V.W).second) {
-        assert(V.W->getOpcode() == Opcode::Store &&
+    for (const MemDep *V : Unresolved)
+      if (Marked.insert(V->Dst).second) {
+        assert(V->Dst->getOpcode() == Opcode::Store &&
                "WAR writer must be a store");
-        V.W->setSpecLogged(true);
+        V->Dst->setSpecLogged(true);
         ++Stats.StoresMarked;
       }
     return Stats;
@@ -188,65 +137,105 @@ wario::insertCheckpoints(Function &F, const CheckpointInserterOptions &Opts) {
 
   if (Opts.Strategy == PlacementStrategy::PerWrite) {
     std::unordered_set<Instruction *> Done;
-    for (const War &V : Unresolved)
-      if (Done.insert(V.W).second)
-        InsertBefore(V.W);
+    for (const MemDep *V : Unresolved)
+      if (Done.insert(V->Dst).second)
+        InsertBefore(V->Dst);
     return Stats;
   }
 
-  // Greedy minimum hitting set. Candidate points are keyed by the
-  // instruction they precede; cost grows with loop depth so the greedy
-  // choice prefers resolving many WARs with one checkpoint outside hot
-  // loops when possible.
-  std::map<unsigned, Instruction *> PointById; // Deterministic iteration.
-  std::unordered_map<Instruction *, std::vector<unsigned>> Covers;
-  for (unsigned Idx = 0; Idx != Unresolved.size(); ++Idx) {
-    const War &V = Unresolved[Idx];
-    for (Instruction *P : resolvingPoints(V.R, V.W, V.Carried)) {
-      PointById[P->getId()] = P;
-      Covers[P].push_back(Idx);
-    }
+  // Greedy minimum hitting set. A checkpoint resolves the WAR (R, W) when
+  // it goes immediately before a point on all R->W paths. Blocks are only
+  // entered at their head and only left at their terminator, so those are
+  // the non-phi instructions of:
+  //  - (R, W] when R precedes W in a shared block and the WAR is direct
+  //    (the fall-through instance);
+  //  - (R, block end) and [block head, W] when they share a block
+  //    otherwise: the path leaves the block past R and re-enters at its
+  //    head before W. A point in both ranges counts twice;
+  //  - [head of W's block, W] when R lies in another block, since every
+  //    R->W path ends with that segment. This is what lets one checkpoint
+  //    resolve a whole cluster of writes parked at a loop latch.
+  // Each list is thus a range from Lo to W in W's block, wrapping around
+  // the block end in the second case. WARs with equal (Lo, W, Wrap) have
+  // identical lists and form one group, weighted by its size.
+  struct Group {
+    unsigned Block, Lo, W;
+    bool Wrap;
+    unsigned Weight;
+  };
+  std::vector<Group> Groups;
+  std::unordered_map<uint64_t, unsigned> GroupOf;
+  for (const MemDep *V : Unresolved) {
+    unsigned R = L.PosOf[V->Src->getId()], W = L.PosOf[V->Dst->getId()];
+    unsigned Block = L.BlockOf[V->Dst->getId()];
+    bool SameBlock = L.BlockOf[V->Src->getId()] == Block;
+    bool Wrap = SameBlock && (V->LoopCarried || W < R);
+    unsigned Lo = SameBlock ? R + 1 : L.Begin[Block];
+    auto [It, Fresh] = GroupOf.try_emplace(
+        uint64_t(Lo) << 33 | uint64_t(W) << 1 | Wrap, unsigned(Groups.size()));
+    if (Fresh)
+      Groups.push_back({Block, Lo, W, Wrap, 0});
+    ++Groups[It->second].Weight;
   }
 
-  auto CostOf = [&](Instruction *P) -> double {
-    if (!Opts.DepthWeightedCost)
-      return 1.0;
-    unsigned Depth = std::min(LI.getLoopDepth(P->getParent()), 8u);
-    double C = 1.0;
-    for (unsigned I = 0; I != Depth; ++I)
-      C *= 4.0;
-    return C;
+  // Count[P]: the unresolved WARs a checkpoint before position P resolves.
+  std::vector<int> Count(L.Insts.size(), 0);
+  auto AddToPoints = [&](const Group &G, int Delta) {
+    auto Range = [&](unsigned From, unsigned To) {
+      for (unsigned P = From; P != To; ++P)
+        if (L.Insts[P]->getOpcode() != Opcode::Phi)
+          Count[P] += Delta;
+    };
+    Range(G.Lo, G.Wrap ? L.Begin[G.Block + 1] : G.W + 1);
+    if (G.Wrap)
+      Range(L.Begin[G.Block], G.W + 1);
+  };
+  std::vector<std::vector<unsigned>> GroupsIn(Reach.numBlocks());
+  for (unsigned G = 0; G != Groups.size(); ++G) {
+    AddToPoints(Groups[G], int(Groups[G].Weight));
+    GroupsIn[Groups[G].Block].push_back(G);
+  }
+
+  // Cost grows with loop depth so the greedy choice prefers resolving many
+  // WARs with one checkpoint outside hot loops when possible.
+  auto ScoreOf = [&](unsigned P) {
+    unsigned Depth = std::min(LI.getLoopDepth(L.Insts[P]->getParent()), 8u);
+    double Cost = 1.0;
+    for (unsigned I = 0; Opts.DepthWeightedCost && I != Depth; ++I)
+      Cost *= 4.0;
+    return double(Count[P]) / Cost;
   };
 
-  std::vector<bool> Resolved(Unresolved.size(), false);
-  unsigned Remaining = unsigned(Unresolved.size());
-  while (Remaining != 0) {
-    Instruction *Best = nullptr;
-    double BestScore = -1.0;
-    unsigned BestCount = 0;
-    for (auto &[Id, P] : PointById) {
-      unsigned Count = 0;
-      for (unsigned Idx : Covers[P])
-        if (!Resolved[Idx])
-          ++Count;
-      if (Count == 0)
-        continue;
-      double Score = double(Count) / CostOf(P);
-      if (Score > BestScore) {
-        BestScore = Score;
-        Best = P;
-        BestCount = Count;
-      }
+  // Lazy max-heap of (score, ~id, position): the best score pops first,
+  // and the lowest instruction id among equals. Scores only fall as WARs
+  // are resolved, so a popped entry whose score is still current is the
+  // greedy pick; a stale one is re-queued at its current score.
+  std::priority_queue<std::tuple<double, unsigned, unsigned>> Heap;
+  for (unsigned P = 0; P != Count.size(); ++P)
+    if (Count[P])
+      Heap.emplace(ScoreOf(P), ~L.Insts[P]->getId(), P);
+  std::vector<bool> Resolved(Groups.size(), false);
+  size_t Remaining = Groups.size();
+  while (Remaining != 0 && !Heap.empty()) {
+    auto [Score, NotId, P] = Heap.top();
+    Heap.pop();
+    if (double Now = ScoreOf(P); Now < Score) {
+      if (Count[P])
+        Heap.emplace(Now, NotId, P);
+      continue;
     }
-    assert(Best && "hitting set failed to cover remaining WARs");
-    (void)BestCount;
-    InsertBefore(Best);
-    for (unsigned Idx : Covers[Best])
-      if (!Resolved[Idx]) {
-        Resolved[Idx] = true;
-        --Remaining;
-      }
+    InsertBefore(L.Insts[P]);
+    for (unsigned G : GroupsIn[L.BlockOf[~NotId]]) {
+      const Group &Gr = Groups[G];
+      if (Resolved[G] || (Gr.Wrap ? P < Gr.Lo && P > Gr.W
+                                  : P < Gr.Lo || P > Gr.W))
+        continue; // Already resolved, or P is not one of its points.
+      Resolved[G] = true;
+      --Remaining;
+      AddToPoints(Gr, -int(Gr.Weight));
+    }
   }
+  assert(Remaining == 0 && "hitting set left a WAR uncovered");
   return Stats;
 }
 

@@ -16,19 +16,27 @@ using namespace wario;
 namespace {
 
 /// Analysis bundle recomputed between loop transformations (each
-/// transformation rewrites the CFG).
+/// transformation rewrites the CFG). WARs are computed per examined loop,
+/// over the one reachability shared by all of this rebuild's queries.
 struct Analyses {
+  const Function &F;
+  const AliasAnalysis &AA;
   DominatorTree DT;
   DominatorTree PDT;
   LoopInfo LI;
-  MemoryDependence MD;
+  CFGReachability Reach;
 
-  /// The comma trick drops AA's memoized results before MD re-queries:
+  /// The comma trick drops AA's memoized results before any re-query:
   /// the rewrite that forced this rebuild may have deleted Values whose
   /// pointers (the cache keys) a later allocation could reuse.
   Analyses(Function &F, const AliasAnalysis &AA)
-      : DT(F), PDT(F, /*Post=*/true), LI(F, DT),
-        MD(F, (AA.invalidate(), AA), LI) {}
+      : F(F), AA((AA.invalidate(), AA)), DT(F), PDT(F, /*Post=*/true),
+        LI(F, DT), Reach(F, LI) {}
+
+  /// The WARs with both accesses inside \p L.
+  std::vector<MemDep> warsIn(const Loop &L) const {
+    return findWars(F, AA, LI, Reach, &L);
+  }
 };
 
 /// Paper Algorithm 1, IsCandidate: innermost, unique latch, call-free
@@ -51,26 +59,13 @@ bool isCandidate(Loop &L, const Analyses &A) {
         break;
       }
     }
-  std::vector<const MemDep *> Wars = A.MD.warsIn(L);
+  std::vector<MemDep> Wars = A.warsIn(L);
   if (Wars.empty())
     return false;
-  for (const MemDep *D : Wars)
-    if (!A.PDT.dominates(Latch, D->Dst->getParent()))
+  for (const MemDep &D : Wars)
+    if (!A.PDT.dominates(Latch, D.Dst->getParent()))
       return false;
   return true;
-}
-
-/// Per-instruction position in the unrolled body, iteration-major; used
-/// as "original program order" after unrolling.
-using OrderMap = std::unordered_map<const Instruction *, unsigned>;
-
-OrderMap numberBody(const std::vector<BasicBlock *> &Blocks) {
-  OrderMap Order;
-  unsigned N = 0;
-  for (BasicBlock *BB : Blocks)
-    for (Instruction *I : *BB)
-      Order[I] = N++;
-  return Order;
 }
 
 class LoopTransformer {
@@ -84,7 +79,9 @@ public:
   bool run(const UnrollResult &UR) {
     Body = UR.allBlocks();
     BodySet.insert(Body.begin(), Body.end());
-    Order = numberBody(Body);
+    for (BasicBlock *BB : Body)
+      for (Instruction *I : *BB)
+        Order.emplace(I, unsigned(Order.size()));
 
     Analyses A(F, AA);
     Loop *L = A.LI.getLoopFor(Body.front());
@@ -95,11 +92,10 @@ public:
     Instruction *LatchTerm = Latch->getTerminator();
 
     // Collect the unrolled loop's WAR writes and dependent reads.
-    std::vector<const MemDep *> Wars = A.MD.warsIn(*L);
     std::vector<Instruction *> Postponed;
     std::unordered_set<Instruction *> PostponedSet;
-    for (const MemDep *D : Wars) {
-      Instruction *W = D->Dst;
+    for (const MemDep &D : A.warsIn(*L)) {
+      Instruction *W = D.Dst;
       if (!BodySet.count(W->getParent()) || PostponedSet.count(W))
         continue;
       Postponed.push_back(W);
@@ -113,8 +109,7 @@ public:
         L->getExitEdges();
 
     // Iteratively drop stores whose postponement cannot be compensated.
-    dropUnsupportedStores(A, *L, Latch, LatchTerm, Exits, Postponed,
-                          PostponedSet);
+    dropUnsupportedStores(A, LatchTerm, Exits, Postponed, PostponedSet);
     if (Postponed.empty())
       return false;
 
@@ -125,7 +120,7 @@ public:
 
     // Dependent reads must be instrumented before the stores move (the
     // checks are inserted at the read, using the store's operands).
-    instrumentReads(A, *L, Postponed, PostponedSet);
+    instrumentReads(A, Postponed);
 
     // Early exits get compensating copies of every postponed store that
     // dominates them.
@@ -146,7 +141,6 @@ public:
     IRB.setInsertPoint(Postponed.front());
     IRB.createCheckpoint()->setCheckpointCause(
         CheckpointCause::MiddleEndWar);
-    (void)LatchTerm;
     return true;
   }
 
@@ -157,11 +151,10 @@ private:
   /// meaningful). Violations remove S from the postponed set; removal can
   /// create new stationary stores, so iterate to a fixed point.
   void dropUnsupportedStores(
-      Analyses &A, Loop &L, BasicBlock *Latch, Instruction *LatchTerm,
+      Analyses &A, Instruction *LatchTerm,
       const std::vector<std::pair<BasicBlock *, BasicBlock *>> &Exits,
       std::vector<Instruction *> &Postponed,
       std::unordered_set<Instruction *> &PostponedSet) {
-    (void)L;
     bool Changed = true;
     while (Changed) {
       Changed = false;
@@ -209,7 +202,7 @@ private:
           if (A.DT.dominates(W, ETerm))
             continue; // Copy is well-defined.
           if (W->getParent() == E ||
-              A.MD.reachability().forwardReaches(W->getParent(), E))
+              A.Reach.forwardReaches(W->getParent(), E))
             Drop = true; // Reachable but conditional: cannot compensate.
         }
 
@@ -268,7 +261,6 @@ private:
         }
       }
     }
-    (void)Latch;
   }
 
   static constexpr unsigned MaxChecksPerRead = 4;
@@ -278,8 +270,7 @@ private:
   bool onForwardPath(Analyses &A, Instruction *W, Instruction *R) {
     if (W->getParent() == R->getParent())
       return Order.at(W) < Order.at(R);
-    return A.MD.reachability().forwardReaches(W->getParent(),
-                                              R->getParent());
+    return A.Reach.forwardReaches(W->getParent(), R->getParent());
   }
 
   /// Postponed stores the read \p R may depend on, in original program
@@ -316,11 +307,8 @@ private:
   /// `cmp = (raddr == waddr); sel = cmp ? wval : prev` per aliasing
   /// postponed store (in store order, so the latest store wins), then
   /// rewire the read's users to the final select.
-  void instrumentReads(Analyses &A, Loop &L,
-                       const std::vector<Instruction *> &Postponed,
-                       const std::unordered_set<Instruction *> &PostponedSet) {
-    (void)L;
-    (void)PostponedSet;
+  void instrumentReads(Analyses &A,
+                       const std::vector<Instruction *> &Postponed) {
     IRBuilder IRB(M);
     for (BasicBlock *BB : Body) {
       // Snapshot: instrumentation inserts instructions into the block.
@@ -421,7 +409,9 @@ private:
   LoopWriteClustererStats &Stats;
   std::vector<BasicBlock *> Body;
   std::unordered_set<const BasicBlock *> BodySet;
-  OrderMap Order;
+  /// Per-instruction position in the unrolled body, iteration-major;
+  /// used as "original program order" after unrolling.
+  std::unordered_map<const Instruction *, unsigned> Order;
 };
 
 } // namespace

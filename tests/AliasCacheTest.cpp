@@ -3,9 +3,10 @@
 /// \file
 /// Differential test of the alias-query memoization cache: cached and
 /// uncached AliasAnalysis must produce identical MemoryDependence sets
-/// (all kinds, not just WAR) on randomly generated programs and on the
-/// paper workloads, at both precision levels. Any divergence means the
-/// symmetric canonicalization or an invalidation point is wrong.
+/// (every WAR with its loop-carried flag and alias verdict) on randomly
+/// generated programs and on the paper workloads, at both precision
+/// levels. Any divergence means the symmetric canonicalization or an
+/// invalidation point is wrong.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +43,8 @@ std::string depSignature(const Function &F, bool CachedAA,
 
   std::ostringstream OS;
   for (const MemDep &D : MD.deps())
-    OS << Num.at(D.Src) << "->" << Num.at(D.Dst) << ":k"
-       << int(D.Kind) << ":c" << D.LoopCarried << ":a" << int(D.Alias)
-       << "\n";
+    OS << Num.at(D.Src) << "->" << Num.at(D.Dst) << ":c" << D.LoopCarried
+       << ":a" << int(D.Alias) << "\n";
   return OS.str();
 }
 

@@ -4,12 +4,14 @@
 /// Property tests for the CFG analyses over randomly generated control
 /// flow graphs: dominators and post-dominators are checked against their
 /// textbook definitions (brute-force reachability with the candidate
-/// node removed), and loop info against structural invariants.
+/// node removed), loop info against structural invariants, and block
+/// reachability against a plain graph search.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
+#include "analysis/MemoryDependence.h"
 #include "ir/IRBuilder.h"
 
 #include <gtest/gtest.h>
@@ -188,6 +190,51 @@ TEST_P(CFGSeeds, LoopInfoStructuralInvariants) {
     for (auto &[E, X] : L->getExitEdges()) {
       EXPECT_TRUE(L->contains(E));
       EXPECT_FALSE(L->contains(X));
+    }
+    // Natural loops are nested or disjoint (MemoryDependence tests for a
+    // common loop by comparing outermost loops).
+    for (Loop *O : LI.loops()) {
+      bool Shared = false, OInL = true, LInO = true;
+      for (BasicBlock *BB : O->blocks()) {
+        Shared = Shared || L->contains(BB);
+        OInL = OInL && L->contains(BB);
+      }
+      for (BasicBlock *BB : L->blocks())
+        LInO = LInO && O->contains(BB);
+      EXPECT_TRUE(!Shared || OInL || LInO) << "seed " << GetParam();
+    }
+  }
+}
+
+TEST_P(CFGSeeds, ReachabilityMatchesOracle) {
+  // Wide enough that each bit row spans two 64-bit words.
+  auto M = randomCFG(GetParam() * 7919 + 11, 65 + GetParam() % 40);
+  Function &F = *M->getFunction("main");
+  DominatorTree DT(F);
+  LoopInfo LI(F, DT);
+  CFGReachability R(F, LI);
+  auto Oracle = [&](const BasicBlock *From, bool SkipBackEdges) {
+    std::set<const BasicBlock *> Seen;
+    std::vector<const BasicBlock *> Work{From};
+    while (!Work.empty()) {
+      const BasicBlock *BB = Work.back();
+      Work.pop_back();
+      for (const BasicBlock *S : BB->successors())
+        if (!(SkipBackEdges && LI.isBackEdge(BB, S)) && Seen.insert(S).second)
+          Work.push_back(S);
+    }
+    return Seen;
+  };
+  for (const BasicBlock *A : F) {
+    std::set<const BasicBlock *> Full = Oracle(A, false);
+    std::set<const BasicBlock *> Forward = Oracle(A, true);
+    for (const BasicBlock *B : F) {
+      EXPECT_EQ(R.reaches(A, B), Full.count(B) != 0)
+          << "seed " << GetParam() << ": " << A->getName() << " -> "
+          << B->getName();
+      EXPECT_EQ(R.forwardReaches(A, B), Forward.count(B) != 0)
+          << "seed " << GetParam() << ": " << A->getName() << " -> "
+          << B->getName();
     }
   }
 }

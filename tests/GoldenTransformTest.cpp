@@ -86,6 +86,49 @@ entry:
                                       "store", "store", "ret"}));
 }
 
+TEST(GoldenTest, DirectAndCarriedWarsOfOnePairCountSeparately) {
+  // In a loop block, a read followed by an aliasing write has a
+  // same-iteration WAR (resolved only between the two) and a loop-carried
+  // one (resolved anywhere around the back edge). The hitting set must
+  // weigh their resolving points separately; merging the two would move
+  // the third checkpoint below %l.8.
+  auto M = parse(R"(global @g0 : 4 bytes
+global @g2 : 4 bytes
+
+func @main() -> i32 {
+entry:
+  %p.1 = loadi32 @g2
+  jmp loop
+loop:
+  %i.2 = phi [0, entry], [%n.9, loop]
+  storei32 %p.1, @g0
+  %l.3 = loadi32 @g0
+  storei32 %l.3, @g0
+  %l.4 = loadi32 @g2
+  storei32 %i.2, @g0
+  %l.5 = loadi32 @g0
+  storei32 %p.1, @g2
+  %l.6 = loadi32 @g0
+  %n.9 = add %i.2, 1
+  %c.7 = icmp slt %n.9, 7
+  br %c.7, loop, exit
+exit:
+  %r.8 = loadi32 @g0
+  ret %r.8
+}
+)");
+  ASSERT_TRUE(M);
+  Function *F = M->getFunction("main");
+  CheckpointInserterStats S = insertCheckpoints(*F, {});
+  EXPECT_EQ(S.WarsFound, 14u);
+  EXPECT_EQ(S.Inserted, 3u);
+  EXPECT_EQ(opcodes(*std::next(F->begin())),
+            (std::vector<std::string>{
+                "phi", "checkpoint", "store", "load", "checkpoint", "store",
+                "load", "checkpoint", "store", "load", "store", "load", "add",
+                "icmp", "br"}));
+}
+
 TEST(GoldenTest, LoopClustererParksStoresAtTheLatch) {
   // A counting loop with a genuine accumulator WAR.
   auto M = parse(R"(global @sum : 4 bytes

@@ -10,8 +10,9 @@
 ///     harvester traces, instrumented builds still agree and execute
 ///     with zero WAR violations.
 ///  3. Static soundness: after checkpoint insertion, no WAR dependence
-///     in the IR remains uncut (checked with an independent path
-///     scanner, not the inserter's own logic).
+///     in the IR remains uncut, and before it the inserter counts as
+///     already cut exactly the WARs that are (both checked with an
+///     independent path scanner, not the inserter's own logic).
 ///  4. Pass-pipeline invariants: the verifier holds after every stage.
 ///
 //===----------------------------------------------------------------------===//
@@ -23,8 +24,10 @@
 #include "driver/Pipeline.h"
 #include "emu/Emulator.h"
 #include "frontend/Frontend.h"
+#include "ir/Cloning.h"
 #include "ir/IRPrinter.h"
 #include "ir/Interp.h"
+#include "transforms/LoopUnroller.h"
 #include "transforms/LoopWriteClusterer.h"
 #include "transforms/Mem2Reg.h"
 #include "transforms/Utils.h"
@@ -48,67 +51,76 @@ std::unique_ptr<Module> compileSeed(uint32_t Seed) {
   return M;
 }
 
-/// Independent checker: every WAR dependence must have a Checkpoint or
-/// Call on every read->write path (instruction-level BFS, written
-/// separately from the inserter's warIsCut).
-bool allWarsCut(Function &F, std::string *Offender) {
-  AliasAnalysis AA(AliasPrecision::Precise);
+/// Independent path scanner: every instruction reachable from just after
+/// the read \p R on a path that passes no Checkpoint or Call
+/// (instruction-level BFS, written separately from the inserter's
+/// per-read sweep), as flags by instruction id. A WAR (R, W) is cut iff W
+/// is not flagged; WAR lists are grouped by read, so callers scan once per
+/// read.
+std::vector<bool> uncutFrom(const Instruction *R) {
+  std::vector<bool> Reached(R->getFunction()->nextInstId(), false);
+  std::vector<const BasicBlock *> Work;
+  std::set<const BasicBlock *> VisitedTop;
+  // Records the block's instructions from \p From on until a cut; true if
+  // the scan fell through to the successors.
+  auto Scan = [&](BasicBlock::iterator From, BasicBlock::iterator End) {
+    for (; From != End; ++From) {
+      if ((*From)->getOpcode() == Opcode::Checkpoint ||
+          (*From)->getOpcode() == Opcode::Call)
+        return false; // Cut: stop exploring this path.
+      Reached[(*From)->getId()] = true;
+    }
+    return true;
+  };
+  auto After = std::find(R->getParent()->begin(), R->getParent()->end(), R);
+  const BasicBlock *BB = R->getParent();
+  bool FellThrough = Scan(std::next(After), BB->end());
+  while (true) {
+    if (FellThrough)
+      for (BasicBlock *S : BB->successors())
+        if (VisitedTop.insert(S).second)
+          Work.push_back(S);
+    if (Work.empty())
+      return Reached;
+    BB = Work.back();
+    Work.pop_back();
+    FellThrough = Scan(BB->begin(), BB->end());
+  }
+}
+
+/// Calls \p Judge(D, Cut) for each WAR of \p F at precision \p P, with
+/// Cut set when the path scanner finds the WAR already cut.
+template <typename Fn>
+void judgeWars(Function &F, AliasPrecision P, Fn Judge) {
+  AliasAnalysis AA(P);
   DominatorTree DT(F);
   LoopInfo LI(F, DT);
   MemoryDependence MD(F, AA, LI);
-
-  for (const MemDep *D : MD.wars()) {
-    // BFS over (block, position) states from just after the read.
-    struct State {
-      const BasicBlock *BB;
-      bool FromTop;
-    };
-    std::vector<State> Work;
-    std::set<const BasicBlock *> VisitedTop;
-    auto Scan = [&](const BasicBlock *BB, const Instruction *After,
-                    bool &ReachedWrite) {
-      bool Started = After == nullptr;
-      for (const Instruction *I : *BB) {
-        if (!Started) {
-          if (I == After)
-            Started = true;
-          continue;
-        }
-        if (I == D->Dst) {
-          ReachedWrite = true;
-          return true; // Stop: found the write uncut on this path.
-        }
-        if (I->getOpcode() == Opcode::Checkpoint ||
-            I->getOpcode() == Opcode::Call)
-          return true; // Cut: stop exploring this path.
-      }
-      return false; // Fell through to successors.
-    };
-
-    bool Reached = false;
-    if (!Scan(D->Src->getParent(), D->Src, Reached)) {
-      for (BasicBlock *S : D->Src->getParent()->successors())
-        if (VisitedTop.insert(S).second)
-          Work.push_back({S, true});
+  const Instruction *Read = nullptr;
+  std::vector<bool> Uncut;
+  for (const MemDep &D : MD.deps()) {
+    if (D.Src != Read) {
+      Read = D.Src;
+      Uncut = uncutFrom(Read);
     }
-    while (!Work.empty() && !Reached) {
-      State St = Work.back();
-      Work.pop_back();
-      if (!Scan(St.BB, nullptr, Reached)) {
-        for (BasicBlock *S : St.BB->successors())
-          if (VisitedTop.insert(S).second)
-            Work.push_back({S, true});
-      }
-    }
-    if (Reached) {
-      if (Offender)
-        *Offender = "uncut WAR: read '" + printInstruction(*D->Src) +
-                    "' -> write '" + printInstruction(*D->Dst) +
-                    "' in @" + F.getName();
-      return false;
-    }
+    Judge(D, !Uncut[D.Dst->getId()]);
   }
-  return true;
+}
+
+/// Independent checker: every WAR dependence must have a Checkpoint or
+/// Call on every read->write path.
+bool allWarsCut(Function &F, std::string *Offender) {
+  bool AllCut = true;
+  judgeWars(F, AliasPrecision::Precise, [&](const MemDep &D, bool Cut) {
+    if (Cut || !AllCut)
+      return;
+    AllCut = false;
+    if (Offender)
+      *Offender = "uncut WAR: read '" + printInstruction(*D.Src) +
+                  "' -> write '" + printInstruction(*D.Dst) + "' in @" +
+                  F.getName();
+  });
+  return AllCut;
 }
 
 class FuzzSuite : public ::testing::TestWithParam<uint32_t> {};
@@ -187,6 +199,47 @@ TEST_P(FuzzSuite, NoUncutWarSurvivesInsertion) {
       continue;
     EXPECT_TRUE(allWarsCut(*F, &Offender)) << "seed " << Seed << ": "
                                            << Offender;
+  }
+}
+
+/// The checkpoint inserter's WarsAlreadyCut must count exactly the WARs
+/// the path scanner finds cut, on the IR the WARio pipeline hands it
+/// (front half, Loop Write Clusterer, unroller, Write Clusterer), under
+/// every strategy and both alias precisions.
+TEST_P(FuzzSuite, AlreadyCutWarsMatchPathScanner) {
+  uint32_t Seed = GetParam();
+  auto M = compileSeed(Seed);
+  ASSERT_TRUE(M);
+  PipelineStats FrontStats;
+  runFrontHalf(*M, FrontStats);
+  for (auto &F : M->functions()) {
+    runLoopWriteClusterer(*F, LoopWriteClustererOptions{});
+    cleanup(*F);
+    unrollStandardLoops(*F, /*Factor=*/4, /*MaxBodyInsts=*/40);
+    cleanup(*F);
+    AliasAnalysis AA(AliasPrecision::Precise);
+    runWriteClusterer(*F, AA);
+  }
+
+  for (AliasPrecision P :
+       {AliasPrecision::Conservative, AliasPrecision::Precise}) {
+    unsigned AlreadyCut = 0;
+    for (auto &F : M->functions())
+      if (!F->isDeclaration())
+        judgeWars(*F, P,
+                  [&](const MemDep &, bool Cut) { AlreadyCut += Cut; });
+    for (CheckpointStrategy Mode :
+         {CheckpointStrategy::Idempotent, CheckpointStrategy::Differential,
+          CheckpointStrategy::Speculative}) {
+      std::unique_ptr<Module> C = cloneModule(*M);
+      CheckpointInserterOptions Opts;
+      Opts.Precision = P;
+      Opts.Mode = Mode;
+      EXPECT_EQ(insertCheckpoints(*C, Opts).WarsAlreadyCut, AlreadyCut)
+          << "seed " << Seed << ", "
+          << (P == AliasPrecision::Precise ? "precise" : "conservative")
+          << ", " << checkpointStrategyName(Mode);
+    }
   }
 }
 

@@ -6,7 +6,8 @@
 /// truncated, and oversized frames are rejected without crashing (or
 /// allocating absurd buffers); and a live daemon honors the error
 /// contract — undecodable bodies earn an ErrorReply with the echoed id
-/// on a still-usable connection, corrupt framing closes it.
+/// on a still-usable connection, corrupt framing closes it, and stages
+/// answered from cache report zero seconds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -384,6 +385,41 @@ TEST_F(ServeDaemonTest, CorruptFramingClosesTheConnection) {
   Client C;
   ASSERT_TRUE(C.connect(Path));
   EXPECT_TRUE(C.ping());
+}
+
+TEST_F(ServeDaemonTest, CachedStagesReportZeroSeconds) {
+  Client C;
+  ASSERT_TRUE(C.connect(Path));
+  RunRequestMsg Req;
+  Req.Tenant = "stage-seconds";
+  Req.Workload = "crc";
+  Req.PO.Env = Environment::WarioComplete;
+  RunReplyMsg Cold;
+  ASSERT_TRUE(C.run(Req, Cold));
+  ASSERT_TRUE(Cold.Ok) << Cold.Error;
+  EXPECT_GT(Cold.MiddleEndSeconds, 0.0);
+
+  // The same request again is answered whole from the run level.
+  RunReplyMsg Hit;
+  ASSERT_TRUE(C.run(Req, Hit));
+  EXPECT_TRUE(Provenance::fromBits(Hit.ProvenanceBits).RunHit);
+  EXPECT_EQ(Hit.FrontendSeconds, 0.0);
+  EXPECT_EQ(Hit.FrontHalfSeconds, 0.0);
+  EXPECT_EQ(Hit.MiddleEndSeconds, 0.0);
+  EXPECT_EQ(Hit.BackendSeconds, 0.0);
+  EXPECT_EQ(Hit.EmulateSeconds, 0.0);
+
+  // Another environment on the same workload reuses the front half but
+  // runs its own middle end.
+  RunRequestMsg Other = Req;
+  Other.PO.Env = Environment::Ratchet;
+  RunReplyMsg Front;
+  ASSERT_TRUE(C.run(Other, Front));
+  ASSERT_TRUE(Front.Ok) << Front.Error;
+  EXPECT_TRUE(Provenance::fromBits(Front.ProvenanceBits).FrontHit);
+  EXPECT_EQ(Front.FrontendSeconds, 0.0);
+  EXPECT_EQ(Front.FrontHalfSeconds, 0.0);
+  EXPECT_GT(Front.MiddleEndSeconds, 0.0);
 }
 
 TEST_F(ServeDaemonTest, OversizedFrameIsRejectedNotAllocated) {

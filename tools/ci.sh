@@ -14,10 +14,11 @@
 #   4. rebuild under AddressSanitizer and run the `asan`-labeled tests
 #      (module cloning, cache keying, snapshot page journal);
 #   5. release-configuration pass: build -DCMAKE_BUILD_TYPE=Release and
-#      run the `asan`- and `engine`-labeled subsets there plus a
-#      one-workload bench smoke. The default tree keeps asserts on;
-#      this pass is what catches NDEBUG-only bugs (assert-side-effects,
-#      codepaths that only assert-guard an invariant) and broken
+#      run the `asan`-, `engine`- and `placement`-labeled subsets there
+#      plus a one-workload bench smoke. This is the benchmarks'
+#      configuration (-O3, NDEBUG); the pass catches bugs that show only
+#      there (assert-side-effects, codepaths that only assert-guard an
+#      invariant, such as the hitting set covering every WAR) and broken
 #      release benchmark binaries before a BENCH recording does;
 #   6. re-run the docs lint standalone so a docs-only failure is
 #      reported even if a build step above broke first.
@@ -71,11 +72,11 @@ cmake -B "$build/asan" -S "$root" -DWARIO_SANITIZE=address
 cmake --build "$build/asan" -j "$jobs"
 ctest --test-dir "$build/asan" --output-on-failure -j "$jobs" -L asan
 
-echo "==> release build + asan/engine subsets + bench smoke"
+echo "==> release build + asan/engine/placement subsets + bench smoke"
 cmake -B "$build/release" -S "$root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build/release" -j "$jobs"
 ctest --test-dir "$build/release" --output-on-failure -j "$jobs" \
-  -L 'asan|engine'
+  -L 'asan|engine|placement'
 "$build/release/bench/micro_compiler" \
   --benchmark_filter='BM_Arena|BM_ModuleTeardown|BM_StageCloneModule' \
   --benchmark_min_time=0.05
