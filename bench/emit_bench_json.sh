@@ -26,8 +26,8 @@
 # build (its context says debug_build=true), so its absolute emulator
 # numbers understate the engine and its engine-vs-interpreter ratios
 # were measured with asserts on. Engine ratios come from the same-run
-# BM_Engine_* matrix inside micro_emulator (each workload pinned to
-# interp / threaded / trace within one binary invocation, median of 3
+# BM_Engine_* matrix inside micro_emulator (each workload and strategy
+# pinned to interp / threaded within one binary invocation, median of 3
 # repetitions) — the cross-run protocol used through PR-9 let
 # background-load swings land on one side of the ratio only, inflating
 # or deflating it by tens of percent on this 1-vCPU container.
@@ -64,9 +64,9 @@ trap 'rm -f "$EMU_JSON" "$ENG_JSON" "$COMP_JSON" "$LOADGEN_JSON" "$STRAT_JSON"' 
 "$BUILD/bench/micro_emulator" --benchmark_format=json \
   --benchmark_min_time=0.2 > "$EMU_JSON"
 # Engine-ratio pass: the BM_Engine_* rows pin each workload to
-# interp / threaded / trace inside one invocation, so the PR-6 and
-# PR-10 acceptance bars are re-evaluated from ratios whose numerator
-# and denominator share the same run's machine noise — and from the
+# interp / threaded inside one invocation, so the engine acceptance bar
+# is re-evaluated from ratios whose numerator and denominator share the
+# same run's machine noise — and from the
 # median of 3 repetitions, because a single 0.2 s sample on this
 # loaded 1-vCPU container can still swing a ratio by tens of percent.
 "$BUILD/bench/micro_emulator" --benchmark_filter='BM_Engine_' \
@@ -209,22 +209,19 @@ merged["benchmarks"] += comp["benchmarks"]
 
 notes = []
 
-# Engine-vs-interpreter insts/s ratios per workload from the
-# median-of-3 BM_Engine_<Engine>_<workload> aggregate pass (PR-6 bar:
-# threaded >= 5x; PR-10 bar: trace >= 5x on two workloads and above
-# the prior snapshot's recorded ratios on all). All three engines run
-# inside each repetition's invocation, and the median absorbs the
+# Engine-vs-interpreter insts/s ratios per workload (and strategy:
+# BM_Engine_<Engine>_<workload>[_diff|_spec]) from the median-of-3
+# aggregate pass (bar: threaded >= 5x). Both engines run inside
+# each repetition's invocation, and the median absorbs the
 # sample-to-sample load swings a single 0.2 s run is exposed to.
 eng = {}
 for b in json.load(open(sys.argv[10]))["benchmarks"]:
     n = b.get("name", "")
     if b.get("aggregate_name") == "median" and "insts/s" in b:
-        _, _, engine, w = n.removesuffix("_median").split("_")
+        _, _, engine, w = n.removesuffix("_median").split("_", 3)
         eng.setdefault(w.upper(), {})[engine] = b["insts/s"]
 threaded = {w: round(r["Threaded"] / r["Interp"], 2)
             for w, r in eng.items() if "Threaded" in r and "Interp" in r}
-trace = {w: round(r["Trace"] / r["Interp"], 2)
-         for w, r in eng.items() if "Trace" in r and "Interp" in r}
 bt = merged["context"].get("wario_build_type")
 if threaded:
     merged["context"]["engine_vs_interp_insts_per_s"] = threaded
@@ -237,19 +234,6 @@ if threaded:
         "PR-9 came from separate interp/threaded runs and carry "
         "cross-run load noise; they are not comparable to these.")
 prev = json.load(open(sys.argv[9])) if sys.argv[9] else None
-if trace:
-    merged["context"]["trace_vs_interp_insts_per_s"] = trace
-    met5 = sum(1 for v in trace.values() if v >= 5.0)
-    verdict = f"trace engine >= 5x interp on {met5}/{len(trace)} workloads"
-    prev_r = (prev or {}).get("context", {}).get(
-        "engine_vs_interp_insts_per_s", {})
-    if prev_r:
-        beat = [w for w in trace if w in prev_r and trace[w] > prev_r[w]]
-        verdict += (f"; above the prior snapshot's recorded ratios on "
-                    f"{len(beat)}/{len(prev_r)}")
-    notes.append(
-        f"PR-10 bar: {verdict} "
-        f"({', '.join(f'{w} {v}x' for w, v in sorted(trace.items()))}).")
 merged["benchmarks"].append({
     "name": "fig4_table3_single_thread",
     "run_type": "aggregate",

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <benchmark/benchmark.h>
+#include <tuple>
 
 using namespace wario;
 using namespace wario::bench;
@@ -24,9 +25,13 @@ using namespace wario::bench;
 namespace {
 
 /// One compiled workload per emulator-bound benchmark, built once.
-const MModule &compiledWorkload(const std::string &Name, Environment Env) {
-  static std::map<std::pair<std::string, Environment>, MModule> Cache;
-  auto Key = std::make_pair(Name, Env);
+const MModule &compiledWorkload(
+    const std::string &Name, Environment Env,
+    CheckpointStrategy Strat = CheckpointStrategy::Idempotent) {
+  static std::map<std::tuple<std::string, Environment, CheckpointStrategy>,
+                  MModule>
+      Cache;
+  auto Key = std::make_tuple(Name, Env, Strat);
   auto It = Cache.find(Key);
   if (It != Cache.end())
     return It->second;
@@ -38,12 +43,15 @@ const MModule &compiledWorkload(const std::string &Name, Environment Env) {
   }
   PipelineOptions PO;
   PO.Env = Env;
+  PO.Strat = Strat;
   return Cache.emplace(Key, compile(*M, PO)).first->second;
 }
 
-void runEmulatorBench(benchmark::State &State, const std::string &Name,
-                      Environment Env, const EmulatorOptions &EO) {
-  const MModule &MM = compiledWorkload(Name, Env);
+void runEmulatorBench(
+    benchmark::State &State, const std::string &Name, Environment Env,
+    const EmulatorOptions &EO,
+    CheckpointStrategy Strat = CheckpointStrategy::Idempotent) {
+  const MModule &MM = compiledWorkload(Name, Env, Strat);
   Emulator E(MM);
   uint64_t Instructions = 0, Cycles = 0;
   EngineStats St;
@@ -74,18 +82,6 @@ void runEmulatorBench(benchmark::State &State, const std::string &Name,
         100.0 * double(St.FusedInstructions) /
         double(std::max<uint64_t>(St.ThreadedInstructions, 1));
   }
-  // Hot-trace layer (all zero unless WARIO_ENGINE resolves to trace):
-  // superblocks stitched, straight-line entries, guard exits, and
-  // margin/event invalidations.
-  if (St.TracesBuilt || St.SuperblockDispatches) {
-    State.counters["traces_built"] = double(St.TracesBuilt);
-    State.counters["sb_dispatches/s"] = benchmark::Counter(
-        double(St.SuperblockDispatches), benchmark::Counter::kIsRate);
-    State.counters["sb_side_exit_pct"] =
-        100.0 * double(St.SideExits) /
-        double(std::max<uint64_t>(St.SuperblockDispatches, 1));
-    State.counters["sb_invalidations"] = double(St.Invalidations);
-  }
 }
 
 EmulatorOptions continuousNoRegions() {
@@ -112,27 +108,32 @@ void BM_EmulatorContinuous_AES(benchmark::State &State) {
 }
 BENCHMARK(BM_EmulatorContinuous_AES);
 
-/// Same-run engine matrix: each workload under an explicitly pinned
-/// engine, so one benchmark invocation yields trace-vs-interp (and
-/// threaded-vs-interp) ratios with machine noise common to both sides.
-/// The Continuous rows above stay on EngineKind::Auto for trajectory
-/// comparability with earlier BENCH_pr*.json snapshots.
+/// Same-run engine matrix: each workload and checkpoint strategy under
+/// an explicitly pinned engine, so one benchmark invocation yields
+/// threaded-vs-interp ratios with machine noise common to both sides.
+/// Rows are BM_Engine_<Engine>_<workload>[_diff|_spec] (wario,
+/// wario-diff, wario-spec modules). The Continuous rows above stay on
+/// EngineKind::Auto for trajectory comparability with earlier
+/// BENCH_pr*.json snapshots.
 void runEngineBench(benchmark::State &State, const std::string &Name,
-                    EngineKind Engine) {
+                    CheckpointStrategy Strat, EngineKind Engine) {
   EmulatorOptions EO = continuousNoRegions();
   EO.Engine = Engine;
-  runEmulatorBench(State, Name, Environment::WarioComplete, EO);
+  runEmulatorBench(State, Name, Environment::WarioComplete, EO, Strat);
 }
 
-#define WARIO_ENGINE_BENCH(W, NAME, KIND)                                      \
-  void BM_Engine_##NAME##_##W(benchmark::State &State) {                       \
-    runEngineBench(State, #W, EngineKind::KIND);                               \
+#define WARIO_ENGINE_BENCH(W, SUFFIX, STRAT, NAME)                             \
+  void BM_Engine_##NAME##_##W##SUFFIX(benchmark::State &State) {               \
+    runEngineBench(State, #W, CheckpointStrategy::STRAT, EngineKind::NAME);    \
   }                                                                            \
-  BENCHMARK(BM_Engine_##NAME##_##W);
+  BENCHMARK(BM_Engine_##NAME##_##W##SUFFIX);
 #define WARIO_ENGINE_BENCHES(W)                                                \
-  WARIO_ENGINE_BENCH(W, Interp, Interp)                                        \
-  WARIO_ENGINE_BENCH(W, Threaded, Threaded)                                    \
-  WARIO_ENGINE_BENCH(W, Trace, Trace)
+  WARIO_ENGINE_BENCH(W, , Idempotent, Interp)                                  \
+  WARIO_ENGINE_BENCH(W, , Idempotent, Threaded)                                \
+  WARIO_ENGINE_BENCH(W, _diff, Differential, Interp)                           \
+  WARIO_ENGINE_BENCH(W, _diff, Differential, Threaded)                         \
+  WARIO_ENGINE_BENCH(W, _spec, Speculative, Interp)                            \
+  WARIO_ENGINE_BENCH(W, _spec, Speculative, Threaded)
 WARIO_ENGINE_BENCHES(crc)
 WARIO_ENGINE_BENCHES(sha)
 WARIO_ENGINE_BENCHES(aes)

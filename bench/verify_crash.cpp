@@ -83,19 +83,6 @@ void logEngineStats(const CrashReport &R) {
                (unsigned long long)R.Dispatch.FusedDispatches,
                (unsigned long long)R.Dispatch.FusedInstructions,
                (unsigned long long)R.Dispatch.ThreadedInstructions);
-  // The trace layer's economics (zero unless the engine is trace):
-  // stitched superblocks, straight-line entries, guard exits back to
-  // the merged stream, and margin/deopt invalidations. stderr only —
-  // stdout tables stay byte-identical across engines.
-  if (R.Dispatch.TracesBuilt || R.Dispatch.SuperblockDispatches)
-    std::fprintf(stderr,
-                 "[verify_crash] %s/%s: %llu superblocks, %llu sb "
-                 "dispatches, %llu side exits, %llu invalidations\n",
-                 R.Workload.c_str(), R.Config.c_str(),
-                 (unsigned long long)R.Dispatch.TracesBuilt,
-                 (unsigned long long)R.Dispatch.SuperblockDispatches,
-                 (unsigned long long)R.Dispatch.SideExits,
-                 (unsigned long long)R.Dispatch.Invalidations);
 }
 
 std::string cellText(const CrashReport &R) {

@@ -97,13 +97,10 @@ EmulatorResult Machine::run(const std::string &Entry) {
   CurEntry = Entry;
   prepareScratch();
 
-  // The threaded engine's fused store paths know nothing about the
-  // strategy journals, so the rollback strategies always run on the
-  // interpreter — every engine setting is trivially byte-identical.
-  const EngineKind EK = resolveEngine(Opts.Engine);
-  UseThreaded = EK != EngineKind::Interp && !P.Fast.empty() &&
-                Strat == CheckpointStrategy::Idempotent;
-  UseTrace = UseThreaded && EK == EngineKind::Trace;
+  // Every strategy runs threaded: the engine's access and commit fast
+  // paths keep the strategy journals exactly as the member paths do.
+  UseThreaded =
+      resolveEngine(Opts.Engine) != EngineKind::Interp && !P.Fast.empty();
   if (Strat == CheckpointStrategy::Differential)
     DiffMark.assign(snapshot::NumPages, 0);
 
@@ -275,7 +272,6 @@ void Machine::prepareScratch() {
     Scr.TouchedMark.assign(snapshot::NumPages, 0);
     Scr.Touched.clear();
     Scr.Owner = P.Uid;
-    Scr.Trace = emu_detail::TraceState{}; // Superblocks are per-module.
     return;
   }
   for (uint32_t Pg : Scr.Touched) {

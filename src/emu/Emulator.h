@@ -35,18 +35,17 @@ struct ReplayPlan;
 struct ReplayOutcome;
 struct EngineStats;
 
-/// Which execution engine runs the instruction stream. All engines are
+/// Which execution engine runs the instruction stream. Both engines are
 /// byte-identical in every result, counter, event trace, and snapshot
-/// journal — the choice only trades dispatch cost (see DESIGN.md §7.7,
-/// §7.9). Auto defers to the WARIO_ENGINE environment variable
-/// ("interp" | "threaded" | "trace"; anything else, or unset, means
-/// trace — the threaded and interpreter engines remain available as
-/// kill switches and differential oracles).
+/// journal under every checkpoint strategy — the choice only trades
+/// dispatch cost (see DESIGN.md §7.7). Auto defers to the WARIO_ENGINE
+/// environment variable ("interp" selects the interpreter; anything
+/// else, or unset, means threaded — the interpreter remains available
+/// as the kill switch and the differential oracle).
 enum class EngineKind : uint8_t {
-  Auto,     ///< WARIO_ENGINE, defaulting to Trace.
+  Auto,     ///< WARIO_ENGINE, defaulting to Threaded.
   Interp,   ///< The classic central-switch interpreter (the oracle).
   Threaded, ///< Direct-threaded dispatch over the fused stream.
-  Trace,    ///< Threaded dispatch + hot-trace superblocks (DESIGN.md §7.9).
 };
 
 /// Cycle-model constants (documented in DESIGN.md; the shape of results,

@@ -64,15 +64,16 @@ unsigned compCost(const DecodedInst &I) {
   }
 }
 
-} // namespace
+/// A speculative undo-logged store: never a group component (see
+/// AuxLogged in Fusion.h).
+bool isLoggedStore(const DecodedInst &I) {
+  return I.Op == MOp::Str && I.Logged;
+}
 
-// Defined in Fusion.h: maps two adjacent group kinds to a second-level
-// concatenated kind, or FK_KindLimit when the pair isn't in the
-// catalog. Any ALU-ALU identity pair that escaped the first pass lands
-// in the 9x9 family. Shared with the trace engine's path refusion
-// (Trace.cpp), which runs the same fixpoint under the relaxed
-// TraceRefuseCostLimit.
-uint16_t emu_detail::pairKind(uint16_t K1, uint16_t K2) {
+/// Maps two adjacent group kinds to a second-level concatenated kind,
+/// or FK_KindLimit when the pair isn't in the catalog. Any ALU-ALU
+/// identity pair that escaped the first pass lands in the 9x9 family.
+uint16_t pairKind(uint16_t K1, uint16_t K2) {
   switch (uint32_t(K1) << 16 | K2) {
 #define WARIO_PK(NAME, A, B)                                                   \
   case uint32_t(A) << 16 | (B):                                                \
@@ -89,8 +90,6 @@ uint16_t emu_detail::pairKind(uint16_t K1, uint16_t K2) {
   }
   return FK_KindLimit;
 }
-
-namespace {
 
 /// Cycle cost of the group starting at \p pc (identity entries carry
 /// Cost 0 in the stream; their cost is the component's own).
@@ -114,8 +113,10 @@ FusedInst matchAt(const DecodedInst *Prog, size_t pc, size_t N) {
   // Components never span functions: groups stay within the region a
   // WAR diagnostic would attribute them to, and the tail of one
   // function can't speculatively pair with the next one's entry.
+  // Logged stores never join a group.
   size_t R = 1;
-  while (R < 3 && pc + R < N && Prog[pc + R].F == I0.F)
+  while (!isLoggedStore(I0) && R < 3 && pc + R < N &&
+         Prog[pc + R].F == I0.F && !isLoggedStore(Prog[pc + R]))
     ++R;
 
   MOp Op0 = I0.Op;
@@ -206,7 +207,8 @@ FusedProgram emu_detail::fuseProgram(const std::vector<DecodedInst> &Prog) {
     for (size_t pc = 0; pc != Prog.size(); ++pc) {
       FusedInst &G1 = FP.Stream[pc];
       size_t q = pc + G1.Len;
-      if (q >= Prog.size() || Prog[q].F != Prog[pc].F)
+      if (q >= Prog.size() || Prog[q].F != Prog[pc].F ||
+          isLoggedStore(Prog[pc]) || isLoggedStore(Prog[q]))
         continue;
       uint16_t K = pairKind(G1.Kind, FP.Stream[q].Kind);
       if (K == FK_KindLimit)
@@ -255,7 +257,8 @@ emu_detail::buildFastProgram(const std::vector<DecodedInst> &Prog,
     case MOp::Ldr:
     case MOp::Str:
       F.A = D.Imm;
-      F.Aux = uint16_t(D.Size | (D.Signed ? 0x100 : 0));
+      F.Aux = uint16_t(D.Size | (D.Signed ? 0x100 : 0) |
+                       (D.Logged ? AuxLogged : 0));
       break;
     case MOp::LdrSlot:
     case MOp::StrSlot:

@@ -187,59 +187,22 @@ namespace wario::emu_detail {
   P(Eor_Lsl_Lsr_Lsl_Lsr, FK_Eor_Lsl_Lsr_Lsl, uint16_t(MOp::Lsr))                \
   P(Lsr_MovImm_Lsl_MovImm, FK_Alu_MovImm_Lsr, FK_Alu_MovImm_Lsl)                \
   P(Lsl_MovImm_Lsr_MovImm, FK_Alu_MovImm_Lsl, FK_Alu_MovImm_Lsr)                \
-  /* Round 3: hot-trace iteration chains. Each entry extends the        */      \
-  /* previous link so the refusion fixpoint grows a recorded loop       */      \
-  /* iteration into one (or a few) dispatches. Links whose combined     */      \
-  /* cost reaches FusedCostLimit are trace-only automatically; the      */      \
-  /* small early links may also fire in the static pass, which is       */      \
-  /* sound (their cost still fits the per-dispatch event margin).       */      \
-  /* CRC byte loop: table-walk body + its unroll branch, and the tail.  */      \
+  /* Round 3: loop-iteration chains. Each entry extends the previous */        \
+  /* link, up to the longest chain FusedCostLimit still admits.        */      \
+  /* CRC byte loop: table-walk body and its unroll compare/branch.     */      \
   P(TrCrc0, FK_Mov_Mov, FK_SetCond_Mov_CBr)                                     \
-  P(TrCrc1, FK_CrcA3, FK_Add_SetCond_Mov_CBr)                                   \
   P(TrCrc2, FK_CrcA3, FK_Alu_Mov_Add)                                           \
   P(TrCrc3, FK_TrCrc2, uint16_t(MOp::Mov))                                      \
-  P(TrCrc4, FK_TrCrc3, uint16_t(MOp::B))                                        \
-  /* CRC bitwise variant: the full two-byte shift/xor body.             */      \
-  P(TrCrc5, FK_CrcB3, FK_CrcC4)                                                 \
-  P(TrCrc6, FK_TrCrc5, FK_Str_MovImm_Add_LdrSlot_SetCond_CBr)                   \
-  /* SHA round spine: rotate/accumulate mill down to the store burst.   */      \
+  /* SHA round spine: rotate/accumulate mill.                           */     \
   P(TrSha1, FK_Mov_Mov_MovImm_Lsl, FK_MovImm_Alu_Lsr)                           \
   P(TrSha2, FK_TrSha1, FK_Orr_Add_LdrSlot_Add)                                  \
   P(TrSha3, FK_TrSha2, FK_ShaB2)                                                \
-  P(TrSha4, FK_TrSha3, FK_Lsl_MovImm_Lsr_Orr_MovImm)                            \
-  P(TrSha5, FK_TrSha4, FK_Alu_Mov_Add)                                          \
-  P(TrSha6, FK_TrSha5, FK_StrMov4x2)                                            \
-  P(TrSha7, FK_TrSha6, FK_StrSlot_Mov_StrSlot)                                  \
-  P(TrSha8, FK_TrSha7, uint16_t(MOp::B))                                        \
-  /* SHA schedule copy + round-entry compare.                           */      \
+  /* SHA schedule copy.                                                 */     \
   P(TrSha9, FK_LdrMov4x2, FK_LdrSlot_Mov_StrSlot_LdrSlot)                       \
-  P(TrSha10, FK_TrSha9, FK_Mov_MovImm_SetCond_CBr)                              \
-  /* SHA majority/choice combine + round exit.                          */      \
+  /* SHA majority/choice combine + round exit.                          */     \
   P(TrSha11, FK_Alu2_And_And, FK_Alu2_Orr_And)                                  \
   P(TrSha12, FK_TrSha11, FK_Alu_Mov_Orr)                                        \
-  P(TrSha13, FK_TrSha12, FK_MovImm_Mov_B)                                       \
-  /* SHA message-schedule body (shared head with the CRC-B shape).      */      \
-  P(TrSha14, FK_CrcB3, FK_MovImm_LdrSlot_Lsl_LdrSlot_Eor_StrSlot)               \
-  P(TrSha15, FK_TrSha14, FK_MovImm_LdrSlot_Alu_Lsr)                             \
-  P(TrSha16, FK_TrSha15, FK_MovImm_Alu_Lsl)                                     \
-  P(TrSha17, FK_TrSha16, FK_Lsr_Lsl)                                            \
-  P(TrSha18, FK_TrSha17, uint16_t(MOp::Lsr))                                    \
-  P(TrSha19, FK_TrSha18, FK_Str_MovImm_Add)                                     \
-  P(TrSha20, FK_TrSha19, FK_MovImm_SetCond_CBr)                                 \
-  /* Guard chains (Trace.cpp guard merging only): the left kind ends in
-     a conditional branch that becomes an interior WB_GUARD component.
-     Neither the static pass nor the refusion fixpoint merges across a
-     branch tail, so these kinds appear exclusively in superblock code.
-     TrCrcIt* collapse one whole iteration of the CRC inner loop into a
-     single dispatch; TrShaR* swallow the SHA round tail's compare
-     ladder. */                                                                 \
-  P(TrCrcIt1, FK_TrCrc0, FK_TrCrc1)                                             \
-  P(TrCrcIt2, FK_TrCrcIt1, FK_TrCrc1)                                           \
-  P(TrCrcIt3, FK_TrCrcIt2, FK_TrCrc1)                                           \
-  P(TrCrcIt4, FK_TrCrcIt3, FK_TrCrc4)                                           \
-  P(TrShaR1, FK_TrSha10, FK_MovImm_SetCond_CBr)                                 \
-  P(TrShaR2, FK_TrShaR1, FK_MovImm_SetCond_CBr)                                 \
-  P(TrShaR3, FK_TrShaR2, FK_MovImm_SetCond_CBr)
+  P(TrSha13, FK_TrSha12, FK_MovImm_Mov_B)
 
 /// Group kinds. Values [0, 64) are identity groups — the kind is the
 /// instruction's own MOp value, so the threaded engine's dispatch table
@@ -258,24 +221,6 @@ enum FusedKind : uint16_t {
 #undef WARIO_FK_A
 #undef WARIO_FK_A2
 #undef WARIO_FK_P
-  /// Trace-engine stub kinds (DESIGN.md §7.9). Never produced by the
-  /// fusion pass — they exist only inside stitched superblock streams,
-  /// where they terminate the straight-line run: a branch-direction
-  /// guard that left the recorded path (TraceExit, restores the merged
-  /// stream at FastInst::A), the fall-through end of the trace
-  /// (TraceFall, same restore), and the back edge to the trace head
-  /// (TraceLoop, re-enters the superblock when the aggregate margin
-  /// still holds, else restores the merged stream at FastInst::A).
-  /// TraceRet replaces a recorded Ret inside superblock code: it
-  /// retires the return like the identity handler, then compares the
-  /// live link register against the recorded one (FastInst::A holds
-  /// the expected CodeAddrBit-encoded link) — a match continues at the
-  /// superblock index in FastInst::T0, a mismatch side-exits to the
-  /// actual return target on the merged stream.
-  FK_TraceExit,
-  FK_TraceFall,
-  FK_TraceLoop,
-  FK_TraceRet,
   FK_KindLimit,
 };
 
@@ -295,15 +240,6 @@ struct FusedInst {
 /// Every group's cost must stay below it.
 constexpr uint64_t FusedCostLimit = 24;
 
-/// The trace engine re-runs the pair fixpoint over a recorded hot path
-/// with this relaxed cap instead: inside a superblock the aggregate
-/// worst-case cost is margin-checked once at entry, so interior
-/// boundaries never need the per-dispatch event guarantee. Catalog pair
-/// entries whose combined cost lands in [FusedCostLimit,
-/// TraceRefuseCostLimit) are therefore trace-only automatically — the
-/// static fixpoint's cost gate keeps them out of merged streams.
-constexpr uint64_t TraceRefuseCostLimit = 200;
-
 struct FusedProgram {
   std::vector<FusedInst> Stream; ///< Parallel to the decoded program.
   uint64_t FusedEntries = 0;     ///< Stream entries with Len > 1.
@@ -314,13 +250,6 @@ struct FusedProgram {
 /// the base catalog, then repeated pairing of adjacent groups against
 /// the second-level catalog until nothing else fuses.
 FusedProgram fuseProgram(const std::vector<DecodedInst> &Prog);
-
-/// Second-level pair lookup: the fused kind covering adjacent groups of
-/// kinds \p K1 then \p K2, or FK_KindLimit when no catalog entry
-/// matches. Shared between fuseProgram's fixpoint (capped by
-/// FusedCostLimit) and the trace engine's superblock refusion
-/// (Trace.cpp, capped by TraceRefuseCostLimit).
-uint16_t pairKind(uint16_t K1, uint16_t K2);
 
 /// The threaded engine's execution record: group header and operands
 /// merged into one 20-byte entry per program index, so the hot loop
@@ -337,8 +266,8 @@ struct FastInst {
   int16_t Src0;
   int16_t Src1;
   /// Op-specific: MovImm cost, SetCond/CBr predicate, SelectR's third
-  /// register, Ldr/Str size | (signed << 8), push/pop register list,
-  /// checkpoint cause.
+  /// register, Ldr/Str size | (signed << 8) | AuxLogged, push/pop
+  /// register list, checkpoint cause.
   uint16_t Aux;
   /// Op-specific: immediate (MovImm/AddImm/Ldr/Str offset/SpAdjust),
   /// frame-slot offset, CBr's false target, Bl's return link index.
@@ -346,6 +275,12 @@ struct FastInst {
   uint32_t T0; ///< Branch target (B/Bl true/CBr taken).
 };
 static_assert(sizeof(FastInst) == 20, "keep the engine record compact");
+
+/// FastInst::Aux flag of a speculative undo-logged Str. Logged stores
+/// copy the old word out and pay cycles::SpecLogStore only when the
+/// address is monitored, so they never fuse (no fixed group cost) and
+/// the engine hands each one to the interpreter's storeMem.
+constexpr uint16_t AuxLogged = 0x200;
 
 /// Builds the engine stream from the decoded program and its groups.
 std::vector<FastInst> buildFastProgram(const std::vector<DecodedInst> &Prog,

@@ -18,7 +18,6 @@
 #include "emu/Emulator.h"
 #include "emu/Fusion.h"
 #include "emu/Snapshot.h"
-#include "emu/Trace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -54,7 +53,7 @@ public:
   /// of moved.
   Machine(const Emulator::Impl &P, const EmulatorOptions &Opts,
           EmulatorScratch &Scr, bool Persistent)
-      : P(P), Opts(Opts), Scr(Scr), Persistent(Persistent), TS(Scr.Trace),
+      : P(P), Opts(Opts), Scr(Scr), Persistent(Persistent),
         Strat(P.M.Strat) {}
 
   /// Journals periodic snapshots into \p C while running.
@@ -216,15 +215,9 @@ public:
   /// stale for the outer loop (checkpoint under recording/splicing), or
   /// the run ends. The caller guarantees Limit is at least FusedCostLimit
   /// under the next interpreter-visible event cycle, so no event can
-  /// fire at a group-interior instruction boundary.
+  /// fire at a group-interior instruction boundary. Runs every
+  /// checkpoint strategy, with the strategy runtimes below.
   void runThreaded(uint64_t Limit);
-
-  /// The loop body behind runThreaded. TraceMode adds the hot-trace
-  /// superblock layer (Trace.h): heat counting on back edges, path
-  /// recording, and straight-line superblock dispatch with the margin
-  /// check hoisted to entry. The \<false\> instantiation folds every
-  /// trace hook away and is the plain PR-6 threaded engine.
-  template <bool TraceMode> void runThreadedT(uint64_t Limit);
 
   /// The earliest active-cycle at which an outer-loop event could fire:
   /// the power budget \p OnBudget, the stop point, the interrupt timer,
@@ -274,8 +267,6 @@ public:
   /// Resolved engine choice for this run (run() sets it; the threaded
   /// loop additionally requires a non-empty fused stream).
   bool UseThreaded = false;
-  /// Trace engine: UseThreaded plus the hot-trace superblock layer.
-  bool UseTrace = false;
   /// The threaded loop must return to the outer loop at every
   /// checkpoint commit (snapshot cadence under recording, splice
   /// matching under replay); otherwise it may continue in-loop.
@@ -300,12 +291,6 @@ public:
   bool Spliced = false;
 
   EngineStats *Stats = nullptr;
-
-  /// Hot-trace superblock state (trace engine only; lazily sized on the
-  /// first runThreadedT<true> entry). Lives in the scratch so heat and
-  /// superblocks survive across runs of the same module — never
-  /// snapshotted, never part of any result.
-  TraceState &TS;
 
   // Strategy-runtime state (docs/STRATEGIES.md). The journals are only
   // populated for their strategy and are empty at every region-fresh

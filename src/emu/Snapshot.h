@@ -36,7 +36,6 @@
 #define WARIO_EMU_SNAPSHOT_H
 
 #include "emu/Emulator.h"
-#include "emu/Trace.h"
 
 namespace wario {
 
@@ -84,12 +83,6 @@ struct EmulatorScratch {
   /// take the incremental-reset path against the wrong base image,
   /// keeping stale pages from the previous module).
   uint64_t Owner = 0;
-  /// Trace-engine hot-path state (heat counters and built superblocks,
-  /// DESIGN.md §7.9). Living in the scratch, it survives across runs of
-  /// the same module: a campaign's second run enters the first run's
-  /// superblocks without re-warming. Reset with the rest of the scratch
-  /// whenever Owner changes; engines other than trace never touch it.
-  emu_detail::TraceState Trace;
 };
 
 /// The recorded artifact of one continuous-power golden run: the

@@ -25,11 +25,20 @@
 ///    stamps at the storing component's pre-instruction cycle).
 ///  - Anything rare or irregular — out-of-bounds access, WAR
 ///    violation, OutPort store, division by zero, push/pop-time
-///    failures, unlinked pseudos, the final Ret — *bails*: the handler
-///    backs out before mutating the offending component (components
-///    already completed stay completed, with pc and counters advanced
-///    past them), syncs state, and lets step() execute that one
-///    instruction through the interpreter's own code.
+///    failures, unlinked pseudos, the final Ret, a speculative
+///    undo-logged store — *bails*: the handler backs out before
+///    mutating the offending component (components already completed
+///    stay completed, with pc and counters advanced past them), syncs
+///    state, and lets step() execute that one instruction through the
+///    interpreter's own code.
+///  - The strategy runtimes (docs/STRATEGIES.md) match the member
+///    paths: under differential the access paths skip the WAR stamps
+///    (recordAccess returns before stamping) and a region's first store
+///    to a page journals it (diffJournal); under speculative the stamps
+///    work as for idempotent, and logged stores bail so step() runs
+///    them through storeMem. An in-loop commit pays the differential
+///    per-page commit cost and clears both journals, as
+///    commitCheckpoint does.
 ///
 /// Handler bodies are composed from per-component WB_* macros: WB_X(k)
 /// executes component k of the group the cursor points at, reading its
@@ -60,10 +69,8 @@ EngineKind wario::resolveEngine(EngineKind Requested) {
   if (const char *E = std::getenv("WARIO_ENGINE")) {
     if (std::strcmp(E, "interp") == 0 || std::strcmp(E, "interpreter") == 0)
       return EngineKind::Interp;
-    if (std::strcmp(E, "threaded") == 0)
-      return EngineKind::Threaded;
   }
-  return EngineKind::Trace;
+  return EngineKind::Threaded;
 }
 
 const char *wario::engineName(EngineKind K) {
@@ -71,7 +78,6 @@ const char *wario::engineName(EngineKind K) {
   case EngineKind::Auto: return "auto";
   case EngineKind::Interp: return "interp";
   case EngineKind::Threaded: return "threaded";
-  case EngineKind::Trace: return "trace";
   }
   return "?";
 }
@@ -133,6 +139,17 @@ __attribute__((noinline)) void restampRead(uint16_t *A, uint32_t WantR) {
       A[K] = uint16_t(WantR);
 }
 
+/// The per-store page bookkeeping's slow path, out of line for the same
+/// reason: under differential a region's first store to a page saves
+/// its pristine copy (diffJournal, before the bytes change), and a
+/// page's first write since the last snapshot is tracked (noteWrite).
+__attribute__((noinline)) void noteStoreSlow(Machine &M, uint32_t Addr,
+                                             unsigned Size) {
+  if (M.Strat == CheckpointStrategy::Differential)
+    M.diffJournal(Addr, Size);
+  M.noteWrite(Addr, Size);
+}
+
 } // namespace
 
 // Per-op ALU evaluation, kept in lockstep with constEvalBinary. The
@@ -163,22 +180,10 @@ __attribute__((noinline)) void restampRead(uint16_t *A, uint32_t WantR) {
 // groups it rarely is — a live cross-group FwdD just makes the hit
 // branch unpredictable (measured ~15% worse on AES).
 #define FK_CASE(N) H_FK_##N: FwdD = -1;
-// CurLimit is the per-dispatch bound: Limit on the merged stream, ~0
-// inside a superblock (the trace engine pays the aggregate margin check
-// once at entry instead). The dispatch path itself is engine-blind —
-// all trace policy (superblock entry, heat, path recording) lives on
-// the cold trace_edge funnel that WARIO_SETJ routes transfers through.
 #define DISPATCH()                                                             \
   do {                                                                         \
-    if (Active >= CurLimit)                                                    \
+    if (Active >= Limit)                                                       \
       goto out;                                                                \
-    ++St.Dispatches;                                                           \
-    goto *Tbl[J->Kind];                                                        \
-  } while (0)
-// Dispatch with the limit check already performed (superblock entry
-// pre-checks the aggregate margin).
-#define WARIO_DISPATCH_NOHOOK()                                                \
-  do {                                                                         \
     ++St.Dispatches;                                                           \
     goto *Tbl[J->Kind];                                                        \
   } while (0)
@@ -186,7 +191,6 @@ __attribute__((noinline)) void restampRead(uint16_t *A, uint32_t WantR) {
 #define OP_CASE(N) case uint16_t(MOp::N):
 #define FK_CASE(N) case uint16_t(FK_##N): FwdD = -1;
 #define DISPATCH() goto dispatch
-#define WARIO_DISPATCH_NOHOOK() goto dispatch_direct
 #endif
 
 // Group retirement: cycles from the precomputed group cost (read BEFORE
@@ -211,7 +215,7 @@ __attribute__((noinline)) void restampRead(uint16_t *A, uint32_t WantR) {
     Insts += (n);                                                              \
     ++St.FusedDispatches;                                                      \
     St.FusedInstructions += (n);                                               \
-    WARIO_SETJ(T_);                                                            \
+    J = Fast + T_;                                                             \
   } while (0)
 
 // Unconditional-branch-ending group retirement: the tail component is
@@ -223,49 +227,17 @@ __attribute__((noinline)) void restampRead(uint16_t *A, uint32_t WantR) {
     Insts += (n);                                                              \
     ++St.FusedDispatches;                                                      \
     St.FusedInstructions += (n);                                               \
-    WARIO_SETJ(T_);                                                            \
-  } while (0)
-
-// Control-transfer cursor reassignment, evaluated after the branch's
-// own counters are retired (the old J must survive until here: the
-// trace engine's back-edge test compares the target against it). On the
-// merged stream the trace engine keeps its edge bookkeeping inline and
-// almost free: forward transfers cost one register compare, backward
-// transfers one heat-counter increment, and only a counter crossing
-// TraceHotThreshold leaves for the cold trace_edge funnel, where all
-// policy (superblock entry, recording triggers, blacklists) lives —
-// superblock heads are pinned at the threshold so they funnel every
-// visit, cold and blacklisted heads once per period. While the recorder
-// is armed every transfer funnels (the path needs each target). Inside
-// a superblock the builder already rewired targets to superblock
-// indices, so the transfer stays direct; the plain engine compiles down
-// to the PR-6 `J = Fast + T`.
-#define WARIO_SETJ(T)                                                          \
-  do {                                                                         \
-    uint32_t Tj_ = (T);                                                        \
-    if (TraceMode && !SOrig) {                                                 \
-      if (RecOn ||                                                             \
-          (Tj_ <= uint32_t(J - Fast) &&                                        \
-           ++TS.Hot[Tj_] >= TraceHotThreshold)) {                              \
-        EdgeT = Tj_;                                                           \
-        goto trace_edge;                                                       \
-      }                                                                        \
-    }                                                                          \
-    J = SBase + Tj_;                                                           \
+    J = Fast + T_;                                                             \
   } while (0)
 
 // Component k of the current group could not complete: retire the
 // k-component prefix (cycle costs come from the decoded program — the
 // merged stream's interior entries describe the group starting there,
-// not the component; refused superblock segments are contiguous, so
-// mapping the head through Orig names the same components) and hand the
-// offender to step().
+// not the component) and hand the offender to step().
 #define WARIO_PARTIAL(k)                                                       \
   do {                                                                         \
     if ((k) != 0) {                                                            \
-      Active += retiredPrefix(                                                 \
-          Prog + (TraceMode && SOrig ? SOrig[J - SBase] : uint32_t(J - Fast)), \
-          (k));                                                                \
+      Active += retiredPrefix(Prog + (J - Fast), (k));                         \
       Insts += (k);                                                            \
       J += (k);                                                                \
     }                                                                          \
@@ -303,17 +275,10 @@ fwdSrc(int32_t S, int32_t FwdD, uint32_t FwdV, const uint32_t *R) {
 #define WB_Alu(k, OP) WB_SET(k, WARIO_EVAL_##OP(WB_SRC0(k), WB_SRC1(k)));
 #define WB_SetCond(k)                                                          \
   WB_SET(k, constEvalPred(CmpPred(J[k].Aux), WB_SRC0(k), WB_SRC1(k)) ? 1 : 0);
-// Superblock stamp elision (Trace.h): a slot record whose Aux flag the
-// builder set is a re-touch — its stamps are provably already what the
-// SWAR check would leave, so the access collapses to the raw memory
-// move (elidedLoad / elidedStore). Merged-stream slot records always
-// carry Aux == 0, and the plain engine folds the branch away.
 #define WB_LdrSlot(k)                                                          \
   {                                                                            \
     uint32_t V_;                                                               \
-    if (TraceMode && J[k].Aux != 0)                                            \
-      V_ = elidedLoad(R[SP] + J[k].A);                                         \
-    else if (!fastLoad(R[SP] + J[k].A, 4, false, V_))                          \
+    if (!fastLoad(R[SP] + J[k].A, 4, false, V_))                               \
       WARIO_PARTIAL(k);                                                        \
     WB_SET(k, V_);                                                             \
   }
@@ -329,51 +294,40 @@ fwdSrc(int32_t S, int32_t FwdD, uint32_t FwdV, const uint32_t *R) {
 // stamp base for the storing component). Static per pattern, except a
 // J[i].Aux term when a MovImm precedes the store.
 #define WB_StrSlot(k, PRE)                                                     \
-  if (TraceMode && J[k].Aux != 0)                                              \
-    elidedStore(R[SP] + J[k].A, WB_SRC0(k), Active + (PRE));                   \
-  else if (!fastStore(R[SP] + J[k].A, 4, WB_SRC0(k), Active + (PRE)))          \
+  if (!fastStore(R[SP] + J[k].A, 4, WB_SRC0(k), Active + (PRE)))               \
     WARIO_PARTIAL(k);
 #define WB_Str(k, PRE)                                                         \
   if (!fastStore(WB_SRC1(k) + J[k].A, J[k].Aux & 0xFF, WB_SRC0(k),             \
                  Active + (PRE)))                                              \
     WARIO_PARTIAL(k);
-// Interior direction guard (superblock code only; Trace.h guard
-// merging): a recorded CBr carried in the middle of a refused group.
-// The builder rewired both directions to superblock indices with the
-// on-path side pointing at the very next record, so staying on the
-// recorded path is a fall-through to component k+1. Going off-path
-// retires the prefix — PRE is the cycle cost of components [0, k),
-// compile-time per pattern — plus the branch itself, then leaves for
-// the rewired target (an FK_TraceExit stub, or on-path code when the
-// branch was rewired into the block). Kinds whose handlers use this
-// macro are superblock-private: neither the static pass nor the
-// refusion fixpoint merges across a branch tail.
-#define WB_GUARD(k, PRE)                                                       \
-  {                                                                            \
-    uint32_t D_ = WB_SRC0(k) != 0 ? J[k].T0 : J[k].A;                          \
-    if (D_ != uint32_t(J - SBase) + (k) + 1) {                                 \
-      Active += (PRE) + 1 + cycles::PipelineRefill;                            \
-      Insts += (k) + 1;                                                        \
-      ++St.FusedDispatches;                                                    \
-      St.FusedInstructions += (k) + 1;                                         \
-      J = SBase + D_;                                                          \
-      DISPATCH();                                                              \
-    }                                                                          \
-  }
 
-template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
+void Machine::runThreaded(uint64_t Limit) {
   const FastInst *const Fast = P.Fast.data();
   const DecodedInst *const Prog = P.Prog.data(); // Cold paths only.
   uint32_t *const R = Regs;
   uint8_t *const Mem = Scr.Mem.data();
   uint16_t *const Acc = Scr.Access.data();
   const bool Trace = Opts.CollectEventTrace;
-  const bool TW = TrackWrites;
   // Checkpoint commits may stay in-loop (no flush/member-call round
   // trip) only when nothing observes the intermediate machine state:
   // no snapshot recorder or splicer, and no per-region collection.
   const bool FastCommit = !ExitOnCommit && !Chain && !Plan &&
                           !Opts.CollectRegionSizes && !Opts.CollectEventTrace;
+  // Differential runs without the WAR monitor (recordAccess returns
+  // before stamping): zero stamp masks make the SWAR checks below pass
+  // without touching a stamp, and the page journal rides on the store
+  // bookkeeping (noteStore).
+  const bool Journal = Strat == CheckpointStrategy::Differential;
+  const uint64_t RMask = Journal ? 0 : 0xFFFEFFFEFFFEFFFEull;
+  const uint64_t WMask = Journal ? 0 : ~uint64_t(0);
+  // Per-page "already recorded" marks of the store bookkeeping's three
+  // consumers; an inactive consumer reads an all-set array.
+  static const std::vector<uint8_t> AllSet(snapshot::NumPages, 1);
+  const bool TW = TrackWrites || Journal;
+  const uint8_t *const TMark =
+      TrackWrites ? Scr.TouchedMark.data() : AllSet.data();
+  const uint8_t *const SMark = Chain ? SnapMark.data() : AllSet.data();
+  const uint8_t *const DMark = Journal ? DiffMark.data() : AllSet.data();
 
   // Hot state mirrored into locals. TotalCycles and CyclesSinceIrq
   // advance in lockstep with ActiveSinceBoot inside the loop, so one
@@ -395,28 +349,14 @@ template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
   // and one indirect jump.
   const FastInst *J = Fast + (Pc & ~CodeAddrBit);
 
-  // Trace-engine state (dead constants in the <false> instantiation).
-  // SBase/SOrig swap between the merged stream and the current
-  // superblock's private code; CurLimit is the per-dispatch bound — ~0
-  // inside a superblock, whose aggregate worst-case cost was already
-  // margin-checked at entry.
-  const FastInst *SBase = Fast;
-  const uint32_t *SOrig = nullptr;
-  Superblock *CurSB = nullptr;
-  uint64_t CurLimit = Limit;
-  bool RecOn = false;
-  uint32_t EdgeT = 0;
-  // The SWAR stamp pattern, hoisted out of every access: it only
-  // changes with the epoch (reload and in-loop checkpoint commits).
-  uint64_t RPat = 0x0001000100010001ull * WantR;
-  if (TraceMode)
-    TS.ensureSized(P.Fast.size());
+  // The SWAR stamp patterns, hoisted out of every access: they only
+  // change with the epoch (reload and in-loop checkpoint commits).
+  constexpr uint64_t Lanes = 0x0001000100010001ull;
+  uint64_t RPat = Lanes * WantR;
+  uint64_t WPat = RPat | Lanes;
 
   auto flush = [&] {
-    uint32_t Idx = uint32_t(J - SBase);
-    if (TraceMode && SOrig)
-      Idx = SOrig[Idx]; // Superblock cursor -> merged-stream pc.
-    Pc = CodeAddrBit | Idx;
+    Pc = CodeAddrBit | uint32_t(J - Fast);
     uint64_t D = Active - LastSync;
     Res.TotalCycles += D;
     CyclesSinceIrq += D;
@@ -425,36 +365,28 @@ template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
     LastSync = Active;
   };
   auto reload = [&] {
-    if (TraceMode && SOrig) {
-      // Member code ran under us (bail, slow-path commit, exit): the
-      // straight-line assumptions are gone — abandon the superblock and
-      // resume on the merged stream at the flushed pc.
-      ++St.Invalidations;
-      SBase = Fast;
-      SOrig = nullptr;
-      CurSB = nullptr;
-      CurLimit = Limit;
-    }
     J = Fast + (Pc & ~CodeAddrBit);
     Active = ActiveSinceBoot;
     LastSync = Active;
     Insts = Res.InstructionsExecuted;
     WantR = Scr.Epoch << 1;
     WantW = WantR | 1u;
-    RPat = 0x0001000100010001ull * WantR;
+    RPat = Lanes * WantR;
+    WPat = RPat | Lanes;
     FwdD = -1; // Member code may have rewritten any register.
   };
 
-  /// Page-grain write tracking with the already-marked page as the
-  /// fast case (one predictable load per store once warm).
-  auto noteW = [&](uint32_t Addr, unsigned Size) WARIO_ALWAYS_INLINE {
+  /// Per-store page bookkeeping — write tracking and the differential
+  /// page journal — with a page every active consumer already recorded
+  /// as the fast case (one predictable load per mark array once warm).
+  auto noteStore = [&](uint32_t Addr, unsigned Size) WARIO_ALWAYS_INLINE {
     if (!TW)
       return;
     uint32_t P0 = Addr >> snapshot::PageShift;
     uint32_t P1 = (Addr + Size - 1) >> snapshot::PageShift;
-    if (P0 == P1 && Scr.TouchedMark[P0] && (!Chain || SnapMark[P0]))
+    if (P0 == P1 && (TMark[P0] & SMark[P0] & DMark[P0]))
       return;
-    noteWrite(Addr, Size);
+    noteStoreSlow(*this, Addr, Size);
   };
 
   /// Monitored load, replicating loadMem minus the failure paths.
@@ -470,8 +402,7 @@ template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
       // whole word was already touched this epoch — nothing to stamp.
       uint64_t S;
       std::memcpy(&S, Acc + Addr, 8);
-      const uint64_t RP = RPat;
-      if (((S ^ RP) & 0xFFFEFFFEFFFEFFFEull) != 0)
+      if (((S ^ RPat) & RMask) != 0)
         restampRead(Acc + Addr, WantR);
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
       std::memcpy(&V, Mem + Addr, 4);
@@ -481,7 +412,7 @@ template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
 #endif
       return true;
     }
-    for (unsigned K = 0; K != Size; ++K) {
+    for (unsigned K = 0; K != Size && !Journal; ++K) {
       if ((Acc[Addr + K] & ~1u) != WantR)
         Acc[Addr + K] = uint16_t(WantR);
     }
@@ -509,23 +440,20 @@ template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
     if (Size == 4) {
       uint64_t S;
       std::memcpy(&S, Acc + Addr, 8);
-      const uint64_t RP = RPat;
-      const uint64_t X = S ^ RP;
-      const uint64_t L = 0x0001000100010001ull;
       // All four bytes already written this epoch (the steady state of a
       // loop rewriting its slots): no violation possible, stamps already
       // final — nothing to check or store.
-      if ((X ^ L) != 0) {
+      if (((S ^ WPat) & WMask) != 0) {
         // Any lane exactly == WantR (read-first this epoch) is a WAR
         // violation: zero-lane detect on the XORed stamps. Borrow
         // propagation can only misfire toward a false positive, and a
         // bail just hands the store to step() for the exact verdict.
-        if (((X - L) & ~X & 0x8000800080008000ull) != 0)
+        const uint64_t X = S ^ RPat;
+        if (((X - Lanes) & ~X & 0x8000800080008000ull) != 0)
           return false;
-        const uint64_t WP = RP | L;
-        std::memcpy(Acc + Addr, &WP, 8);
+        std::memcpy(Acc + Addr, &WPat, 8);
       }
-    } else {
+    } else if (!Journal) {
       for (unsigned K = 0; K != Size; ++K)
         if (Acc[Addr + K] == WantR)
           return false;
@@ -535,7 +463,7 @@ template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
     if (Trace && (Res.StoreCycles.empty() ||
                   Res.StoreCycles.back() != ActivePre + 1))
       Res.StoreCycles.push_back(ActivePre + 1);
-    noteW(Addr, Size);
+    noteStore(Addr, Size);
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
     if (Size == 4)
       std::memcpy(Mem + Addr, &V, 4);
@@ -546,35 +474,6 @@ template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
     return true;
   };
 
-  /// Superblock re-touch accesses (WB_LdrSlot / WB_StrSlot with the
-  /// builder's elision flag set): the same word was accessed earlier on
-  /// the straight-line path with no SP change or epoch bump between, so
-  /// bounds are proven and the stamps are exactly what the SWAR check
-  /// would leave — only the raw memory move (and, for stores, the event
-  /// bookkeeping fastStore would do after its checks) remains.
-  auto elidedLoad = [&](uint32_t Addr) WARIO_ALWAYS_INLINE -> uint32_t {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    uint32_t V;
-    std::memcpy(&V, Mem + Addr, 4);
-    return V;
-#else
-    return uint32_t(Mem[Addr]) | uint32_t(Mem[Addr + 1]) << 8 |
-           uint32_t(Mem[Addr + 2]) << 16 | uint32_t(Mem[Addr + 3]) << 24;
-#endif
-  };
-  auto elidedStore = [&](uint32_t Addr, uint32_t V,
-                         uint64_t ActivePre) WARIO_ALWAYS_INLINE {
-    if (Trace && (Res.StoreCycles.empty() ||
-                  Res.StoreCycles.back() != ActivePre + 1))
-      Res.StoreCycles.push_back(ActivePre + 1);
-    noteW(Addr, 4);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    std::memcpy(Mem + Addr, &V, 4);
-#else
-    for (unsigned K = 0; K != 4; ++K)
-      Mem[Addr + K] = uint8_t(V >> (8 * K));
-#endif
-  };
   // The next step() (or fused handler) makes the region stale exactly
   // like the interpreter's step() would; setting it up front keeps the
   // outer loop's region-fresh consumers (snapshot cadence, splice
@@ -612,8 +511,6 @@ template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
 #undef WARIO_TBL_A
 #undef WARIO_TBL_A2
 #undef WARIO_TBL_P
-      // Trace-engine stubs (superblock code only).
-      &&H_FK_TraceExit, &&H_FK_TraceFall, &&H_FK_TraceLoop, &&H_FK_TraceRet,
   };
   static_assert(sizeof(Tbl) / sizeof(Tbl[0]) == FK_KindLimit,
                 "dispatch table out of sync with the kind numbering");
@@ -622,9 +519,8 @@ template <bool TraceMode> void Machine::runThreadedT(uint64_t Limit) {
   DISPATCH();
 #else
 dispatch:
-  if (Active >= CurLimit)
+  if (Active >= Limit)
     goto out;
-dispatch_direct:
   ++St.Dispatches;
   switch (J->Kind) {
 #endif
@@ -704,6 +600,8 @@ dispatch_direct:
   DISPATCH();
 
   OP_CASE(Str) {
+    if (J->Aux & AuxLogged)
+      goto bail; // Speculative undo-logged store: storeMem journals it.
     WB_Str(0, 0)
     Active += 2;
     ++Insts;
@@ -735,9 +633,6 @@ dispatch_direct:
   }
   DISPATCH();
 
-  // Control transfers retire counters first and move the cursor last
-  // through WARIO_SETJ — the trace engine's edge bookkeeping needs the
-  // branching pc to still be in J when the target is taken.
   OP_CASE(Bl) {
     uint32_t T = J->T0;
     if (T == BadTarget)
@@ -746,23 +641,21 @@ dispatch_direct:
     FwdD = -1;                  // lr write bypasses the mirror.
     Active += 1 + cycles::PipelineRefill;
     ++Insts;
-    WARIO_SETJ(T);
+    J = Fast + T;
   }
   DISPATCH();
 
   OP_CASE(B) {
-    uint32_t T = J->T0;
     Active += 1 + cycles::PipelineRefill;
     ++Insts;
-    WARIO_SETJ(T);
+    J = Fast + J->T0;
   }
   DISPATCH();
 
   OP_CASE(CBr) {
-    uint32_t T = R[J->Src0] != 0 ? J->T0 : J->A;
     Active += 1 + cycles::PipelineRefill;
     ++Insts;
-    WARIO_SETJ(T);
+    J = Fast + (R[J->Src0] != 0 ? J->T0 : J->A);
   }
   DISPATCH();
 
@@ -772,7 +665,7 @@ dispatch_direct:
       goto bail; // Program end (or corrupt lr): step() finishes it.
     Active += 1 + cycles::PipelineRefill;
     ++Insts;
-    WARIO_SETJ(L & ~CodeAddrBit);
+    J = Fast + (L & ~CodeAddrBit);
   }
   DISPATCH();
 
@@ -847,10 +740,7 @@ dispatch_direct:
         for (unsigned B = 0; B != 4; ++B)
           Mem[Buf + 4 * unsigned(Ri) + B] = uint8_t(R[Ri] >> (8 * B));
 #endif
-      uint32_t RIdx = uint32_t(J - SBase);
-      if (TraceMode && SOrig)
-        RIdx = SOrig[RIdx]; // Resume point is a merged-stream pc.
-      const uint32_t RPc = CodeAddrBit | RIdx;
+      const uint32_t RPc = CodeAddrBit | uint32_t(J - Fast);
       const uint32_t NewAW = (AW == 1) ? 2u : 1u;
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
       std::memcpy(Mem + Buf + 60, &RPc, 4);
@@ -861,11 +751,15 @@ dispatch_direct:
         Mem[CkptActiveWord + B] = uint8_t(NewAW >> (8 * B));
       }
 #endif
-      noteW(Buf, 64);            // Same pages rawStore would dirty.
-      noteW(CkptActiveWord, 4);
-      // flush()'s delta plus spend(cycles::Checkpoint), folded.
-      const uint64_t D = Active - LastSync + cycles::Checkpoint;
-      Active += cycles::Checkpoint;
+      noteWrite(Buf, 64); // Same pages rawStore would dirty.
+      noteWrite(CkptActiveWord, 4);
+      // flush()'s delta plus the commit's spend(), folded: the register
+      // save, and under differential one flush per journaled page.
+      const uint64_t CC = cycles::Checkpoint + uint64_t(DiffPages.size()) *
+                                                   cycles::DiffPageCommit;
+      const uint64_t D = Active - LastSync + CC;
+      Active += CC;
+      clearStrategyJournals();
       Res.TotalCycles += D;
       CyclesSinceIrq += D;
       LastSync = Active;
@@ -885,7 +779,8 @@ dispatch_direct:
       }
       WantR = Scr.Epoch << 1;
       WantW = WantR | 1u;
-      RPat = 0x0001000100010001ull * WantR;
+      RPat = Lanes * WantR;
+      WPat = RPat | Lanes;
       ProgressThisBoot = true;
       // RegionFresh stays false: unobserved under the FastCommit gate,
       // and the next dispatch makes it stale anyway.
@@ -2124,34 +2019,11 @@ dispatch_direct:
   }
   DISPATCH();
 
-  // --- Round-3 chain superinstructions: hot-trace iteration bodies ---------
+  // --- Round-3 chain superinstructions: loop-iteration prefixes ----------
   //
-  // These kinds mostly exceed FusedCostLimit, so they exist only inside
-  // superblocks, where the refusion fixpoint (Trace.cpp) grows each
-  // recorded loop iteration into one or two of them. Handlers compose
-  // the WBODY_* macros below: a body is the flat WB_* line sequence of
-  // an existing kind shifted to base component index B, with PRE the
-  // pre-summed cycle cost of everything before it (store stamps need
-  // the component-accurate StoreCycles base). WCOST_* mirrors a body's
-  // own cost the same way the builder's identity/fused sums do.
-
-#define WBODY_CrcA3(B)                                                         \
-    WB_Alu((B) + 0, Add)                                                       \
-    WB_Mov((B) + 1)                                                            \
-    WB_Ldr((B) + 2)                                                            \
-    WB_Alu((B) + 3, Eor)                                                       \
-    WB_MovImm((B) + 4)                                                         \
-    WB_Alu((B) + 5, And)                                                       \
-    WB_MovImm((B) + 6)                                                         \
-    WB_MovImm((B) + 7)                                                         \
-    WB_Alu((B) + 8, Lsl)                                                       \
-    WB_Alu((B) + 9, Add)                                                       \
-    WB_Mov((B) + 10)                                                           \
-    WB_Ldr((B) + 11)                                                           \
-    WB_MovImm((B) + 12)                                                        \
-    WB_Alu((B) + 13, Lsr)                                                      \
-    WB_Alu((B) + 14, Eor)                                                      \
-    WB_MovImm((B) + 15)
+  // The longest chains the static fixpoint still admits under
+  // FusedCostLimit. WBODY_* macros hold the component sequences that
+  // several handlers share.
 
   FK_CASE(TrCrc0) {
     WB_Mov(0)
@@ -2162,17 +2034,23 @@ dispatch_direct:
   }
   DISPATCH();
 
-  FK_CASE(TrCrc1) {
-    WBODY_CrcA3(0)
-    WB_Alu(16, Add)
-    WB_SetCond(17)
-    WB_Mov(18)
-    WARIO_RETIRE_BR(20);
-  }
-  DISPATCH();
-
 #define WBODY_TrCrc2                                                           \
-    WBODY_CrcA3(0)                                                             \
+    WB_Alu(0, Add)                                                             \
+    WB_Mov(1)                                                                  \
+    WB_Ldr(2)                                                                  \
+    WB_Alu(3, Eor)                                                             \
+    WB_MovImm(4)                                                               \
+    WB_Alu(5, And)                                                             \
+    WB_MovImm(6)                                                               \
+    WB_MovImm(7)                                                               \
+    WB_Alu(8, Lsl)                                                             \
+    WB_Alu(9, Add)                                                             \
+    WB_Mov(10)                                                                 \
+    WB_Ldr(11)                                                                 \
+    WB_MovImm(12)                                                              \
+    WB_Alu(13, Lsr)                                                            \
+    WB_Alu(14, Eor)                                                            \
+    WB_MovImm(15)                                                              \
     WB_Alu(16, Add)                                                            \
     WB_Mov(17)
 
@@ -2188,81 +2066,6 @@ dispatch_direct:
     WARIO_RETIRE(19);
   }
   DISPATCH();
-
-  FK_CASE(TrCrc4) {
-    WBODY_TrCrc2
-    WB_Mov(18)
-    WARIO_RETIRE_B(20);
-  }
-  DISPATCH();
-
-#define WBODY_CrcB3(B, PRE)                                                    \
-    WB_MovImm((B) + 0)                                                         \
-    WB_Alu((B) + 1, Add)                                                       \
-    WB_Mov((B) + 2)                                                            \
-    WB_MovImm((B) + 3)                                                         \
-    WB_LdrSlot((B) + 4)                                                        \
-    WB_Alu((B) + 5, Lsl)                                                       \
-    WB_LdrSlot((B) + 6)                                                        \
-    WB_Alu((B) + 7, Eor)                                                       \
-    WB_StrSlot((B) + 8, (PRE) + J[(B) + 0].Aux + J[(B) + 3].Aux + 8)           \
-    WB_MovImm((B) + 9)                                                         \
-    WB_LdrSlot((B) + 10)                                                       \
-    WB_Alu((B) + 11, Lsr)                                                      \
-    WB_LdrSlot((B) + 12)                                                       \
-    WB_Alu((B) + 13, Eor)                                                      \
-    WB_StrSlot((B) + 14,                                                       \
-               (PRE) + J[(B) + 0].Aux + J[(B) + 3].Aux + J[(B) + 9].Aux + 16)
-#define WCOST_CrcB3(B) (J[(B) + 0].Aux + J[(B) + 3].Aux + J[(B) + 9].Aux + 19)
-
-#define WBODY_CrcC4(B, PRE)                                                    \
-    WB_MovImm((B) + 0)                                                         \
-    WB_LdrSlot((B) + 1)                                                        \
-    WB_Alu((B) + 2, Lsl)                                                       \
-    WB_LdrSlot((B) + 3)                                                        \
-    WB_Alu((B) + 4, Eor)                                                       \
-    WB_StrSlot((B) + 5, (PRE) + J[(B) + 0].Aux + 6)                            \
-    WB_LdrSlot((B) + 6)                                                        \
-    WB_Alu((B) + 7, Lsr)                                                       \
-    WB_MovImm((B) + 8)                                                         \
-    WB_Alu((B) + 9, Lsl)                                                       \
-    WB_Alu((B) + 10, Lsr)                                                      \
-    WB_Alu((B) + 11, Lsl)                                                      \
-    WB_Alu((B) + 12, Lsr)
-#define WCOST_CrcC4(B) (J[(B) + 0].Aux + J[(B) + 8].Aux + 15)
-
-#define WBODY_TrCrc5                                                           \
-    WBODY_CrcB3(0, 0)                                                          \
-    WBODY_CrcC4(15, WCOST_CrcB3(0))
-#define WCOST_TrCrc5 (WCOST_CrcB3(0) + WCOST_CrcC4(15))
-
-  FK_CASE(TrCrc5) {
-    WBODY_TrCrc5
-    WARIO_RETIRE(28);
-  }
-  DISPATCH();
-
-  FK_CASE(TrCrc6) {
-    WBODY_TrCrc5
-    WB_Str(28, WCOST_TrCrc5)
-    WB_MovImm(29)
-    WB_Alu(30, Add)
-    WB_LdrSlot(31)
-    WB_SetCond(32)
-    WARIO_RETIRE_BR(34);
-  }
-  DISPATCH();
-
-#define WBODY_ShaB2(B)                                                         \
-    WB_Alu((B) + 0, Add)                                                       \
-    WB_MovImm((B) + 1)                                                         \
-    WB_MovImm((B) + 2)                                                         \
-    WB_Alu((B) + 3, Lsl)                                                       \
-    WB_Alu((B) + 4, Add)                                                       \
-    WB_Mov((B) + 5)                                                            \
-    WB_Ldr((B) + 6)                                                            \
-    WB_Alu((B) + 7, Add)                                                       \
-    WB_MovImm((B) + 8)
 
 #define WBODY_TrSha1                                                           \
     WB_Mov(0)                                                                  \
@@ -2293,101 +2096,33 @@ dispatch_direct:
 
   FK_CASE(TrSha3) {
     WBODY_TrSha2
-    WBODY_ShaB2(10)
+    WB_Alu(10, Add)
+    WB_MovImm(11)
+    WB_MovImm(12)
+    WB_Alu(13, Lsl)
+    WB_Alu(14, Add)
+    WB_Mov(15)
+    WB_Ldr(16)
+    WB_Alu(17, Add)
+    WB_MovImm(18)
     WARIO_RETIRE(19);
   }
   DISPATCH();
 
-#define WBODY_TrSha4                                                           \
-    WBODY_TrSha2                                                               \
-    WBODY_ShaB2(10)                                                            \
-    WB_Alu(19, Lsl)                                                            \
-    WB_MovImm(20)                                                              \
-    WB_Alu(21, Lsr)                                                            \
-    WB_Alu(22, Orr)                                                            \
-    WB_MovImm(23)
-
-  FK_CASE(TrSha4) {
-    WBODY_TrSha4
-    WARIO_RETIRE(24);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha5                                                           \
-    WBODY_TrSha4                                                               \
-    WB_Alu(24, Add)                                                            \
-    WB_Mov(25)
-#define WCOST_TrSha5                                                           \
-    (21 + J[2].Aux + J[4].Aux + J[11].Aux + J[12].Aux + J[18].Aux +            \
-     J[20].Aux + J[23].Aux)
-
-  FK_CASE(TrSha5) {
-    WBODY_TrSha5
-    WARIO_RETIRE(26);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha6                                                           \
-    WBODY_TrSha5                                                               \
-    WB_StrSlot(26, WCOST_TrSha5)                                               \
-    WB_Mov(27)                                                                 \
-    WB_StrSlot(28, WCOST_TrSha5 + 3)                                           \
-    WB_Mov(29)                                                                 \
-    WB_StrSlot(30, WCOST_TrSha5 + 6)                                           \
-    WB_Mov(31)                                                                 \
-    WB_StrSlot(32, WCOST_TrSha5 + 9)                                           \
-    WB_Mov(33)
-
-  FK_CASE(TrSha6) {
-    WBODY_TrSha6
-    WARIO_RETIRE(34);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha7                                                           \
-    WBODY_TrSha6                                                               \
-    WB_StrSlot(34, WCOST_TrSha5 + 12)                                          \
-    WB_Mov(35)                                                                 \
-    WB_StrSlot(36, WCOST_TrSha5 + 15)
-
-  FK_CASE(TrSha7) {
-    WBODY_TrSha7
-    WARIO_RETIRE(37);
-  }
-  DISPATCH();
-
-  FK_CASE(TrSha8) {
-    WBODY_TrSha7
-    WARIO_RETIRE_B(38);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha9                                                           \
-    WB_LdrSlot(0)                                                              \
-    WB_Mov(1)                                                                  \
-    WB_LdrSlot(2)                                                              \
-    WB_Mov(3)                                                                  \
-    WB_LdrSlot(4)                                                              \
-    WB_Mov(5)                                                                  \
-    WB_LdrSlot(6)                                                              \
-    WB_Mov(7)                                                                  \
-    WB_LdrSlot(8)                                                              \
-    WB_Mov(9)                                                                  \
-    WB_StrSlot(10, 15)                                                         \
-    WB_LdrSlot(11)
-
   FK_CASE(TrSha9) {
-    WBODY_TrSha9
+    WB_LdrSlot(0)
+    WB_Mov(1)
+    WB_LdrSlot(2)
+    WB_Mov(3)
+    WB_LdrSlot(4)
+    WB_Mov(5)
+    WB_LdrSlot(6)
+    WB_Mov(7)
+    WB_LdrSlot(8)
+    WB_Mov(9)
+    WB_StrSlot(10, 15)
+    WB_LdrSlot(11)
     WARIO_RETIRE(12);
-  }
-  DISPATCH();
-
-  FK_CASE(TrSha10) {
-    WBODY_TrSha9
-    WB_Mov(12)
-    WB_MovImm(13)
-    WB_SetCond(14)
-    WARIO_RETIRE_BR(16);
   }
   DISPATCH();
 
@@ -2421,296 +2156,6 @@ dispatch_direct:
   }
   DISPATCH();
 
-#define WBODY_SchedXor(B, PRE)                                                 \
-    WB_MovImm((B) + 0)                                                         \
-    WB_LdrSlot((B) + 1)                                                        \
-    WB_Alu((B) + 2, Lsl)                                                       \
-    WB_LdrSlot((B) + 3)                                                        \
-    WB_Alu((B) + 4, Eor)                                                       \
-    WB_StrSlot((B) + 5, (PRE) + J[(B) + 0].Aux + 6)
-#define WCOST_SchedXor(B) (J[(B) + 0].Aux + 8)
-
-#define WBODY_TrSha14                                                          \
-    WBODY_CrcB3(0, 0)                                                          \
-    WBODY_SchedXor(15, WCOST_CrcB3(0))
-#define WCOST_TrSha14 (WCOST_CrcB3(0) + WCOST_SchedXor(15))
-
-  FK_CASE(TrSha14) {
-    WBODY_TrSha14
-    WARIO_RETIRE(21);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha15                                                          \
-    WBODY_TrSha14                                                              \
-    WB_MovImm(21)                                                              \
-    WB_LdrSlot(22)                                                             \
-    WB_Alu(23, Lsr)
-
-  FK_CASE(TrSha15) {
-    WBODY_TrSha15
-    WARIO_RETIRE(24);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha16                                                          \
-    WBODY_TrSha15                                                              \
-    WB_MovImm(24)                                                              \
-    WB_Alu(25, Lsl)
-
-  FK_CASE(TrSha16) {
-    WBODY_TrSha16
-    WARIO_RETIRE(26);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha17                                                          \
-    WBODY_TrSha16                                                              \
-    WB_Alu(26, Lsr)                                                            \
-    WB_Alu(27, Lsl)
-
-  FK_CASE(TrSha17) {
-    WBODY_TrSha17
-    WARIO_RETIRE(28);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha18                                                          \
-    WBODY_TrSha17                                                              \
-    WB_Alu(28, Lsr)
-#define WCOST_TrSha18 (WCOST_TrSha14 + J[21].Aux + J[24].Aux + 8)
-
-  FK_CASE(TrSha18) {
-    WBODY_TrSha18
-    WARIO_RETIRE(29);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha19                                                          \
-    WBODY_TrSha18                                                              \
-    WB_Str(29, WCOST_TrSha18)                                                  \
-    WB_MovImm(30)                                                              \
-    WB_Alu(31, Add)
-
-  FK_CASE(TrSha19) {
-    WBODY_TrSha19
-    WARIO_RETIRE(32);
-  }
-  DISPATCH();
-
-  FK_CASE(TrSha20) {
-    WBODY_TrSha19
-    WB_MovImm(32)
-    WB_SetCond(33)
-    WARIO_RETIRE_BR(35);
-  }
-  DISPATCH();
-
-  // --- Guard chains: whole loop iterations behind interior guards ----------
-  //
-  // Built only by the guard-merging pass (Trace.cpp): a recorded CBr
-  // becomes a WB_GUARD component whose on-path side falls through to
-  // the next component. Each guard's PRE is the cycle cost of every
-  // component before it, written incrementally from the WCOST_* sums —
-  // evaluated only on the (rare) off-path exit.
-
-// CrcA3's own cost: 11 unit-cost ALU/Mov components, two 2-cycle Ldrs,
-// five immediate-cost MovImms.
-#define WCOST_CrcA3(B)                                                         \
-  (13 + J[(B) + 4].Aux + J[(B) + 6].Aux + J[(B) + 7].Aux +                     \
-   J[(B) + 12].Aux + J[(B) + 15].Aux)
-// TrCrc1 minus its trailing CBr: CrcA3 then Add, SetCond, Mov.
-#define WBODY_TrCrc1Q(B)                                                       \
-    WBODY_CrcA3(B)                                                             \
-    WB_Alu((B) + 16, Add)                                                      \
-    WB_SetCond((B) + 17)                                                       \
-    WB_Mov((B) + 18)
-// TrCrc0 minus its trailing CBr, at components 0-3 (cost 5).
-#define WBODY_TrCrc0Q                                                          \
-    WB_Mov(0)                                                                  \
-    WB_Mov(1)                                                                  \
-    WB_SetCond(2)                                                              \
-    WB_Mov(3)
-
-  FK_CASE(TrCrcIt1) {
-    WBODY_TrCrc0Q
-    WB_GUARD(4, 5)
-    WBODY_TrCrc1Q(5)
-    WARIO_RETIRE_BR(25);
-  }
-  DISPATCH();
-
-  FK_CASE(TrCrcIt2) {
-    WBODY_TrCrc0Q
-    WB_GUARD(4, 5)
-    WBODY_TrCrc1Q(5)
-    WB_GUARD(24, 12 + WCOST_CrcA3(5))
-    WBODY_TrCrc1Q(25)
-    WARIO_RETIRE_BR(45);
-  }
-  DISPATCH();
-
-  FK_CASE(TrCrcIt3) {
-    WBODY_TrCrc0Q
-    WB_GUARD(4, 5)
-    WBODY_TrCrc1Q(5)
-    WB_GUARD(24, 12 + WCOST_CrcA3(5))
-    WBODY_TrCrc1Q(25)
-    WB_GUARD(44, 19 + WCOST_CrcA3(5) + WCOST_CrcA3(25))
-    WBODY_TrCrc1Q(45)
-    WARIO_RETIRE_BR(65);
-  }
-  DISPATCH();
-
-  FK_CASE(TrCrcIt4) {
-    WBODY_TrCrc0Q
-    WB_GUARD(4, 5)
-    WBODY_TrCrc1Q(5)
-    WB_GUARD(24, 12 + WCOST_CrcA3(5))
-    WBODY_TrCrc1Q(25)
-    WB_GUARD(44, 19 + WCOST_CrcA3(5) + WCOST_CrcA3(25))
-    WBODY_TrCrc1Q(45)
-    WB_GUARD(64,
-             26 + WCOST_CrcA3(5) + WCOST_CrcA3(25) + WCOST_CrcA3(45))
-    WBODY_CrcA3(65)
-    WB_Alu(81, Add)
-    WB_Mov(82)
-    WB_Mov(83)
-    WARIO_RETIRE_B(85);
-  }
-  DISPATCH();
-
-// TrSha10 minus its trailing CBr: TrSha9 then Mov, MovImm, SetCond
-// (cost 22 plus the immediate).
-#define WBODY_TrSha10Q                                                         \
-    WBODY_TrSha9                                                               \
-    WB_Mov(12)                                                                 \
-    WB_MovImm(13)                                                              \
-    WB_SetCond(14)
-
-  FK_CASE(TrShaR1) {
-    WBODY_TrSha10Q
-    WB_GUARD(15, 22 + J[13].Aux)
-    WB_MovImm(16)
-    WB_SetCond(17)
-    WARIO_RETIRE_BR(19);
-  }
-  DISPATCH();
-
-  FK_CASE(TrShaR2) {
-    WBODY_TrSha10Q
-    WB_GUARD(15, 22 + J[13].Aux)
-    WB_MovImm(16)
-    WB_SetCond(17)
-    WB_GUARD(18, 27 + J[13].Aux + J[16].Aux)
-    WB_MovImm(19)
-    WB_SetCond(20)
-    WARIO_RETIRE_BR(22);
-  }
-  DISPATCH();
-
-  FK_CASE(TrShaR3) {
-    WBODY_TrSha10Q
-    WB_GUARD(15, 22 + J[13].Aux)
-    WB_MovImm(16)
-    WB_SetCond(17)
-    WB_GUARD(18, 27 + J[13].Aux + J[16].Aux)
-    WB_MovImm(19)
-    WB_SetCond(20)
-    WB_GUARD(21, 32 + J[13].Aux + J[16].Aux + J[19].Aux)
-    WB_MovImm(22)
-    WB_SetCond(23)
-    WARIO_RETIRE_BR(25);
-  }
-  DISPATCH();
-
-  // --- Trace-engine stubs (superblock code only; Trace.h) -------------------
-  // Stubs are free: the branch or fall-through that reached them already
-  // retired its own cycles and instruction count.
-
-  FK_CASE(TraceExit) {
-    // A direction guard left the recorded path: resume the merged
-    // stream at the off-path target.
-    if (TraceMode) {
-      ++St.SideExits;
-      ++CurSB->Exits;
-      uint32_t T = J->A;
-      SBase = Fast;
-      SOrig = nullptr;
-      CurSB = nullptr;
-      CurLimit = Limit;
-      J = Fast + T;
-      DISPATCH();
-    }
-    goto bail; // Unreachable outside the trace engine.
-  }
-
-  FK_CASE(TraceFall) {
-    // Fell off the end of a non-looping trace: resume the merged stream.
-    if (TraceMode) {
-      uint32_t T = J->A;
-      SBase = Fast;
-      SOrig = nullptr;
-      CurSB = nullptr;
-      CurLimit = Limit;
-      J = Fast + T;
-      DISPATCH();
-    }
-    goto bail;
-  }
-
-  FK_CASE(TraceRet) {
-    // Guarded return (a recorded Ret): on the recorded link, continue
-    // straight-line; on a foreign (but valid) link, side-exit to the
-    // actual return target; on a sentinel/corrupt link, bail with the
-    // superblock still current so flush maps this record to the Ret's
-    // merged pc and step() finishes the program exactly like the
-    // identity handler would.
-    if (TraceMode) {
-      uint32_t L = R[LR];
-      if (L == LrSentinel || !(L & CodeAddrBit))
-        goto bail;
-      Active += 1 + cycles::PipelineRefill;
-      ++Insts;
-      if (L == J->A) {
-        J = SBase + J->T0;
-        DISPATCH();
-      }
-      ++St.SideExits;
-      ++CurSB->Exits;
-      SBase = Fast;
-      SOrig = nullptr;
-      CurSB = nullptr;
-      CurLimit = Limit;
-      J = Fast + (L & ~CodeAddrBit);
-      DISPATCH();
-    }
-    goto bail;
-  }
-
-  FK_CASE(TraceLoop) {
-    // Back edge to the trace head: re-enter when a whole further pass
-    // still fits under the event margin, else hand the loop back to the
-    // merged stream.
-    if (TraceMode) {
-      if (Active + CurSB->WorstCost < Limit) {
-        ++St.SuperblockDispatches;
-        ++CurSB->Entries;
-        J = SBase;
-        DISPATCH();
-      }
-      ++St.Invalidations;
-      uint32_t T = J->A;
-      SBase = Fast;
-      SOrig = nullptr;
-      CurSB = nullptr;
-      CurLimit = Limit;
-      J = Fast + T;
-      DISPATCH();
-    }
-    goto bail;
-  }
-
 #if WARIO_THREADED_GOTO
 H_Bad:
   assert(false && "padding kind dispatched");
@@ -2722,73 +2167,6 @@ H_Bad:
   }
 #endif
 
-trace_edge:
-  // The trace engine's cold policy edge. WARIO_SETJ sends a transfer
-  // here only when the recorder is armed (every taken target extends
-  // the path — block granularity, fall-through interiors reconstructed
-  // by the builder) or when a back-edge target's heat counter crossed
-  // TraceHotThreshold. A crossing means: enter the head's superblock if
-  // one is ready and a full pass fits the margin, arm the recorder on a
-  // cold head, or re-zero a blacklisted one (the counter keeps running
-  // so blacklisted heads cost one funnel trip per threshold period).
-  if (TraceMode) {
-    if (RecOn) {
-      switch (traceRecordStep(TS, EdgeT)) {
-      case RecordVerdict::Continue:
-        break;
-      case RecordVerdict::Build:
-        if (buildSuperblock(TS, P.Prog, P.Fast, EdgeT)) {
-          ++St.TracesBuilt;
-          // Pin the head at the threshold so its next visit funnels
-          // straight into the new superblock.
-          TS.Hot[TS.Head] = TraceHotThreshold - 1;
-        } else {
-          TS.SBIdx[TS.Head] = SBBlacklisted;
-        }
-        RecOn = false;
-        break;
-      case RecordVerdict::Abort:
-        TS.SBIdx[TS.Head] = SBBlacklisted;
-        RecOn = false;
-        break;
-      }
-    } else {
-      int32_t SI = TS.SBIdx[EdgeT];
-      if (SI >= 0) {
-        TS.Hot[EdgeT] = TraceHotThreshold - 1; // Funnel again next visit.
-        Superblock *SB = TS.Blocks[size_t(SI)].get();
-        if (SB->Entries >= TraceHotThreshold &&
-            SB->Exits * 8 > SB->Entries * 7) {
-          // Deoptimize: the recorded path almost never survives, so
-          // entry and exit overhead buy nothing. Stay merged for good.
-          TS.SBIdx[EdgeT] = SBBlacklisted;
-          TS.Hot[EdgeT] = 0;
-          ++St.Invalidations;
-        } else if (Active + SB->WorstCost < Limit) {
-          CurSB = SB;
-          SBase = SB->Code.data();
-          SOrig = SB->Orig.data();
-          CurLimit = ~uint64_t(0);
-          ++St.SuperblockDispatches;
-          ++SB->Entries;
-          J = SBase;
-          WARIO_DISPATCH_NOHOOK();
-        } else {
-          ++St.Invalidations; // Margin says no: stay on the merged stream.
-        }
-      } else {
-        TS.Hot[EdgeT] = 0;
-        if (SI == SBNone) {
-          RecOn = true;
-          TS.beginRecording(EdgeT);
-        }
-      }
-    }
-    J = Fast + EdgeT;
-    DISPATCH();
-  }
-  goto bail; // Unreachable: WARIO_SETJ funnels here in trace mode only.
-
 bail:
   // Something irregular at the current pc (counters already advanced
   // past any retired components): sync, let the interpreter execute
@@ -2796,12 +2174,6 @@ bail:
   // outer-loop event can fire before that boundary — the caller's
   // margin guarantees it — so going straight back to dispatch is
   // exactly the interpreter's own sequencing.
-  if (TraceMode && RecOn) {
-    // The bailed instruction runs through step() below — a gap the
-    // recorded path cannot represent. Abandon it and never retry.
-    RecOn = false;
-    TS.SBIdx[TS.Head] = SBBlacklisted;
-  }
   flush();
   ++BailSteps;
   step();
@@ -2815,14 +2187,4 @@ out:
   St.ThreadedInstructions = (Insts - Insts0) - BailSteps;
   if (Stats)
     *Stats += St;
-}
-
-template void Machine::runThreadedT<false>(uint64_t);
-template void Machine::runThreadedT<true>(uint64_t);
-
-void Machine::runThreaded(uint64_t Limit) {
-  if (UseTrace)
-    runThreadedT<true>(Limit);
-  else
-    runThreadedT<false>(Limit);
 }

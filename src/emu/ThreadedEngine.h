@@ -9,8 +9,9 @@
 /// implementation of Machine's inner loop: the decoded program is
 /// lowered once per module into a fused-group stream (Fusion.h), and a
 /// computed-goto dispatch loop (portable switch fallback) executes
-/// whole groups per dispatch. The interpreter in Emulator.cpp remains
-/// the differential oracle — byte-identical results are enforced by
+/// whole groups per dispatch, under every checkpoint strategy. The
+/// interpreter in Emulator.cpp remains the differential oracle —
+/// byte-identical results are enforced by
 /// tests/EngineEquivalenceTest.cpp.
 ///
 //===----------------------------------------------------------------------===//
@@ -37,38 +38,28 @@ struct EngineStats {
   /// EmulatorResult::InstructionsExecuted ran on the interpreter path:
   /// event-boundary single-stepping and rare bail-outs).
   uint64_t ThreadedInstructions = 0;
-  /// Hot-trace superblock layer (trace engine only; DESIGN.md §7.9).
-  /// Superblocks recorded and stitched this run.
-  uint64_t TracesBuilt = 0;
-  /// Superblock entries + in-superblock loop re-entries (each one pays
-  /// the aggregate event-margin check exactly once).
+  /// Always zero: the hot-trace superblock tier these counted was
+  /// removed (DESIGN.md §7.9). Kept so readers of the old counters
+  /// still compile.
   uint64_t SuperblockDispatches = 0;
-  /// Branch-direction guards that left the recorded path and fell back
-  /// to the merged stream.
   uint64_t SideExits = 0;
-  /// Superblock entries declined or abandoned because the dispatch
-  /// margin or an event boundary intervened (margin-failed entries and
-  /// re-entries, plus mid-flight bail/commit abandonments).
-  uint64_t Invalidations = 0;
 
   EngineStats &operator+=(const EngineStats &O) {
     Dispatches += O.Dispatches;
     FusedDispatches += O.FusedDispatches;
     FusedInstructions += O.FusedInstructions;
     ThreadedInstructions += O.ThreadedInstructions;
-    TracesBuilt += O.TracesBuilt;
     SuperblockDispatches += O.SuperblockDispatches;
     SideExits += O.SideExits;
-    Invalidations += O.Invalidations;
     return *this;
   }
 };
 
 /// Resolves Auto against the WARIO_ENGINE environment variable, read
 /// fresh on every call so tests can flip it with setenv: "interp" (or
-/// "interpreter") forces the oracle, "threaded" forces the plain
-/// threaded engine, anything else — including unset — selects the
-/// trace engine. Explicit option values win unchanged.
+/// "interpreter") forces the oracle; anything else — "threaded", any
+/// other value, or unset — selects the threaded engine. Explicit option
+/// values win unchanged.
 EngineKind resolveEngine(EngineKind Requested);
 
 const char *engineName(EngineKind K);

@@ -2,7 +2,7 @@
 
 #include "ir/ConstEval.h"
 
-#include <unordered_map>
+#include <memory>
 
 using namespace wario;
 
@@ -37,16 +37,41 @@ public:
   }
 
 private:
-  using Frame = std::unordered_map<const Value *, uint32_t>;
+  /// One activation's SSA values, indexed densely: arguments by
+  /// Argument::getIndex(), instructions by Instruction::getId() (ids are
+  /// dense per function and preserved by cloning). Frames are pooled per
+  /// call depth, so a call allocates only when it first reaches a depth
+  /// or a larger function.
+  struct Frame {
+    std::vector<uint32_t> Args;
+    std::vector<uint32_t> Vals;
+    std::vector<uint32_t> CallArgs; ///< Outgoing arguments of a call.
+#ifndef NDEBUG
+    std::vector<bool> Defined; ///< Backs the use-of-undefined-value assert.
+#endif
+
+    void set(const Instruction *I, uint32_t V) {
+      Vals[I->getId()] = V;
+#ifndef NDEBUG
+      Defined[I->getId()] = true;
+#endif
+    }
+  };
 
   uint32_t eval(const Frame &Fr, const Value *V) {
-    if (const auto *C = dyn_cast<Constant>(V))
-      return C->getZExtValue();
-    if (const auto *G = dyn_cast<GlobalVariable>(V))
-      return Layout.addressOf(G);
-    auto It = Fr.find(V);
-    assert(It != Fr.end() && "use of undefined value");
-    return It->second;
+    switch (V->getKind()) {
+    case Value::ValueKind::Constant:
+      return cast<Constant>(V)->getZExtValue();
+    case Value::ValueKind::GlobalVariable:
+      return Layout.addressOf(cast<GlobalVariable>(V));
+    case Value::ValueKind::Argument:
+      return Fr.Args[cast<Argument>(V)->getIndex()];
+    case Value::ValueKind::Instruction:
+      break;
+    }
+    unsigned Id = cast<Instruction>(V)->getId();
+    assert(Id < Fr.Vals.size() && Fr.Defined[Id] && "use of undefined value");
+    return Fr.Vals[Id];
   }
 
   bool loadMem(uint32_t Addr, uint8_t Size, bool Signed, uint32_t &Result) {
@@ -109,27 +134,35 @@ private:
       Trap = "call depth limit exceeded (runaway recursion?)";
       return std::nullopt;
     }
+    if (Frames.size() == CallDepth)
+      Frames.push_back(std::make_unique<Frame>());
+    Frame &Fr = *Frames[CallDepth];
     ++CallDepth;
     uint32_t SavedSP = SP;
 
-    Frame Fr;
-    for (unsigned I = 0; I != F->getNumParams(); ++I)
-      Fr[F->getArg(I)] = I < Args.size() ? Args[I] : 0;
+    Fr.Args.assign(F->getNumParams(), 0);
+    for (unsigned I = 0; I != F->getNumParams() && I != Args.size(); ++I)
+      Fr.Args[I] = Args[I];
+    Fr.Vals.resize(F->nextInstId());
+#ifndef NDEBUG
+    Fr.Defined.assign(F->nextInstId(), false);
+#endif
 
     BasicBlock *BB = F->getEntryBlock();
     BasicBlock *PrevBB = nullptr;
     std::optional<int32_t> RetVal;
 
     while (Trap.empty()) {
-      // Phi nodes are evaluated in parallel on block entry.
-      std::vector<std::pair<const Instruction *, uint32_t>> PhiVals;
+      // Phi nodes are evaluated in parallel on block entry (into one
+      // reused buffer: no call runs between filling and draining it).
+      PhiBuf.clear();
       for (const Instruction *I : *BB) {
         if (I->getOpcode() != Opcode::Phi)
           break;
         bool Found = false;
         for (unsigned J = 0, E = I->getNumBlockOperands(); J != E; ++J) {
           if (I->getBlockOperand(J) == PrevBB) {
-            PhiVals.emplace_back(I, eval(Fr, I->getOperand(J)));
+            PhiBuf.emplace_back(I, eval(Fr, I->getOperand(J)));
             Found = true;
             break;
           }
@@ -140,8 +173,8 @@ private:
           break;
         }
       }
-      for (auto &[Phi, V] : PhiVals)
-        Fr[Phi] = V;
+      for (auto &[Phi, V] : PhiBuf)
+        Fr.set(Phi, V);
       if (!Trap.empty())
         break;
 
@@ -162,14 +195,14 @@ private:
             Trap = "stack overflow";
             break;
           }
-          Fr[I] = SP;
+          Fr.set(I, SP);
           break;
         }
         case Opcode::Load: {
           uint32_t V;
           if (loadMem(eval(Fr, I->getOperand(0)), I->getAccessSize(),
                       I->isSignedLoad(), V))
-            Fr[I] = V;
+            Fr.set(I, V);
           break;
         }
         case Opcode::Store:
@@ -179,28 +212,28 @@ private:
         case Opcode::Gep: {
           uint32_t Base = eval(Fr, I->getGepBase());
           uint32_t Index = I->getGepIndex() ? eval(Fr, I->getGepIndex()) : 0;
-          Fr[I] = Base + Index * uint32_t(I->getGepScale()) +
-                  uint32_t(I->getGepOffset());
+          Fr.set(I, Base + Index * uint32_t(I->getGepScale()) +
+                        uint32_t(I->getGepOffset()));
           break;
         }
         case Opcode::ICmp:
-          Fr[I] = evalPred(I->getPredicate(), eval(Fr, I->getOperand(0)),
-                           eval(Fr, I->getOperand(1)))
-                      ? 1
-                      : 0;
+          Fr.set(I, evalPred(I->getPredicate(), eval(Fr, I->getOperand(0)),
+                             eval(Fr, I->getOperand(1)))
+                        ? 1
+                        : 0);
           break;
         case Opcode::Select:
-          Fr[I] = eval(Fr, I->getOperand(0)) != 0
-                      ? eval(Fr, I->getOperand(1))
-                      : eval(Fr, I->getOperand(2));
+          Fr.set(I, eval(Fr, I->getOperand(0)) != 0
+                        ? eval(Fr, I->getOperand(1))
+                        : eval(Fr, I->getOperand(2)));
           break;
         case Opcode::Call: {
-          std::vector<uint32_t> CallArgs;
+          Fr.CallArgs.clear();
           for (unsigned J = 0, E = I->getNumOperands(); J != E; ++J)
-            CallArgs.push_back(eval(Fr, I->getOperand(J)));
-          std::optional<int32_t> R = callFunction(I->getCallee(), CallArgs);
+            Fr.CallArgs.push_back(eval(Fr, I->getOperand(J)));
+          std::optional<int32_t> R = callFunction(I->getCallee(), Fr.CallArgs);
           if (I->producesValue() && Trap.empty())
-            Fr[I] = uint32_t(R.value_or(0));
+            Fr.set(I, uint32_t(R.value_or(0)));
           break;
         }
         case Opcode::Out:
@@ -224,8 +257,8 @@ private:
           Trap = "phi after non-phi instruction";
           break;
         default: // Binary ops.
-          Fr[I] = evalBinary(I->getOpcode(), eval(Fr, I->getOperand(0)),
-                             eval(Fr, I->getOperand(1)));
+          Fr.set(I, evalBinary(I->getOpcode(), eval(Fr, I->getOperand(0)),
+                               eval(Fr, I->getOperand(1))));
           break;
         }
         if (!Trap.empty() || NextBB || Returned)
@@ -256,6 +289,10 @@ private:
   std::string Trap;
   uint32_t SP = memmap::StackTop;
   unsigned CallDepth = 0;
+  /// Frames[D] serves every activation at call depth D. unique_ptr keeps
+  /// a caller's frame in place while deeper calls grow the pool.
+  std::vector<std::unique_ptr<Frame>> Frames;
+  std::vector<std::pair<const Instruction *, uint32_t>> PhiBuf;
 };
 
 } // namespace

@@ -1,16 +1,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Differential tests for the three execution engines (label: `engine`):
-/// the direct-threaded fused-dispatch engine and the hot-trace
-/// superblock engine (ThreadedEngine.cpp + Trace.cpp) must be
-/// byte-identical — field-wise EmulatorResult operator==, including the
-/// final NVM image, output, event traces, and every counter — to the
+/// Differential tests for the two execution engines (label: `engine`):
+/// the direct-threaded fused-dispatch engine (ThreadedEngine.cpp) must
+/// be byte-identical — field-wise EmulatorResult operator==, including
+/// the final NVM image, output, event traces, and every counter — to the
 /// central-switch interpreter (the oracle) for every workload under
-/// continuous power, crash schedules, harvester traces, and interrupts.
-/// Also covers the WARIO_ENGINE environment kill switch (unset resolves
-/// to trace), mixed-engine snapshot record/replay in all six directions,
-/// and the 16-bit SWAR WAR-stamp epoch wrap at 2^15.
+/// every checkpoint strategy (wario, wario-diff, wario-spec), under
+/// continuous power, crash schedules, harvester traces, and interrupts,
+/// and for the weakened negative-control builds. Also covers the
+/// WARIO_ENGINE environment kill switch (unset resolves to threaded),
+/// mixed-engine snapshot record/replay in both directions, and the
+/// 16-bit SWAR WAR-stamp epoch wrap at 2^15.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,14 +30,24 @@ using namespace wario;
 
 namespace {
 
-MModule buildWorkload(const std::string &Name) {
+constexpr CheckpointStrategy Strategies[] = {
+    CheckpointStrategy::Idempotent, CheckpointStrategy::Differential,
+    CheckpointStrategy::Speculative};
+
+MModule buildWorkload(const std::string &Name, const PipelineOptions &PO) {
   DiagnosticEngine Diags;
   auto M = buildWorkloadIR(getWorkload(Name), Diags);
   EXPECT_TRUE(M) << Name << ": " << Diags.formatAll();
   if (!M)
     return MModule{};
-  PipelineOptions PO; // WarioComplete, paper defaults.
   return compile(*M, PO);
+}
+
+/// WarioComplete, paper defaults, under strategy \p S.
+MModule buildWorkload(const std::string &Name, CheckpointStrategy S) {
+  PipelineOptions PO;
+  PO.Strat = S;
+  return buildWorkload(Name, PO);
 }
 
 /// WARIO_CI_FAST=1 trims the matrix to one workload (the CI
@@ -48,36 +59,27 @@ std::vector<Workload> matrixWorkloads() {
   return allWorkloads();
 }
 
-/// Runs the module under all three engines and requires field-wise
-/// identical results. Returns the oracle result for further checks;
-/// \p TraceSt (optional) receives the trace engine's stats so callers
-/// can assert superblock activity.
+/// Runs the module under both engines and requires field-wise identical
+/// results. Returns the oracle result for further checks.
 EmulatorResult expectEngineIdentical(const Emulator &E,
                                      const EmulatorOptions &Base,
-                                     const std::string &Tag,
-                                     EngineStats *TraceSt = nullptr) {
-  EmulatorOptions Interp = Base, Threaded = Base, Trace = Base;
+                                     const std::string &Tag) {
+  EmulatorOptions Interp = Base, Threaded = Base;
   Interp.Engine = EngineKind::Interp;
   Threaded.Engine = EngineKind::Threaded;
-  Trace.Engine = EngineKind::Trace;
-  EngineStats IS, TS, TrS;
+  EngineStats IS, TS;
   EmulatorResult RI = E.run(Interp, "main", nullptr, &IS);
   EmulatorResult RT = E.run(Threaded, "main", nullptr, &TS);
-  EmulatorResult RTr = E.run(Trace, "main", nullptr, &TrS);
-  EXPECT_TRUE(RI == RT) << Tag << " (threaded)";
-  EXPECT_TRUE(RI == RTr) << Tag << " (trace)";
+  EXPECT_TRUE(RI == RT) << Tag;
   // The interpreter never dispatches through the threaded loop; the
-  // other engines must actually have used it (or the test proves
-  // nothing about equivalence). The threaded engine must never touch
-  // the trace layer.
+  // threaded engine must actually retire instructions there under
+  // every strategy (or the test proves nothing about equivalence).
   EXPECT_EQ(IS.Dispatches, 0u) << Tag;
   EXPECT_GT(TS.Dispatches, 0u) << Tag;
-  EXPECT_GT(TrS.Dispatches, 0u) << Tag;
-  EXPECT_EQ(TS.TracesBuilt, 0u) << Tag;
-  EXPECT_EQ(TS.SuperblockDispatches, 0u) << Tag;
+  EXPECT_GT(TS.ThreadedInstructions, 0u) << Tag;
   EXPECT_LE(TS.ThreadedInstructions, RT.InstructionsExecuted) << Tag;
-  if (TraceSt)
-    *TraceSt = TrS;
+  EXPECT_EQ(TS.SuperblockDispatches, 0u) << Tag;
+  EXPECT_EQ(TS.SideExits, 0u) << Tag;
   return RI;
 }
 
@@ -85,46 +87,49 @@ EmulatorResult expectEngineIdentical(const Emulator &E,
 
 /// Continuous power, with region sizes and the event trace collected:
 /// the widest observable surface (Commits, StoreCycles, RegionSizes).
-/// Every workload's hot loop must actually reach the superblock layer
-/// (heat threshold crossed, traces built, straight-line dispatches) —
-/// otherwise the trace column of the matrix degenerates to threaded.
 TEST(EngineEquivalenceTest, ContinuousRunsAreByteIdentical) {
   for (const Workload &W : matrixWorkloads()) {
-    MModule MM = buildWorkload(W.Name);
-    ASSERT_FALSE(MM.Functions.empty()) << W.Name;
-    Emulator E(MM);
-    EmulatorOptions EO;
-    EO.CollectEventTrace = true;
-    EngineStats TrS;
-    EmulatorResult R = expectEngineIdentical(E, EO, W.Name, &TrS);
-    EXPECT_TRUE(R.Ok) << W.Name << ": " << R.Error;
-    EXPECT_GT(TrS.TracesBuilt, 0u) << W.Name;
-    EXPECT_GT(TrS.SuperblockDispatches, 0u) << W.Name;
+    for (CheckpointStrategy S : Strategies) {
+      const std::string Tag = W.Name + "/" + checkpointStrategyName(S);
+      MModule MM = buildWorkload(W.Name, S);
+      ASSERT_FALSE(MM.Functions.empty()) << Tag;
+      Emulator E(MM);
+      EmulatorOptions EO;
+      EO.CollectEventTrace = true;
+      EmulatorResult R = expectEngineIdentical(E, EO, Tag);
+      EXPECT_TRUE(R.Ok) << Tag << ": " << R.Error;
+    }
   }
 }
 
 /// Intermittent power: fixed on-periods (every boot replays a region
-/// prefix) and the bursty harvester trace, at several budgets so the
-/// failure points land in different regions.
+/// prefix and, under the rollback strategies, rolls the journals back)
+/// and the bursty harvester trace, at several budgets so the failure
+/// points land in different regions.
 TEST(EngineEquivalenceTest, IntermittentRunsAreByteIdentical) {
   for (const Workload &W : matrixWorkloads()) {
-    MModule MM = buildWorkload(W.Name);
-    ASSERT_FALSE(MM.Functions.empty()) << W.Name;
-    Emulator E(MM);
-    for (uint64_t Budget : {7'000ull, 50'000ull, 333'333ull}) {
+    for (CheckpointStrategy S : Strategies) {
+      const std::string Tag = W.Name + "/" + checkpointStrategyName(S);
+      MModule MM = buildWorkload(W.Name, S);
+      ASSERT_FALSE(MM.Functions.empty()) << Tag;
+      Emulator E(MM);
+      for (uint64_t Budget : {7'000ull, 50'000ull, 333'333ull}) {
+        EmulatorOptions EO;
+        EO.Power = PowerSchedule::fixed(Budget);
+        EmulatorResult R = expectEngineIdentical(
+            E, EO, Tag + " @ fixed " + std::to_string(Budget));
+        // The smallest budget legitimately stalls the large-region
+        // workloads (no forward progress); both engines must still
+        // agree on the failure, so only successful runs that outlast
+        // one on-period must have failed.
+        if (R.Ok && R.TotalCycles > Budget) {
+          EXPECT_GT(R.PowerFailures, 0u) << Tag;
+        }
+      }
       EmulatorOptions EO;
-      EO.Power = PowerSchedule::fixed(Budget);
-      EmulatorResult R = expectEngineIdentical(
-          E, EO, W.Name + " @ fixed " + std::to_string(Budget));
-      // The smallest budget legitimately stalls the large-region
-      // workloads (no forward progress); both engines must still agree
-      // on the failure, so only the successful runs assert Ok.
-      if (R.Ok)
-        EXPECT_GT(R.PowerFailures, 0u) << W.Name;
+      EO.Power = harvesterTraceAlpha();
+      expectEngineIdentical(E, EO, Tag + " @ harvester");
     }
-    EmulatorOptions EO;
-    EO.Power = harvesterTraceAlpha();
-    expectEngineIdentical(E, EO, W.Name + " @ harvester");
   }
 }
 
@@ -133,24 +138,61 @@ TEST(EngineEquivalenceTest, IntermittentRunsAreByteIdentical) {
 /// engine, so the cycle accounting must line up exactly.
 TEST(EngineEquivalenceTest, InterruptRunsAreByteIdentical) {
   for (const Workload &W : matrixWorkloads()) {
-    MModule MM = buildWorkload(W.Name);
-    ASSERT_FALSE(MM.Functions.empty()) << W.Name;
+    for (CheckpointStrategy S : Strategies) {
+      const std::string Tag = W.Name + "/" + checkpointStrategyName(S);
+      MModule MM = buildWorkload(W.Name, S);
+      ASSERT_FALSE(MM.Functions.empty()) << Tag;
+      Emulator E(MM);
+      EmulatorOptions EO;
+      EO.InterruptPeriod = 10'000;
+      EmulatorResult R = expectEngineIdentical(E, EO, Tag);
+      EXPECT_TRUE(R.Ok) << Tag << ": " << R.Error;
+      EXPECT_GT(R.InterruptsTaken, 0u) << Tag;
+    }
+  }
+}
+
+/// The negative-control builds the crash campaigns must catch: WAR
+/// violations (counted, not fatal), dropped page journals, and unlogged
+/// WAR writes all diverge from the correct builds, and must do so
+/// identically on both engines.
+TEST(EngineEquivalenceTest, WeakenedBuildsAreByteIdentical) {
+  PipelineOptions NoWars;
+  NoWars.ResolveMiddleEndWars = false;
+  PipelineOptions NoDiffRollback;
+  NoDiffRollback.Strat = CheckpointStrategy::Differential;
+  NoDiffRollback.DiffFullRollback = false;
+  PipelineOptions NoSpecLog;
+  NoSpecLog.Strat = CheckpointStrategy::Speculative;
+  NoSpecLog.SpecLogWars = false;
+  const std::pair<const char *, PipelineOptions> Builds[] = {
+      {"wario-weakened", NoWars},
+      {"wario-diff-weakened", NoDiffRollback},
+      {"wario-spec-weakened", NoSpecLog}};
+  for (const auto &[Name, PO] : Builds) {
+    MModule MM = buildWorkload("coremark", PO);
+    ASSERT_FALSE(MM.Functions.empty()) << Name;
     Emulator E(MM);
-    EmulatorOptions EO;
-    EO.InterruptPeriod = 10'000;
-    EmulatorResult R = expectEngineIdentical(E, EO, W.Name);
-    EXPECT_TRUE(R.Ok) << W.Name << ": " << R.Error;
-    EXPECT_GT(R.InterruptsTaken, 0u) << W.Name;
+    for (uint64_t Budget : {20'000ull, 50'000ull}) {
+      EmulatorOptions EO;
+      EO.Power = PowerSchedule::fixed(Budget);
+      EO.WarIsFatal = false;
+      EO.CollectEventTrace = true;
+      EO.MaxCycles = 40'000'000;
+      expectEngineIdentical(E, EO,
+                            std::string(Name) + " @ fixed " +
+                                std::to_string(Budget));
+    }
   }
 }
 
 /// The WARIO_ENGINE kill switch: with Engine = Auto, "interp" must
-/// force the oracle (zero threaded dispatches), "threaded" the fused
-/// engine with the trace layer dark, and anything else — including
-/// unset — the trace engine. Results must not depend on the choice,
-/// and an explicit EmulatorOptions::Engine beats the environment.
+/// force the oracle (zero threaded dispatches) and anything else —
+/// "threaded", the retired "trace", or unset — the threaded engine.
+/// Results must not depend on the choice, and an explicit
+/// EmulatorOptions::Engine beats the environment.
 TEST(EngineEquivalenceTest, EnvKillSwitchSelectsEngine) {
-  MModule MM = buildWorkload("crc");
+  MModule MM = buildWorkload("crc", CheckpointStrategy::Idempotent);
   ASSERT_FALSE(MM.Functions.empty());
   Emulator E(MM);
   EmulatorOptions EO; // Engine = Auto.
@@ -165,24 +207,22 @@ TEST(EngineEquivalenceTest, EnvKillSwitchSelectsEngine) {
   EngineStats ThrStats;
   EmulatorResult Threaded = E.run(EO, "main", nullptr, &ThrStats);
   EXPECT_GT(ThrStats.Dispatches, 0u);
-  EXPECT_EQ(ThrStats.TracesBuilt, 0u)
-      << "WARIO_ENGINE=threaded must keep the trace layer dark";
-  EXPECT_EQ(ThrStats.SuperblockDispatches, 0u);
 
   ASSERT_EQ(setenv("WARIO_ENGINE", "trace", 1), 0);
-  EngineStats TrStats;
-  EmulatorResult Traced = E.run(EO, "main", nullptr, &TrStats);
-  EXPECT_GT(TrStats.Dispatches, 0u);
-  EXPECT_GT(TrStats.SuperblockDispatches, 0u);
+  EngineStats OtherStats;
+  EmulatorResult Other = E.run(EO, "main", nullptr, &OtherStats);
+  EXPECT_GT(OtherStats.Dispatches, 0u)
+      << "any value but interp must select the threaded engine";
 
   ASSERT_EQ(unsetenv("WARIO_ENGINE"), 0);
   EngineStats DefStats;
   EmulatorResult Default = E.run(EO, "main", nullptr, &DefStats);
-  EXPECT_GT(DefStats.SuperblockDispatches, 0u)
-      << "unset must default to the trace engine";
+  EXPECT_GT(DefStats.Dispatches, 0u)
+      << "unset must default to the threaded engine";
+  EXPECT_EQ(resolveEngine(EngineKind::Auto), EngineKind::Threaded);
 
   EXPECT_TRUE(Killed == Threaded);
-  EXPECT_TRUE(Killed == Traced);
+  EXPECT_TRUE(Killed == Other);
   EXPECT_TRUE(Killed == Default);
 
   // An explicit option wins over the environment.
@@ -196,29 +236,31 @@ TEST(EngineEquivalenceTest, EnvKillSwitchSelectsEngine) {
   ASSERT_EQ(unsetenv("WARIO_ENGINE"), 0);
 }
 
-/// Mixed-engine snapshot resume: a chain recorded under any engine must
-/// replay under both others (chain compatibility is deliberately
-/// engine-blind), byte-identical to a cold run of the replaying engine.
+/// Mixed-engine snapshot resume: a chain recorded under either engine
+/// must replay under the other (chain compatibility is deliberately
+/// engine-blind), byte-identical to a cold run of the replaying engine,
+/// under every strategy — the rollback journals are empty at every
+/// recorded region-fresh point on both engines.
 TEST(EngineEquivalenceTest, MixedEngineSnapshotResume) {
-  MModule MM = buildWorkload("crc");
-  ASSERT_FALSE(MM.Functions.empty());
-  Emulator E(MM);
-  EmulatorOptions Base;
-  Base.CollectRegionSizes = false;
+  for (CheckpointStrategy S : Strategies) {
+    MModule MM = buildWorkload("crc", S);
+    ASSERT_FALSE(MM.Functions.empty()) << checkpointStrategyName(S);
+    Emulator E(MM);
+    EmulatorOptions Base;
+    Base.CollectRegionSizes = false;
 
-  constexpr EngineKind Engines[] = {EngineKind::Interp, EngineKind::Threaded,
-                                    EngineKind::Trace};
-  for (EngineKind RecEngine : Engines) {
-    EmulatorOptions RecEO = Base;
-    RecEO.Engine = RecEngine;
-    SnapshotChain Chain;
-    EmulatorResult Golden = E.record(RecEO, SnapshotSchedule{}, Chain);
-    ASSERT_TRUE(Golden.Ok) << Golden.Error;
-    ASSERT_TRUE(Chain.valid());
+    for (EngineKind RecEngine : {EngineKind::Interp, EngineKind::Threaded}) {
+      const EngineKind Other = RecEngine == EngineKind::Interp
+                                   ? EngineKind::Threaded
+                                   : EngineKind::Interp;
+      EmulatorOptions RecEO = Base;
+      RecEO.Engine = RecEngine;
+      SnapshotChain Chain;
+      EmulatorResult Golden = E.record(RecEO, SnapshotSchedule{}, Chain);
+      ASSERT_TRUE(Golden.Ok)
+          << checkpointStrategyName(S) << ": " << Golden.Error;
+      ASSERT_TRUE(Chain.valid()) << checkpointStrategyName(S);
 
-    for (EngineKind Other : Engines) {
-      if (Other == RecEngine)
-        continue;
       for (uint64_t C : {Golden.TotalCycles / 3, 2 * Golden.TotalCycles / 3}) {
         EmulatorOptions EO = Base;
         EO.Engine = Other;
@@ -230,8 +272,9 @@ TEST(EngineEquivalenceTest, MixedEngineSnapshotResume) {
         ReplayOutcome Out;
         EmulatorResult Warm = E.replay(EO, Plan, "main", &Scratch, &Out);
         EXPECT_TRUE(Warm == Cold)
-            << "recorded " << engineName(RecEngine) << ", replayed "
-            << engineName(Other) << " @ crash " << C;
+            << checkpointStrategyName(S) << ": recorded "
+            << engineName(RecEngine) << ", replayed " << engineName(Other)
+            << " @ crash " << C;
         EXPECT_TRUE(Out.Resumed)
             << "engine mismatch must not force a cold fallback";
       }
@@ -244,37 +287,41 @@ TEST(EngineEquivalenceTest, MixedEngineSnapshotResume) {
 /// high-epoch entries would otherwise alias fresh small epochs) and
 /// restarts at 1. Driving 32k regions organically is minutes of wall
 /// time, so the test reuses the documented scratch contract instead: a
-/// warm-up run primes Access with live stamps (and, under trace, builds
-/// superblocks whose elision survives into the second run), then the
-/// epoch is seeded just below the wrap so the next run crosses it
-/// mid-workload. Every engine must produce a result byte-identical to
-/// its own fresh-scratch run.
+/// warm-up run primes Access with live stamps, then the epoch is seeded
+/// just below the wrap so the next run crosses it mid-workload. Both
+/// engines must produce a result byte-identical to their own
+/// fresh-scratch run — under wario and under wario-spec, whose logged
+/// stores rewrite read-first stamps.
 TEST(EngineEquivalenceTest, EpochWrapStaysByteIdentical) {
-  MModule MM = buildWorkload("crc");
-  ASSERT_FALSE(MM.Functions.empty());
-  Emulator E(MM);
+  for (CheckpointStrategy S :
+       {CheckpointStrategy::Idempotent, CheckpointStrategy::Speculative}) {
+    MModule MM = buildWorkload("crc", S);
+    ASSERT_FALSE(MM.Functions.empty()) << checkpointStrategyName(S);
+    Emulator E(MM);
 
-  for (EngineKind K :
-       {EngineKind::Interp, EngineKind::Threaded, EngineKind::Trace}) {
-    EmulatorOptions EO;
-    EO.Engine = K;
-    EmulatorResult Fresh = E.run(EO);
-    ASSERT_TRUE(Fresh.Ok) << engineName(K) << ": " << Fresh.Error;
+    for (EngineKind K : {EngineKind::Interp, EngineKind::Threaded}) {
+      const std::string Tag =
+          std::string(checkpointStrategyName(S)) + "/" + engineName(K);
+      EmulatorOptions EO;
+      EO.Engine = K;
+      EmulatorResult Fresh = E.run(EO);
+      ASSERT_TRUE(Fresh.Ok) << Tag << ": " << Fresh.Error;
 
-    EmulatorScratch Scr;
-    EmulatorResult Prime = E.run(EO, "main", &Scr);
-    ASSERT_TRUE(Prime.Ok) << engineName(K) << ": " << Prime.Error;
-    ASSERT_GT(Scr.Epoch, 0u);
+      EmulatorScratch Scr;
+      EmulatorResult Prime = E.run(EO, "main", &Scr);
+      ASSERT_TRUE(Prime.Ok) << Tag << ": " << Prime.Error;
+      ASSERT_GT(Scr.Epoch, 0u);
 
-    const uint32_t Seed = 0x8000u - 8;
-    ASSERT_GT(Fresh.CheckpointsExecuted, 8u)
-        << "workload too short to cross the wrap";
-    Scr.Epoch = Seed;
-    EmulatorResult Wrapped = E.run(EO, "main", &Scr);
-    EXPECT_TRUE(Wrapped == Fresh) << engineName(K) << " across epoch wrap";
-    // The run really crossed 2^15: the counter restarted at 1 and
-    // advanced one epoch per region executed after the wrap.
-    EXPECT_LT(Scr.Epoch, Seed) << engineName(K);
-    EXPECT_GE(Scr.Epoch, 1u) << engineName(K);
+      const uint32_t Seed = 0x8000u - 8;
+      ASSERT_GT(Fresh.CheckpointsExecuted, 8u)
+          << "workload too short to cross the wrap";
+      Scr.Epoch = Seed;
+      EmulatorResult Wrapped = E.run(EO, "main", &Scr);
+      EXPECT_TRUE(Wrapped == Fresh) << Tag << " across epoch wrap";
+      // The run really crossed 2^15: the counter restarted at 1 and
+      // advanced one epoch per region executed after the wrap.
+      EXPECT_LT(Scr.Epoch, Seed) << Tag;
+      EXPECT_GE(Scr.Epoch, 1u) << Tag;
+    }
   }
 }

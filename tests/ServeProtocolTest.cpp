@@ -136,6 +136,58 @@ TEST(ServeProtocol, RunReplyRoundTripsEveryField) {
   EXPECT_EQ(*Back, M);
 }
 
+/// fnv1a skips zero runs with one multiply each; it must agree with
+/// the textbook byte-serial loop on every input shape.
+TEST(ServeProtocol, Fnv1aMatchesTheBytewiseDefinition) {
+  auto Reference = [](const std::vector<uint8_t> &B) {
+    uint64_t H = 1469598103934665603ull;
+    for (uint8_t C : B)
+      H = (H ^ C) * 1099511628211ull;
+    return H;
+  };
+  auto Check = [&](const std::vector<uint8_t> &B, const std::string &Tag) {
+    EXPECT_EQ(fnv1a(B.data(), B.size()), Reference(B)) << Tag;
+  };
+  uint32_t Seed = 12345;
+  auto Byte = [&] {
+    Seed = Seed * 1664525u + 1013904223u;
+    return uint8_t((Seed >> 24) | 1); // Never zero.
+  };
+  // Zero runs of every length 0-70 at the start, middle and end of
+  // random non-zero data, over odd and even total lengths.
+  for (size_t Run = 0; Run <= 70; ++Run) {
+    for (size_t Pad : {0u, 1u, 7u, 13u, 64u}) {
+      std::vector<uint8_t> Start(Run, 0), Mid, End;
+      for (size_t I = 0; I != Pad; ++I)
+        Start.push_back(Byte());
+      for (size_t I = 0; I != Pad; ++I)
+        Mid.push_back(Byte());
+      Mid.insert(Mid.end(), Run, 0);
+      for (size_t I = 0; I != Pad + 1; ++I)
+        Mid.push_back(Byte());
+      for (size_t I = 0; I != Pad; ++I)
+        End.push_back(Byte());
+      End.insert(End.end(), Run, 0);
+      const std::string Tag =
+          "run " + std::to_string(Run) + " pad " + std::to_string(Pad);
+      Check(Start, "start " + Tag);
+      Check(Mid, "middle " + Tag);
+      Check(End, "end " + Tag);
+    }
+  }
+  // Mixed sparse buffers of odd lengths: isolated bytes between zero
+  // runs that straddle the 8-byte word scan.
+  for (size_t Len : {1u, 3u, 9u, 63u, 255u, 1021u}) {
+    std::vector<uint8_t> B(Len, 0);
+    for (size_t I = 0; I < Len; I += 1 + Byte() % 11)
+      B[I] = Byte();
+    Check(B, "sparse " + std::to_string(Len));
+  }
+  Check({}, "empty");
+  // An all-zero 1 MiB image (the never-written NVM).
+  Check(std::vector<uint8_t>(1u << 20, 0), "all-zero 1 MiB");
+}
+
 TEST(ServeProtocol, StatsReplyRoundTrips) {
   StatsReplyMsg M;
   for (int L = 0; L != NumCacheLevels; ++L) {

@@ -112,6 +112,39 @@ TEST_P(WorkloadSuite, WarioBeatsRatchetOnCheckpoints) {
   EXPECT_LE(Wario.TotalCycles, Ratchet.TotalCycles) << W.Name;
 }
 
+/// The oracle interpreter's step count and answer on every program,
+/// pinned: its frame representation (dense arrays indexed by argument
+/// index and instruction id) must never change what it computes or how
+/// many instructions it executes.
+TEST_P(WorkloadSuite, OracleStepsAndResultArePinned) {
+  struct Pin {
+    const char *Name;
+    uint64_t Steps;
+    int32_t Result;
+  };
+  static const Pin Pins[] = {
+      {"coremark", 188'864, 13'938},
+      {"sha", 188'360, 941'868'161},
+      {"crc", 480'182, 1'496'604'969},
+      {"aes", 1'662'803, 909'681'063},
+      {"dijkstra", 633'547, 991'541'491},
+      {"picojpeg", 317'382, 1'868'658'400},
+  };
+  const Workload &W = getWorkload(GetParam());
+  DiagnosticEngine Diags;
+  auto M = buildWorkloadIR(W, Diags);
+  ASSERT_TRUE(M) << W.Name << ": " << Diags.formatAll();
+  InterpResult R = interpretModule(*M, "main", 500'000'000);
+  ASSERT_TRUE(R.Ok) << W.Name << ": " << R.Error;
+  const Pin *P = nullptr;
+  for (const Pin &C : Pins)
+    if (W.Name == C.Name)
+      P = &C;
+  ASSERT_NE(P, nullptr) << W.Name << " has no pinned oracle values";
+  EXPECT_EQ(R.StepsExecuted, P->Steps) << W.Name;
+  EXPECT_EQ(R.ReturnValue, P->Result) << W.Name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadSuite,
                          ::testing::Values("coremark", "sha", "crc", "aes",
                                            "dijkstra", "picojpeg"),

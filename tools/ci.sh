@@ -3,18 +3,20 @@
 #
 #   1. configure + build the default tree, run the full ctest suite;
 #   2. differential-engine pass: the `engine`-labeled equivalence suite
-#      (trace + threaded engines vs interpreter oracle) on the default
-#      tree, then once more under each WARIO_ENGINE kill-switch setting
-#      (interp / threaded / trace) to prove the environment override
-#      changes nothing observable; then the `strategy` suite
-#      (rollback-strategy crash campaigns, negative controls,
-#      and golden differences — docs/STRATEGIES.md);
+#      (threaded engine vs interpreter oracle, every strategy) and the
+#      `strategy` suite (rollback-strategy crash campaigns, negative
+#      controls, and golden differences — docs/STRATEGIES.md) on the
+#      default tree and again under WARIO_ENGINE=interp, so the
+#      campaigns also run on the oracle engine; then the `engine` suite
+#      under WARIO_ENGINE=threaded to prove the environment override
+#      changes nothing observable;
 #   3. rebuild under ThreadSanitizer and run the `tsan`-labeled tests
 #      (the bench harness's parallel matrix driver);
 #   4. rebuild under AddressSanitizer and run the `asan`-labeled tests
 #      (module cloning, cache keying, snapshot page journal);
 #   5. release-configuration pass: build -DCMAKE_BUILD_TYPE=Release and
-#      run the `asan`-, `engine`- and `placement`-labeled subsets there
+#      run the `asan`-, `engine`-, `placement`- and `strategy`-labeled
+#      subsets there
 #      plus a one-workload bench smoke. This is the benchmarks'
 #      configuration (-O3, NDEBUG); the pass catches bugs that show only
 #      there (assert-side-effects, codepaths that only assert-guard an
@@ -47,20 +49,17 @@ cmake -B "$build" -S "$root"
 cmake --build "$build" -j "$jobs"
 ctest --test-dir "$build" --output-on-failure -j "$jobs" $label_excludes
 
-echo "==> differential engine suite (engine label, all WARIO_ENGINE settings)"
-ctest --test-dir "$build" --output-on-failure -j "$jobs" -L engine
-for eng in interp threaded trace; do
-  WARIO_ENGINE=$eng \
-    ctest --test-dir "$build" --output-on-failure -j "$jobs" -L engine
-done
+echo "==> differential engine suite (engine + strategy labels, default and interp)"
+ctest --test-dir "$build" --output-on-failure -j "$jobs" -L 'engine|strategy'
+WARIO_ENGINE=interp \
+  ctest --test-dir "$build" --output-on-failure -j "$jobs" -L 'engine|strategy'
+WARIO_ENGINE=threaded \
+  ctest --test-dir "$build" --output-on-failure -j "$jobs" -L engine
 
 echo "==> serve suite + loadgen smoke"
 ctest --test-dir "$build" --output-on-failure -j "$jobs" -L serve
 WARIO_CI_FAST=1 "$build/tools/wario_loadgen" --serve --connections 1 \
   --requests 4 --workloads crc
-
-echo "==> strategy suite (rollback-strategy campaigns + golden differences)"
-ctest --test-dir "$build" --output-on-failure -j "$jobs" -L strategy
 
 echo "==> tsan build + tsan/serve-labeled tests"
 cmake -B "$build/tsan" -S "$root" -DWARIO_SANITIZE=thread
@@ -72,11 +71,11 @@ cmake -B "$build/asan" -S "$root" -DWARIO_SANITIZE=address
 cmake --build "$build/asan" -j "$jobs"
 ctest --test-dir "$build/asan" --output-on-failure -j "$jobs" -L asan
 
-echo "==> release build + asan/engine/placement subsets + bench smoke"
+echo "==> release build + asan/engine/placement/strategy subsets + bench smoke"
 cmake -B "$build/release" -S "$root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build/release" -j "$jobs"
 ctest --test-dir "$build/release" --output-on-failure -j "$jobs" \
-  -L 'asan|engine|placement'
+  -L 'asan|engine|placement|strategy'
 "$build/release/bench/micro_compiler" \
   --benchmark_filter='BM_Arena|BM_ModuleTeardown|BM_StageCloneModule' \
   --benchmark_min_time=0.05
