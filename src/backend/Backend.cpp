@@ -21,7 +21,8 @@ MModule wario::runBackend(const Module &M, const BackendOptions &Opts,
   SCOpts.HittingSet = Opts.HittingSetSpill;
 
   for (MFunction &F : MM.Functions) {
-    RegAllocStats RA = allocateRegisters(F, RAOpts);
+    MachineCFG CFG(F);
+    RegAllocStats RA = allocateRegisters(F, CFG, RAOpts);
     lowerFrame(F, FOpts);
     SpillCheckpointStats SC;
     // Differential needs no spill-WAR checkpoints: spill slots live in
@@ -30,7 +31,7 @@ MModule wario::runBackend(const Module &M, const BackendOptions &Opts,
     // only the middle-end-marked WAR stores.)
     if (Opts.InsertCheckpoints &&
         Opts.Strat != CheckpointStrategy::Differential)
-      SC = insertSpillCheckpoints(F, SCOpts);
+      SC = insertSpillCheckpoints(F, CFG, SCOpts);
     if (Stats) {
       Stats->VRegs += RA.VRegs;
       Stats->Spilled += RA.Spilled;

@@ -125,7 +125,10 @@ void printReg(std::ostringstream &OS, int R, bool PostRA) {
     OS << "%v" << R;
 }
 
-void printInst(std::ostringstream &OS, const MInst &I, const MFunction &F) {
+/// \p M, when given, names linked call targets (the link step replaces
+/// MInst::Callee with an index into M->Functions).
+void printInst(std::ostringstream &OS, const MInst &I, const MFunction &F,
+               const MModule *M) {
   OS << mopName(I.Op);
   auto Reg = [&](int R) { printReg(OS, R, F.PostRA); };
   switch (I.Op) {
@@ -217,7 +220,13 @@ void printInst(std::ostringstream &OS, const MInst &I, const MFunction &F) {
     break;
   }
   case MOp::Bl:
-    OS << " @" << I.Callee->getName();
+    if (I.Callee)
+      OS << " @" << I.Callee->getName();
+    else if (M && I.CalleeIdx >= 0 &&
+             unsigned(I.CalleeIdx) < M->Functions.size())
+      OS << " @" << M->Functions[I.CalleeIdx].Name;
+    else
+      OS << " @#" << I.CalleeIdx;
     break;
   case MOp::B:
     OS << ' ' << F.Blocks[I.Target[0]].Name;
@@ -266,26 +275,33 @@ void printInst(std::ostringstream &OS, const MInst &I, const MFunction &F) {
   }
 }
 
-} // namespace
-
-std::string wario::printMFunction(const MFunction &F) {
-  std::ostringstream OS;
+void printFunction(std::ostringstream &OS, const MFunction &F,
+                   const MModule *M) {
   OS << "mfunc @" << F.Name << " (vregs=" << F.NumVRegs
      << ", slots=" << F.Slots.size() << ")\n";
   for (const MBasicBlock &BB : F.Blocks) {
     OS << BB.Name << ":\n";
     for (const MInst &I : BB.Insts) {
       OS << "  ";
-      printInst(OS, I, F);
+      printInst(OS, I, F, M);
       OS << '\n';
     }
   }
+}
+
+} // namespace
+
+std::string wario::printMFunction(const MFunction &F) {
+  std::ostringstream OS;
+  printFunction(OS, F, nullptr);
   return OS.str();
 }
 
 std::string wario::printMModule(const MModule &M) {
-  std::string S;
-  for (const MFunction &F : M.Functions)
-    S += printMFunction(F) + "\n";
-  return S;
+  std::ostringstream OS;
+  for (const MFunction &F : M.Functions) {
+    printFunction(OS, F, &M);
+    OS << '\n';
+  }
+  return OS.str();
 }

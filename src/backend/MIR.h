@@ -201,7 +201,9 @@ struct MModule {
   }
 };
 
-/// Renders a machine function as text (for tests and debugging).
+/// Renders a machine function as text (for tests and debugging). A call
+/// the link step resolved prints as `bl @#<index>` here and by name in
+/// printMModule.
 std::string printMFunction(const MFunction &F);
 std::string printMModule(const MModule &M);
 

@@ -1,10 +1,7 @@
 #include "backend/RegAlloc.h"
 
-#include "backend/MachineCFG.h"
-
 #include <algorithm>
-#include <map>
-#include <set>
+#include <bit>
 
 using namespace wario;
 
@@ -17,21 +14,13 @@ int encodeSlot(int Slot) { return -2 - Slot; }
 bool isEncodedSlot(int V) { return V <= -2; }
 int decodeSlot(int V) { return -2 - V; }
 
-struct UseDef {
-  std::vector<int> Uses;
-  int Def = -1;
-};
-
-UseDef collectUseDef(const MInst &I) {
-  UseDef UD;
+/// Calls \p Fn on each vreg \p I reads (its def is I.Dst when >= 0).
+template <typename UseFn> void forEachUse(const MInst &I, UseFn Fn) {
   for (int S : I.Src)
     if (S >= 0)
-      UD.Uses.push_back(S);
+      Fn(S);
   for (int A : I.CallArgs)
-    UD.Uses.push_back(A);
-  if (I.Dst >= 0)
-    UD.Def = I.Dst;
-  return UD;
+    Fn(A);
 }
 
 struct Interval {
@@ -58,6 +47,49 @@ int encodeRemat(int VReg) { return -1000000 - VReg; }
 bool isEncodedRemat(int V) { return V <= -1000000; }
 int decodeRemat(int V) { return -1000000 - V; }
 
+/// One move of a parallel move into registers.
+struct Move {
+  int DstReg;
+  int Src; // PReg or encoded slot.
+};
+
+/// Emits \p Pending to \p Out: a move goes once no other pending move
+/// still reads its destination (slot sources load straight into it), and
+/// a pure register cycle rotates through r12, which is free at function
+/// entry and at call boundaries.
+void emitParallelMove(std::vector<Move> Pending, std::vector<MInst> &Out) {
+  while (!Pending.empty()) {
+    auto Free = std::find_if(Pending.begin(), Pending.end(),
+                             [&](const Move &M) {
+                               for (const Move &O : Pending)
+                                 if (&O != &M && O.Src == M.DstReg)
+                                   return false;
+                               return true;
+                             });
+    MInst Mv;
+    if (Free == Pending.end()) {
+      Mv.Op = MOp::Mov;
+      Mv.Dst = R12;
+      Mv.Src[0] = Pending.front().Src;
+      Out.push_back(Mv);
+      for (Move &O : Pending)
+        if (!isEncodedSlot(O.Src) && O.Src == Mv.Src[0])
+          O.Src = R12;
+      continue;
+    }
+    Mv.Dst = Free->DstReg;
+    if (isEncodedSlot(Free->Src)) {
+      Mv.Op = MOp::LdrSlot;
+      Mv.Slot = decodeSlot(Free->Src);
+    } else {
+      Mv.Op = MOp::Mov;
+      Mv.Src[0] = Free->Src;
+    }
+    Out.push_back(Mv);
+    Pending.erase(Free);
+  }
+}
+
 } // namespace
 
 namespace {
@@ -66,8 +98,9 @@ namespace {
 /// rest of r10-r12 serve as spill scratch). Returns false when rewrite
 /// would need more scratch registers than are reserved — the caller
 /// retries with a smaller allocatable pool.
-bool allocateOnce(MFunction &F, const RegAllocOptions &Opts,
-                  unsigned NumRegs, RegAllocStats &Stats) {
+bool allocateOnce(MFunction &F, const MachineCFG &CFG,
+                  const RegAllocOptions &Opts, unsigned NumRegs,
+                  RegAllocStats &Stats) {
   unsigned NumScratch = 13 - NumRegs;
   const PReg Scratch[3] = {PReg(R0 + NumRegs), PReg(R0 + NumRegs + 1),
                            R12};
@@ -75,90 +108,82 @@ bool allocateOnce(MFunction &F, const RegAllocOptions &Opts,
   Stats.VRegs = F.NumVRegs;
   unsigned NV = F.NumVRegs;
 
-  // --- Linearization -------------------------------------------------------
-  std::vector<int> BlockFirst(F.Blocks.size()), BlockLast(F.Blocks.size());
-  int Pos = 0;
-  std::vector<const MInst *> ByPos;
-  for (unsigned B = 0; B != F.Blocks.size(); ++B) {
-    BlockFirst[B] = Pos;
+  // --- Block-level liveness over dense bit rows: one bit per vreg -----------
+  unsigned NB = unsigned(F.Blocks.size()), Words = (NV + 63) / 64;
+  std::vector<uint64_t> Use(NB * Words), Def(NB * Words), LiveIn(NB * Words),
+      LiveOut(NB * Words);
+  auto Has = [](const uint64_t *Row, int V) {
+    return Row[V / 64] >> V % 64 & 1;
+  };
+  auto Set = [](uint64_t *Row, int V) { Row[V / 64] |= 1ull << V % 64; };
+  for (unsigned B = 0; B != NB; ++B)
     for (const MInst &I : F.Blocks[B].Insts) {
-      ByPos.push_back(&I);
-      ++Pos;
+      forEachUse(I, [&](int U) {
+        if (!Has(&Def[B * Words], U))
+          Set(&Use[B * Words], U);
+      });
+      if (I.Dst >= 0)
+        Set(&Def[B * Words], I.Dst);
     }
-    BlockLast[B] = Pos - 1;
-  }
-
-  // --- Block-level liveness --------------------------------------------------
-  std::vector<std::set<int>> Use(F.Blocks.size()), Def(F.Blocks.size());
-  for (unsigned B = 0; B != F.Blocks.size(); ++B) {
-    for (const MInst &I : F.Blocks[B].Insts) {
-      UseDef UD = collectUseDef(I);
-      for (int U : UD.Uses)
-        if (!Def[B].count(U))
-          Use[B].insert(U);
-      if (UD.Def >= 0)
-        Def[B].insert(UD.Def);
-    }
-  }
-  std::vector<std::set<int>> LiveIn(F.Blocks.size()),
-      LiveOut(F.Blocks.size());
-  bool Changed = true;
-  while (Changed) {
+  for (bool Changed = true; Changed;) {
     Changed = false;
-    for (int B = int(F.Blocks.size()) - 1; B >= 0; --B) {
-      std::set<int> Out;
-      for (int S : F.successors(B))
-        Out.insert(LiveIn[S].begin(), LiveIn[S].end());
-      std::set<int> In = Use[B];
-      for (int V : Out)
-        if (!Def[B].count(V))
-          In.insert(V);
-      if (Out != LiveOut[B] || In != LiveIn[B]) {
-        LiveOut[B] = std::move(Out);
-        LiveIn[B] = std::move(In);
-        Changed = true;
+    for (unsigned B = NB; B-- != 0;)
+      for (unsigned K = 0; K != Words; ++K) {
+        uint64_t Out = 0;
+        for (int S : CFG.successors(B))
+          Out |= LiveIn[S * Words + K];
+        unsigned At = B * Words + K;
+        uint64_t In = Use[At] | (Out & ~Def[At]);
+        Changed |= Out != LiveOut[At] || In != LiveIn[At];
+        LiveOut[At] = Out;
+        LiveIn[At] = In;
       }
-    }
   }
+  auto ForEachLive = [&](const std::vector<uint64_t> &Rows, unsigned B,
+                         auto Fn) {
+    for (unsigned K = 0; K != Words; ++K)
+      for (uint64_t X = Rows[B * Words + K]; X; X &= X - 1)
+        Fn(int(K * 64 + std::countr_zero(X)));
+  };
 
   // --- Intervals ---------------------------------------------------------------
-  std::vector<unsigned> LoopDepth = computeMachineLoopDepth(F);
   std::vector<Interval> Ivs(NV);
   for (unsigned V = 0; V != NV; ++V)
     Ivs[V].VReg = int(V);
-  Pos = 0;
+  int Pos = 0; // Instructions are numbered in block order.
   std::vector<int> CallPositions;
-  for (unsigned B = 0; B != F.Blocks.size(); ++B) {
+  for (unsigned B = 0; B != NB; ++B) {
+    int First = Pos;
     double BlockWeight = 1.0;
-    for (unsigned D = 0; D != std::min(LoopDepth[B], 6u); ++D)
+    for (unsigned D = 0; D != std::min(CFG.loopDepth(B), 6u); ++D)
       BlockWeight *= 8.0;
+    auto Touch = [&](int V) {
+      Ivs[V].Start = std::min(Ivs[V].Start, Pos);
+      Ivs[V].End = std::max(Ivs[V].End, Pos);
+      Ivs[V].Weight += BlockWeight;
+    };
     for (const MInst &I : F.Blocks[B].Insts) {
-      UseDef UD = collectUseDef(I);
-      for (int U : UD.Uses) {
-        Ivs[U].Start = std::min(Ivs[U].Start, Pos);
-        Ivs[U].End = std::max(Ivs[U].End, Pos);
-        Ivs[U].Weight += BlockWeight;
-      }
-      if (UD.Def >= 0) {
-        Ivs[UD.Def].Start = std::min(Ivs[UD.Def].Start, Pos);
-        Ivs[UD.Def].End = std::max(Ivs[UD.Def].End, Pos);
-        Ivs[UD.Def].Weight += BlockWeight;
-      }
+      forEachUse(I, Touch);
+      if (I.Dst >= 0)
+        Touch(I.Dst);
       if (I.Op == MOp::CallPseudo)
         CallPositions.push_back(Pos);
       ++Pos;
     }
-    for (int V : LiveIn[B]) {
-      Ivs[V].Start = std::min(Ivs[V].Start, BlockFirst[B]);
-      Ivs[V].End = std::max(Ivs[V].End, BlockFirst[B]);
-    }
-    for (int V : LiveOut[B])
-      Ivs[V].End = std::max(Ivs[V].End, BlockLast[B]);
+    ForEachLive(LiveIn, B, [&](int V) {
+      Ivs[V].Start = std::min(Ivs[V].Start, First);
+      Ivs[V].End = std::max(Ivs[V].End, First);
+    });
+    ForEachLive(LiveOut, B, [&](int V) {
+      Ivs[V].End = std::max(Ivs[V].End, Pos - 1);
+    });
   }
-  for (Interval &Iv : Ivs)
-    for (int P : CallPositions)
-      if (Iv.Start < P && P < Iv.End)
-        Iv.CrossesCall = true;
+  // CallPositions ascend: test the first call after each start.
+  for (Interval &Iv : Ivs) {
+    auto It = std::upper_bound(CallPositions.begin(), CallPositions.end(),
+                               Iv.Start);
+    Iv.CrossesCall = It != CallPositions.end() && *It < Iv.End;
+  }
 
   // Rematerialization candidates: exactly one def, and it is a cheap
   // constant producer. Spilling such a value needs no slot (and thus can
@@ -399,10 +424,6 @@ bool allocateOnce(MFunction &F, const RegAllocOptions &Opts,
         while (Idx + 1 < BB.Insts.size() &&
                BB.Insts[Idx + 1].Op == MOp::ArgGet)
           Group.push_back(BB.Insts[++Idx]);
-        struct Move {
-          int DstReg;
-          int SrcReg;
-        };
         std::vector<Move> Pending;
         for (const MInst &AG : Group) {
           int SrcReg = R0 + int(AG.Imm);
@@ -416,36 +437,7 @@ bool allocateOnce(MFunction &F, const RegAllocOptions &Opts,
             Pending.push_back({AG.Dst, SrcReg});
           }
         }
-        while (!Pending.empty()) {
-          bool Emitted = false;
-          for (auto It = Pending.begin(); It != Pending.end(); ++It) {
-            bool DstIsPendingSrc = false;
-            for (const Move &O : Pending)
-              if (O.SrcReg == It->DstReg && &O != &*It)
-                DstIsPendingSrc = true;
-            if (DstIsPendingSrc)
-              continue;
-            MInst Mv;
-            Mv.Op = MOp::Mov;
-            Mv.Dst = It->DstReg;
-            Mv.Src[0] = It->SrcReg;
-            Out.push_back(Mv);
-            Pending.erase(It);
-            Emitted = true;
-            break;
-          }
-          if (!Emitted) {
-            Move &M = Pending.front();
-            MInst Mv;
-            Mv.Op = MOp::Mov;
-            Mv.Dst = R12;
-            Mv.Src[0] = M.SrcReg;
-            Out.push_back(Mv);
-            for (Move &O : Pending)
-              if (O.SrcReg == Mv.Src[0])
-                O.SrcReg = R12;
-          }
-        }
+        emitParallelMove(std::move(Pending), Out);
         break;
       }
       case MOp::Ret: {
@@ -461,13 +453,7 @@ bool allocateOnce(MFunction &F, const RegAllocOptions &Opts,
         break;
       }
       case MOp::CallPseudo: {
-        // Parallel move of arguments into r0..r3. Slot sources load
-        // directly into their target register; cycles among registers are
-        // broken with r12 (free at call boundaries).
-        struct Move {
-          int DstReg;
-          int Src; // PReg or encoded slot.
-        };
+        // Parallel move of arguments into r0..r3.
         std::vector<Move> Pending;
         std::vector<std::pair<int, int>> Remats; // (dst reg, vreg).
         for (unsigned A = 0; A != I.CallArgs.size(); ++A) {
@@ -478,44 +464,7 @@ bool allocateOnce(MFunction &F, const RegAllocOptions &Opts,
           if (I.CallArgs[A] != int(R0 + A))
             Pending.push_back({int(R0 + A), I.CallArgs[A]});
         }
-        while (!Pending.empty()) {
-          bool Emitted = false;
-          for (auto It = Pending.begin(); It != Pending.end(); ++It) {
-            bool DstIsPendingSrc = false;
-            for (const Move &O : Pending)
-              if (!isEncodedSlot(O.Src) && O.Src == It->DstReg &&
-                  &O != &*It)
-                DstIsPendingSrc = true;
-            if (DstIsPendingSrc)
-              continue;
-            MInst Mv;
-            if (isEncodedSlot(It->Src)) {
-              Mv.Op = MOp::LdrSlot;
-              Mv.Dst = It->DstReg;
-              Mv.Slot = decodeSlot(It->Src);
-            } else {
-              Mv.Op = MOp::Mov;
-              Mv.Dst = It->DstReg;
-              Mv.Src[0] = It->Src;
-            }
-            Out.push_back(Mv);
-            Pending.erase(It);
-            Emitted = true;
-            break;
-          }
-          if (!Emitted) {
-            // Pure register cycle: rotate through r12.
-            Move &M = Pending.front();
-            MInst Mv;
-            Mv.Op = MOp::Mov;
-            Mv.Dst = R12;
-            Mv.Src[0] = M.Src;
-            Out.push_back(Mv);
-            for (Move &O : Pending)
-              if (!isEncodedSlot(O.Src) && O.Src == Mv.Src[0])
-                O.Src = R12;
-          }
-        }
+        emitParallelMove(std::move(Pending), Out);
         for (auto &[DstReg, VReg] : Remats) {
           const Interval &Iv = Ivs[unsigned(VReg)];
           MInst Mv;
@@ -573,7 +522,7 @@ bool allocateOnce(MFunction &F, const RegAllocOptions &Opts,
 
 } // namespace
 
-RegAllocStats wario::allocateRegisters(MFunction &F,
+RegAllocStats wario::allocateRegisters(MFunction &F, const MachineCFG &CFG,
                                        const RegAllocOptions &Opts) {
   assert(!F.PostRA && "function already allocated");
   RegAllocStats Stats;
@@ -581,10 +530,10 @@ RegAllocStats wario::allocateRegisters(MFunction &F,
   // to 10 + three scratch for the rare function where some instruction
   // (a select) carries three spilled sources.
   MFunction Backup = F;
-  if (allocateOnce(F, Opts, 11, Stats))
+  if (allocateOnce(F, CFG, Opts, 11, Stats))
     return Stats;
   F = std::move(Backup);
-  bool Ok = allocateOnce(F, Opts, 10, Stats);
+  bool Ok = allocateOnce(F, CFG, Opts, 10, Stats);
   assert(Ok && "allocation with three scratch registers cannot fail");
   (void)Ok;
   return Stats;

@@ -15,7 +15,7 @@
 #ifndef WARIO_BACKEND_REGALLOC_H
 #define WARIO_BACKEND_REGALLOC_H
 
-#include "backend/MIR.h"
+#include "backend/MachineCFG.h"
 
 namespace wario {
 
@@ -32,8 +32,9 @@ struct RegAllocStats {
 
 /// Allocates \p F in place: every vreg reference becomes a PReg, spill
 /// code is inserted, and Call/Arg/Ret pseudos are expanded to the register
-/// calling convention. Sets F.PostRA.
-RegAllocStats allocateRegisters(MFunction &F, const RegAllocOptions &Opts);
+/// calling convention. Sets F.PostRA. \p CFG must have been built for F.
+RegAllocStats allocateRegisters(MFunction &F, const MachineCFG &CFG,
+                                const RegAllocOptions &Opts);
 
 } // namespace wario
 

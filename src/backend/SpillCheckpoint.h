@@ -8,16 +8,16 @@
 ///  - Basic (Ratchet 4.1): a checkpoint immediately before every spill
 ///    store that completes an unresolved WAR.
 ///  - Hitting set (WARio contribution #2): the same greedy minimum
-///    hitting set as the middle end, driven by stack-slot identities
-///    instead of the PDG (which no longer exists at this stage), weighted
-///    by machine-loop depth.
+///    hitting set as the middle end (support/WarPlacement.h), driven by
+///    stack-slot identities instead of the PDG (which no longer exists at
+///    this stage), weighted by machine-loop depth.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef WARIO_BACKEND_SPILLCHECKPOINT_H
 #define WARIO_BACKEND_SPILLCHECKPOINT_H
 
-#include "backend/MIR.h"
+#include "backend/MachineCFG.h"
 
 namespace wario {
 
@@ -31,9 +31,10 @@ struct SpillCheckpointStats {
   unsigned Inserted = 0;
 };
 
-/// Inserts BackendSpill checkpoints into \p F (must be frame-lowered).
-SpillCheckpointStats
-insertSpillCheckpoints(MFunction &F, const SpillCheckpointOptions &Opts);
+/// Inserts BackendSpill checkpoints into \p F (must be frame-lowered;
+/// \p CFG must have been built for F).
+SpillCheckpointStats insertSpillCheckpoints(MFunction &F, const MachineCFG &CFG,
+                                            const SpillCheckpointOptions &Opts);
 
 } // namespace wario
 

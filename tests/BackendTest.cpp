@@ -15,6 +15,7 @@
 #include "backend/ISel.h"
 #include "driver/Pipeline.h"
 #include "emu/Emulator.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -222,6 +223,35 @@ TEST(FrameTest, SpillCheckpointsHittingSetVsPerWrite) {
   EXPECT_EQ(HS.SpillWars, PW.SpillWars);
   if (HS.SpillWars > 0) {
     EXPECT_LE(HS.SpillCheckpoints, PW.SpillCheckpoints);
+  }
+}
+
+/// The link step drops MInst::Callee, so the printer must name calls
+/// through CalleeIdx; every workload calls functions.
+TEST(MIRPrinterTest, PrintsLinkedWorkloadModules) {
+  for (const Workload &W : allWorkloads()) {
+    DiagnosticEngine Diags;
+    std::unique_ptr<Module> M = buildWorkloadIR(W, Diags);
+    ASSERT_TRUE(M) << Diags.formatAll();
+    PipelineOptions PO;
+    PO.Env = Environment::WarioComplete;
+    MModule MM = compile(*M, PO);
+    std::string Text = printMModule(MM);
+    unsigned Calls = 0;
+    for (const MFunction &F : MM.Functions) {
+      EXPECT_NE(Text.find("mfunc @" + F.Name + " "), std::string::npos);
+      for (const MBasicBlock &BB : F.Blocks)
+        for (const MInst &I : BB.Insts)
+          if (I.Op == MOp::Bl) {
+            ++Calls;
+            ASSERT_GE(I.CalleeIdx, 0);
+            EXPECT_NE(Text.find("  bl @" + MM.Functions[I.CalleeIdx].Name +
+                                "\n"),
+                      std::string::npos)
+                << W.Name;
+          }
+    }
+    EXPECT_GT(Calls, 0u) << W.Name;
   }
 }
 

@@ -14,7 +14,13 @@
 #      (the bench harness's parallel matrix driver);
 #   4. rebuild under AddressSanitizer and run the `asan`-labeled tests
 #      (module cloning, cache keying, snapshot page journal);
-#   5. release-configuration pass: build -DCMAKE_BUILD_TYPE=Release and
+#   5. assert pass: a RelWithDebInfo tree built without -DNDEBUG runs the
+#      suite minus the `crash` label. Every other tree defines NDEBUG
+#      (RelWithDebInfo's default flags, Release, and the sanitizer trees
+#      built with them), so this is the only pass in which assert-only
+#      invariants — the hitting sets covering every WAR, the register
+#      allocator's retry — are checked;
+#   6. release-configuration pass: build -DCMAKE_BUILD_TYPE=Release and
 #      run the `asan`-, `engine`-, `placement`- and `strategy`-labeled
 #      subsets there
 #      plus a one-workload bench smoke. This is the benchmarks'
@@ -22,7 +28,7 @@
 #      there (assert-side-effects, codepaths that only assert-guard an
 #      invariant, such as the hitting set covering every WAR) and broken
 #      release benchmark binaries before a BENCH recording does;
-#   6. re-run the docs lint standalone so a docs-only failure is
+#   7. re-run the docs lint standalone so a docs-only failure is
 #      reported even if a build step above broke first.
 #
 # The default-tree pass includes the `crash` label (the fault-injection
@@ -30,8 +36,9 @@
 # it — and to trim the differential-engine matrix to one workload — for
 # a quick local pre-push check.
 #
-# Usage: tools/ci.sh [build-root]   (default: build; sanitizer trees go
-# to <build-root>/tsan and <build-root>/asan)
+# Usage: tools/ci.sh [build-root]   (default: build; the other trees go
+# to <build-root>/tsan, <build-root>/asan, <build-root>/assert and
+# <build-root>/release)
 
 set -eu
 
@@ -70,6 +77,12 @@ echo "==> asan build + asan-labeled tests"
 cmake -B "$build/asan" -S "$root" -DWARIO_SANITIZE=address
 cmake --build "$build/asan" -j "$jobs"
 ctest --test-dir "$build/asan" --output-on-failure -j "$jobs" -L asan
+
+echo "==> assert build (RelWithDebInfo without NDEBUG) + suite minus crash"
+cmake -B "$build/assert" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
+cmake --build "$build/assert" -j "$jobs"
+ctest --test-dir "$build/assert" --output-on-failure -j "$jobs" -LE crash
 
 echo "==> release build + asan/engine/placement/strategy subsets + bench smoke"
 cmake -B "$build/release" -S "$root" -DCMAKE_BUILD_TYPE=Release
