@@ -19,10 +19,11 @@
 #     wario-diff / wario-spec, plus the wall time of the
 #     WARIO_STRATEGIES=1 table1 regeneration (the PR-9 columns).
 #
-#   usage: bench/emit_bench_json.sh [build-dir] [tag]
+#   usage: bench/emit_bench_json.sh <build-dir> <tag>
 #
-# Defaults: build-dir = build-rel, tag = pr10. The default deliberately
-# points at a Release tree: BENCH_pr6.json was recorded from a debug
+# Both arguments are required, so a recording never overwrites a
+# committed BENCH_*.json by default. Point build-dir at a Release tree
+# (-DCMAKE_BUILD_TYPE=Release): BENCH_pr6.json was recorded from a debug
 # build (its context says debug_build=true), so its absolute emulator
 # numbers understate the engine and its engine-vs-interpreter ratios
 # were measured with asserts on. Engine ratios come from the same-run
@@ -34,13 +35,15 @@
 # The snapshot is also diffed against the most recent prior
 # BENCH_pr*.json: any shared benchmark family regressing >10% puts a
 # warning block in context.notes (advisory only, never a failure).
-# Also runnable via the `bench_json` CMake target
-# (cmake --build build-rel --target bench_json).
 set -eu
 
+if [ $# -ne 2 ]; then
+  echo "usage: $0 <build-dir> <tag>   (writes BENCH_<tag>.json at the repo root)" >&2
+  exit 2
+fi
 ROOT=$(dirname "$0")/..
-BUILD=${1:-"$ROOT/build-rel"}
-TAG=${2:-pr10}
+BUILD=$1
+TAG=$2
 
 for bin in micro_emulator micro_compiler fig4_execution_time \
            table1_checkpoint_delta table3_intermittent verify_crash; do

@@ -108,9 +108,10 @@ void BM_EmulatorContinuous_AES(benchmark::State &State) {
 }
 BENCHMARK(BM_EmulatorContinuous_AES);
 
-/// Same-run engine matrix: each workload and checkpoint strategy under
-/// an explicitly pinned engine, so one benchmark invocation yields
-/// threaded-vs-interp ratios with machine noise common to both sides.
+/// Same-run engine matrix: each of the six workloads and each
+/// checkpoint strategy under an explicitly pinned engine, so one
+/// benchmark invocation yields threaded-vs-interp ratios with machine
+/// noise common to both sides.
 /// Rows are BM_Engine_<Engine>_<workload>[_diff|_spec] (wario,
 /// wario-diff, wario-spec modules). The Continuous rows above stay on
 /// EngineKind::Auto for trajectory comparability with earlier
@@ -134,9 +135,12 @@ void runEngineBench(benchmark::State &State, const std::string &Name,
   WARIO_ENGINE_BENCH(W, _diff, Differential, Threaded)                         \
   WARIO_ENGINE_BENCH(W, _spec, Speculative, Interp)                            \
   WARIO_ENGINE_BENCH(W, _spec, Speculative, Threaded)
-WARIO_ENGINE_BENCHES(crc)
+WARIO_ENGINE_BENCHES(coremark)
 WARIO_ENGINE_BENCHES(sha)
+WARIO_ENGINE_BENCHES(crc)
 WARIO_ENGINE_BENCHES(aes)
+WARIO_ENGINE_BENCHES(dijkstra)
+WARIO_ENGINE_BENCHES(picojpeg)
 #undef WARIO_ENGINE_BENCHES
 #undef WARIO_ENGINE_BENCH
 

@@ -77,11 +77,10 @@ Emulator::Impl::Impl(const MModule &M)
     }
   }
 
-  // Lower the decoded program into the fused-group stream and then into
-  // the merged per-pc records the threaded engine dispatches over (one
-  // entry per pc; identity groups included).
-  Fused = fuseProgram(Prog);
-  Fast = buildFastProgram(Prog, Fused);
+  // Lower the decoded program into the merged per-pc records the
+  // threaded engine dispatches over (one entry per pc, each carrying the
+  // group that starts there; identity groups included).
+  Fast = buildFastProgram(Prog);
 }
 
 namespace wario::emu_detail {

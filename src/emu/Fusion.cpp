@@ -1,9 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Greedy longest-match superinstruction fusion (see Fusion.h). Runs
-/// once per module inside Emulator's per-module preparation; the cost
-/// of the pass is O(program size) and is amortized across every run.
+/// Longest-match superinstruction fusion and the engine stream it
+/// feeds (see Fusion.h). Runs once per module inside Emulator's
+/// per-module preparation; the cost of the pass is O(program size) and
+/// is amortized across every run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,9 +46,6 @@ static_assert(FK_Alu_StrSlot_Asr == FK_Alu_StrSlot_Add + 8);
 static_assert(FK_LdrSlot_Alu_StrSlot_Asr == FK_LdrSlot_Alu_StrSlot_Add + 8);
 static_assert(FK_MovImm_LdrSlot_Alu_Asr == FK_MovImm_LdrSlot_Alu_Add + 8);
 
-// The pair catalog's base-arithmetic also leans on the Alu2 block.
-static_assert(FK_Alu2_Asr_Asr == FK_Alu2_Add_Add + 80);
-
 /// Cycle cost of one fusable component (mirrors Machine::step's spend).
 unsigned compCost(const DecodedInst &I) {
   switch (I.Op) {
@@ -56,7 +54,6 @@ unsigned compCost(const DecodedInst &I) {
   case MOp::SetCond: return 2;
   case MOp::Ldr: case MOp::Str:
   case MOp::LdrSlot: case MOp::StrSlot: return 2;
-  case MOp::B:
   case MOp::CBr: return 1 + unsigned(cycles::PipelineRefill);
   default:
     assert(aluIdx(I.Op) >= 0 && "unexpected fused component");
@@ -70,33 +67,12 @@ bool isLoggedStore(const DecodedInst &I) {
   return I.Op == MOp::Str && I.Logged;
 }
 
-/// Maps two adjacent group kinds to a second-level concatenated kind,
-/// or FK_KindLimit when the pair isn't in the catalog. Any ALU-ALU
-/// identity pair that escaped the first pass lands in the 9x9 family.
-uint16_t pairKind(uint16_t K1, uint16_t K2) {
-  switch (uint32_t(K1) << 16 | K2) {
-#define WARIO_PK(NAME, A, B)                                                   \
-  case uint32_t(A) << 16 | (B):                                                \
-    return FK_##NAME;
-    WARIO_EMU_PAIR_KINDS(WARIO_PK)
-#undef WARIO_PK
-  default:
-    break;
-  }
-  if (K1 < FK_FirstFused && K2 < FK_FirstFused) {
-    int A0 = aluIdx(MOp(K1)), A1 = aluIdx(MOp(K2));
-    if (A0 >= 0 && A1 >= 0)
-      return uint16_t(FK_Alu2_Add_Add + A0 * 9 + A1);
-  }
-  return FK_KindLimit;
-}
-
-/// Cycle cost of the group starting at \p pc (identity entries carry
-/// Cost 0 in the stream; their cost is the component's own).
-unsigned groupCost(const std::vector<FusedInst> &Stream,
-                   const std::vector<DecodedInst> &Prog, size_t pc) {
-  return Stream[pc].Len > 1 ? Stream[pc].Cost : compCost(Prog[pc]);
-}
+/// Header of the group starting at one program index.
+struct FusedInst {
+  uint16_t Kind; ///< FusedKind, or the MOp value for identity groups.
+  uint8_t Len;   ///< Component count (1 for identity).
+  uint8_t Cost;  ///< Pre-summed cycle cost of the whole group.
+};
 
 /// Matches the longest catalog pattern starting at \p pc. Returns the
 /// identity group when nothing matches.
@@ -191,53 +167,13 @@ FusedInst matchAt(const DecodedInst *Prog, size_t pc, size_t N) {
 
 } // namespace
 
-FusedProgram emu_detail::fuseProgram(const std::vector<DecodedInst> &Prog) {
-  FusedProgram FP;
-  FP.Stream.reserve(Prog.size());
-  for (size_t pc = 0; pc != Prog.size(); ++pc)
-    FP.Stream.push_back(matchAt(Prog.data(), pc, Prog.size()));
-
-  // Pass 2: concatenate adjacent groups that the pair catalog knows
-  // about. Run to a fixpoint so chains build up ((A,B),C) style --
-  // three rounds is typical. Only the head entry is rewritten; the
-  // interior entries keep their own groups so a branch into the middle
-  // of a superinstruction still lands on a valid head.
-  for (bool Changed = true; Changed;) {
-    Changed = false;
-    for (size_t pc = 0; pc != Prog.size(); ++pc) {
-      FusedInst &G1 = FP.Stream[pc];
-      size_t q = pc + G1.Len;
-      if (q >= Prog.size() || Prog[q].F != Prog[pc].F ||
-          isLoggedStore(Prog[pc]) || isLoggedStore(Prog[q]))
-        continue;
-      uint16_t K = pairKind(G1.Kind, FP.Stream[q].Kind);
-      if (K == FK_KindLimit)
-        continue;
-      unsigned Cost =
-          groupCost(FP.Stream, Prog, pc) + groupCost(FP.Stream, Prog, q);
-      if (Cost >= FusedCostLimit)
-        continue;
-      G1 = FusedInst{K, uint8_t(G1.Len + FP.Stream[q].Len), uint8_t(Cost)};
-      Changed = true;
-    }
-  }
-
-  for (const FusedInst &FI : FP.Stream)
-    if (FI.Len > 1) {
-      ++FP.FusedEntries;
-      FP.CoveredInsts += FI.Len;
-    }
-  return FP;
-}
-
 std::vector<FastInst>
-emu_detail::buildFastProgram(const std::vector<DecodedInst> &Prog,
-                             const FusedProgram &FP) {
+emu_detail::buildFastProgram(const std::vector<DecodedInst> &Prog) {
   std::vector<FastInst> Fast;
   Fast.reserve(Prog.size());
   for (size_t pc = 0; pc != Prog.size(); ++pc) {
     const DecodedInst &D = Prog[pc];
-    const FusedInst &G = FP.Stream[pc];
+    const FusedInst G = matchAt(Prog.data(), pc, Prog.size());
     FastInst F{};
     F.Kind = G.Kind;
     F.Len = G.Len;

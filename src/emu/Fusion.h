@@ -4,21 +4,22 @@
 /// Superinstruction fusion over the decoded program (DESIGN.md §7.7).
 ///
 /// The threaded engine dispatches *groups* of instructions: a fusion
-/// pass runs once per module and assigns every program index a
-/// FusedInst — either the identity group (one instruction; Kind is the
+/// pass runs once per module and gives every program index a group
+/// header — either the identity group (one instruction; Kind is the
 /// MOp value itself) or a superinstruction covering 2–3 consecutive
-/// instructions matched against a fixed catalog of hot Thumb-2 idioms
-/// (load–op–store, compare+branch, immediate-feed ALU chains — the
-/// patterns a dynamic pair/triple histogram of the six workloads ranks
-/// highest). Groups overlap freely: every pc keeps its own entry, so a
-/// branch into the middle of someone else's group simply dispatches the
-/// group that *starts* there. Fusion never changes semantics — each
-/// component executes exactly the interpreter's transition — it only
-/// collapses dispatches.
+/// instructions matched against a fixed catalog of generic Thumb-2
+/// idioms (load–op–store, compare+branch, immediate-feed ALU chains).
+/// There is one fusion level: groups are never concatenated into longer
+/// ones (DESIGN.md §7.7 measures why).
+/// Groups overlap freely: every pc keeps its own entry, so a branch
+/// into the middle of someone else's group simply dispatches the group
+/// that *starts* there. Fusion never changes semantics — each component
+/// executes exactly the interpreter's transition — it only collapses
+/// dispatches.
 ///
-/// The catalog is expanded from the X-macros below in three places (the
-/// FusedKind enum, the fusion matcher, and the threaded engine's
-/// dispatch table), so the three can never disagree on numbering.
+/// The catalog is expanded from the X-macros below in two places (the
+/// FusedKind enum and the threaded engine's dispatch table), so the two
+/// can never disagree on numbering.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,147 +64,6 @@ namespace wario::emu_detail {
   /* Remaining measured triples. */                                           \
   X(Lsl_Lsr_StrSlot) X(Add_Mov_Ldr)
 
-/// The full 9x9 ALU pair family (first op x second op), appended after
-/// the base catalog. Covers every back-to-back single-cycle ALU pair
-/// the six fixed pairs above miss.
-#define WARIO_EMU_ALU81_ROW(P, OP0)                                            \
-  P(OP0, Add) P(OP0, Sub) P(OP0, Mul) P(OP0, And) P(OP0, Orr)                  \
-  P(OP0, Eor) P(OP0, Lsl) P(OP0, Lsr) P(OP0, Asr)
-#define WARIO_EMU_ALU81(P)                                                     \
-  WARIO_EMU_ALU81_ROW(P, Add) WARIO_EMU_ALU81_ROW(P, Sub)                      \
-  WARIO_EMU_ALU81_ROW(P, Mul) WARIO_EMU_ALU81_ROW(P, And)                      \
-  WARIO_EMU_ALU81_ROW(P, Orr) WARIO_EMU_ALU81_ROW(P, Eor)                      \
-  WARIO_EMU_ALU81_ROW(P, Lsl) WARIO_EMU_ALU81_ROW(P, Lsr)                      \
-  WARIO_EMU_ALU81_ROW(P, Asr)
-
-/// Second-level catalog: concatenations of two first-level groups,
-/// curated from dynamic group-pair histograms of the workload suite.
-/// P(Name, K1, K2) fuses adjacent groups of kinds K1 and K2 into one
-/// superinstruction named Name (components listed left to right in the
-/// name). The first group must not end in a branch or a checkpoint —
-/// execution must fall through to the second group unconditionally.
-#define WARIO_EMU_PAIR_KINDS(P)                                                \
-  /* CRC: table-lookup loop body and its epilogue compare/branch. */           \
-  P(Str_LdrSlot_Str_LdrSlot, FK_Str_LdrSlot, FK_Str_LdrSlot)                   \
-  P(Mov_CBr, uint16_t(MOp::Mov), uint16_t(MOp::CBr))                           \
-  P(SetCond_Mov_CBr, uint16_t(MOp::SetCond), FK_Mov_CBr)                       \
-  P(LdrSlot_SetCond_CBr, uint16_t(MOp::LdrSlot), FK_SetCond_CBr)               \
-  P(Add_Mov_Ldr_Eor_MovImm, FK_Add_Mov_Ldr, FK_Alu_MovImm_Eor)                 \
-  P(Add_Mov_Ldr_MovImm_Lsr, FK_Add_Mov_Ldr, FK_MovImm_Alu_Lsr)                 \
-  P(Eor_MovImm_And_MovImm, FK_Alu_MovImm_Eor, FK_Alu_MovImm_And)               \
-  P(And_MovImm_MovImm_Lsl, FK_Alu_MovImm_And, FK_MovImm_Alu_Lsl)               \
-  P(MovImm_Lsl_Add_Mov_Ldr, FK_MovImm_Alu_Lsl, FK_Add_Mov_Ldr)                 \
-  P(MovImm_Add_Mov_MovImm, FK_MovImm_Alu_Add, FK_Mov_MovImm)                   \
-  P(Str_MovImm_Add, uint16_t(MOp::Str), FK_MovImm_Alu_Add)                     \
-  P(MovImm_Add_LdrSlot, FK_MovImm_Alu_Add, uint16_t(MOp::LdrSlot))             \
-  P(Str_Str, uint16_t(MOp::Str), uint16_t(MOp::Str))                           \
-  P(MovImm_LdrSlot_Lsr_LdrSlot_Eor_StrSlot, FK_MovImm_LdrSlot_Alu_Lsr,         \
-    FK_LdrSlot_Alu_StrSlot_Eor)                                                \
-  P(MovImm_LdrSlot_Lsl_LdrSlot_Eor_StrSlot, FK_MovImm_LdrSlot_Alu_Lsl,         \
-    FK_LdrSlot_Alu_StrSlot_Eor)                                                \
-  P(LdrSlot_Eor_StrSlot_MovImm_LdrSlot_Lsl, FK_LdrSlot_Alu_StrSlot_Eor,        \
-    FK_MovImm_LdrSlot_Alu_Lsl)                                                 \
-  /* SHA: rotate/accumulate mills and the schedule copy loops. */              \
-  P(LdrSlot_Mov_LdrSlot_Mov, FK_LdrSlot_Mov, FK_LdrSlot_Mov)                   \
-  P(StrSlot_Mov_StrSlot_Mov, FK_StrSlot_Mov, FK_StrSlot_Mov)                   \
-  P(Lsl_MovImm_Lsr, FK_Alu_MovImm_Lsl, uint16_t(MOp::Lsr))                     \
-  P(Lsl_Add_Mov_Ldr, FK_Lsl_Add, FK_Mov_Ldr)                                   \
-  P(Mov_Ldr_Eor_MovImm, FK_Mov_Ldr, FK_Alu_MovImm_Eor)                         \
-  P(Sub_MovImm_Lsl_Add, FK_Alu_MovImm_Sub, FK_Lsl_Add)                         \
-  P(Eor_MovImm_Sub_MovImm, FK_Alu_MovImm_Eor, FK_Alu_MovImm_Sub)               \
-  P(Mov_Mov_Mov_Mov, FK_Mov_Mov, FK_Mov_Mov)                                   \
-  P(Add_MovImm_MovImm_Lsl, FK_Alu_MovImm_Add, FK_MovImm_Alu_Lsl)               \
-  P(MovImm_Sub_MovImm_Lsl, FK_MovImm_Alu_Sub, FK_MovImm_Alu_Lsl)               \
-  /* AES: state loads/stores and the xtime/mix-column shift chains. */         \
-  P(LdrSlot_LdrSlot_Str_LdrSlot, FK_LdrSlot_LdrSlot, FK_Str_LdrSlot)           \
-  P(Str_LdrSlot_LdrSlot_Str, FK_Str_LdrSlot, FK_LdrSlot_Str)                   \
-  P(Eor_Lsl_Lsr_Lsl, FK_Eor_Lsl, FK_Lsr_Lsl)                                   \
-  P(LdrSlot_Str_LdrSlot_LdrSlot, FK_LdrSlot_Str, FK_LdrSlot_LdrSlot)           \
-  P(Add_MovImm_SetCond_CBr, FK_Alu_MovImm_Add, FK_SetCond_CBr)                 \
-  P(Lsr_Lsl_Lsr_StrSlot, FK_Lsr_Lsl, FK_Alu_StrSlot_Lsr)                       \
-  P(LdrSlot_Str_LdrSlot_Str, FK_LdrSlot_Str, FK_LdrSlot_Str)                   \
-  P(MovImm_LdrSlot_Lsr_MovImm_Mul, FK_MovImm_LdrSlot_Alu_Lsr,                  \
-    FK_MovImm_Alu_Mul)                                                         \
-  P(Lsr_StrSlot_MovImm_LdrSlot_Lsl, FK_Alu_StrSlot_Lsr,                        \
-    FK_MovImm_LdrSlot_Alu_Lsl)                                                 \
-  P(MovImm_LdrSlot_Lsl_MovImm_LdrSlot_Lsr, FK_MovImm_LdrSlot_Alu_Lsl,          \
-    FK_MovImm_LdrSlot_Alu_Lsr)                                                 \
-  P(MovImm_Mul_Eor_Lsl, FK_MovImm_Alu_Mul, FK_Eor_Lsl)                         \
-  P(MovImm_LdrSlot_And_MovImm_SetCond_CBr, FK_MovImm_LdrSlot_Alu_And,          \
-    FK_MovImm_SetCond_CBr)                                                     \
-  P(Lsl_Lsr_StrSlot_Add_MovImm, FK_Lsl_Lsr_StrSlot, FK_Alu_MovImm_Add)         \
-  P(Lsr_StrSlot_LdrSlot_Lsr, FK_Alu_StrSlot_Lsr, FK_LdrSlot_Alu_Lsr)           \
-  P(LdrSlot_Lsr_Lsl_Lsr_StrSlot, FK_LdrSlot_Alu_Lsr, FK_Lsl_Lsr_StrSlot)       \
-  P(LdrSlot_Ldr, uint16_t(MOp::LdrSlot), uint16_t(MOp::Ldr))                    \
-  /* Round 2, CRC: the table-walk body absorbed head-first (each entry  */      \
-  /* extends the previous chain kind, so the fixpoint builds the full   */      \
-  /* body left to right), plus the residual shift/store idioms.         */      \
-  P(CrcA1, FK_Add_Mov_Ldr_Eor_MovImm, FK_And_MovImm_MovImm_Lsl)                 \
-  P(CrcA2, FK_CrcA1, FK_Add_Mov_Ldr_MovImm_Lsr)                                 \
-  P(CrcA3, FK_CrcA2, FK_Alu_MovImm_Eor)                                         \
-  P(CrcA4, FK_CrcA3, uint16_t(MOp::Add))                                        \
-  P(Add_SetCond_Mov_CBr, uint16_t(MOp::Add), FK_SetCond_Mov_CBr)                \
-  P(StrLdr2, FK_Str_LdrSlot_Str_LdrSlot, FK_Str_LdrSlot_Str_LdrSlot)            \
-  P(CrcB1, FK_MovImm_Add_Mov_MovImm, FK_LdrSlot_Alu_Lsl)                        \
-  P(CrcB2, FK_CrcB1, FK_LdrSlot_Alu_StrSlot_Eor)                                \
-  P(CrcB3, FK_CrcB2, FK_MovImm_LdrSlot_Lsr_LdrSlot_Eor_StrSlot)                 \
-  P(CrcC1, FK_MovImm_LdrSlot_Lsl_LdrSlot_Eor_StrSlot, FK_LdrSlot_Alu_Lsr)       \
-  P(CrcC2, FK_CrcC1, FK_MovImm_Alu_Lsl)                                         \
-  P(CrcC3, FK_CrcC2, FK_Lsr_Lsl)                                                \
-  P(CrcC4, FK_CrcC3, uint16_t(MOp::Lsr))                                        \
-  P(CrcC5, FK_CrcC4, FK_Str_MovImm_Add)                                         \
-  P(Str_MovImm_Add_LdrSlot_SetCond_CBr, FK_Str_MovImm_Add,                      \
-    FK_LdrSlot_SetCond_CBr)                                                     \
-  P(Lsl_Lsr_Lsl_Lsr, FK_Lsl_Lsr, FK_Lsl_Lsr)                                    \
-  P(Lsl_Lsr_Str_MovImm_Add, FK_Lsl_Lsr, FK_Str_MovImm_Add)                      \
-  P(Lsr_MovImm_Lsl_Lsr, FK_Alu_MovImm_Lsr, FK_Lsl_Lsr)                          \
-  /* Round 2, SHA: schedule copies and the rotate/accumulate spine. */          \
-  P(ShaA1, FK_Sub_MovImm_Lsl_Add, FK_Mov_Ldr_Eor_MovImm)                        \
-  P(Mov_Mov_Mov_Mov_B, FK_Mov_Mov_Mov_Mov, uint16_t(MOp::B))                    \
-  P(Mov_MovImm_SetCond_CBr, FK_Mov_MovImm, FK_SetCond_CBr)                      \
-  P(StrSlot_B, uint16_t(MOp::StrSlot), uint16_t(MOp::B))                        \
-  P(LdrMov4x2, FK_LdrSlot_Mov_LdrSlot_Mov, FK_LdrSlot_Mov_LdrSlot_Mov)          \
-  P(LdrSlot_Mov_StrSlot_LdrSlot, FK_LdrSlot_Mov, FK_StrSlot_LdrSlot)            \
-  P(MovImm_Mov_B, FK_MovImm_Mov, uint16_t(MOp::B))                              \
-  P(ShaB1, FK_Add_MovImm_MovImm_Lsl, FK_Add_Mov_Ldr)                            \
-  P(ShaB2, FK_ShaB1, FK_Alu_MovImm_Add)                                         \
-  P(Lsl_MovImm_Lsr_Orr_MovImm, FK_Lsl_MovImm_Lsr, FK_Alu_MovImm_Orr)            \
-  P(StrMov4x2, FK_StrSlot_Mov_StrSlot_Mov, FK_StrSlot_Mov_StrSlot_Mov)          \
-  P(StrMov4_StrMov, FK_StrSlot_Mov_StrSlot_Mov, FK_StrSlot_Mov)                 \
-  P(StrSlot_Mov_StrSlot, FK_StrSlot_Mov, uint16_t(MOp::StrSlot))                \
-  P(Orr_Add_LdrSlot_Add, FK_Alu2_Orr_Add, FK_LdrSlot_Alu_Add)                   \
-  P(Mov_Mov_MovImm_Lsl, FK_Mov_Mov, FK_MovImm_Alu_Lsl)                          \
-  /* Round 2, AES: the xtime mill and the state copy loops. */                  \
-  P(AesA1, FK_MovImm_LdrSlot_Alu_Lsl, FK_Lsr_StrSlot_MovImm_LdrSlot_Lsl)        \
-  P(AesA2, FK_AesA1, FK_MovImm_LdrSlot_Lsr_MovImm_Mul)                          \
-  P(AesB1, FK_Eor_Lsl_Lsr_Lsl, FK_Lsr_StrSlot_LdrSlot_Lsr)                      \
-  P(AesC1, FK_Lsl_Lsr_StrSlot_Add_MovImm, FK_SetCond_CBr)                       \
-  P(AesD1, FK_LdrSlot_LdrSlot_Str_LdrSlot, FK_LdrSlot_Str_LdrSlot_LdrSlot)      \
-  P(AesE1, FK_LdrSlot_Str_LdrSlot_Str, FK_LdrSlot_Str_LdrSlot_Str)              \
-  P(MovImm_Add_Mov_Ldr, FK_MovImm_Alu_Add, FK_Mov_Ldr)                          \
-  P(LdrSlot_Mov_MovImm_SetCond_CBr, FK_LdrSlot_Mov, FK_MovImm_SetCond_CBr)      \
-  P(Mov_StrSlot_B, FK_Mov_StrSlot, uint16_t(MOp::B))                            \
-  P(Lsr_MovImm_Mul, FK_Alu_MovImm_Lsr, uint16_t(MOp::Mul))                      \
-  P(Eor_Lsl_Lsr_Lsl_Lsr, FK_Eor_Lsl_Lsr_Lsl, uint16_t(MOp::Lsr))                \
-  P(Lsr_MovImm_Lsl_MovImm, FK_Alu_MovImm_Lsr, FK_Alu_MovImm_Lsl)                \
-  P(Lsl_MovImm_Lsr_MovImm, FK_Alu_MovImm_Lsl, FK_Alu_MovImm_Lsr)                \
-  /* Round 3: loop-iteration chains. Each entry extends the previous */        \
-  /* link, up to the longest chain FusedCostLimit still admits.        */      \
-  /* CRC byte loop: table-walk body and its unroll compare/branch.     */      \
-  P(TrCrc0, FK_Mov_Mov, FK_SetCond_Mov_CBr)                                     \
-  P(TrCrc2, FK_CrcA3, FK_Alu_Mov_Add)                                           \
-  P(TrCrc3, FK_TrCrc2, uint16_t(MOp::Mov))                                      \
-  /* SHA round spine: rotate/accumulate mill.                           */     \
-  P(TrSha1, FK_Mov_Mov_MovImm_Lsl, FK_MovImm_Alu_Lsr)                           \
-  P(TrSha2, FK_TrSha1, FK_Orr_Add_LdrSlot_Add)                                  \
-  P(TrSha3, FK_TrSha2, FK_ShaB2)                                                \
-  /* SHA schedule copy.                                                 */     \
-  P(TrSha9, FK_LdrMov4x2, FK_LdrSlot_Mov_StrSlot_LdrSlot)                       \
-  /* SHA majority/choice combine + round exit.                          */     \
-  P(TrSha11, FK_Alu2_And_And, FK_Alu2_Orr_And)                                  \
-  P(TrSha12, FK_TrSha11, FK_Alu_Mov_Orr)                                        \
-  P(TrSha13, FK_TrSha12, FK_MovImm_Mov_B)
-
 /// Group kinds. Values [0, 64) are identity groups — the kind is the
 /// instruction's own MOp value, so the threaded engine's dispatch table
 /// doubles as its per-op handler table. Fused kinds start at 64.
@@ -212,44 +72,20 @@ enum FusedKind : uint16_t {
   FK_Seed_ = FK_FirstFused - 1, // Placeholder so the list starts at 64.
 #define WARIO_FK_X(NAME) FK_##NAME,
 #define WARIO_FK_A(FAM, OP) FK_##FAM##_##OP,
-#define WARIO_FK_A2(OP0, OP1) FK_Alu2_##OP0##_##OP1,
-#define WARIO_FK_P(NAME, K1, K2) FK_##NAME,
   WARIO_EMU_FUSED_KINDS(WARIO_FK_X, WARIO_FK_A)
-  WARIO_EMU_ALU81(WARIO_FK_A2)
-  WARIO_EMU_PAIR_KINDS(WARIO_FK_P)
 #undef WARIO_FK_X
 #undef WARIO_FK_A
-#undef WARIO_FK_A2
-#undef WARIO_FK_P
   FK_KindLimit,
 };
 
 static_assert(int(MOp::Nop) < int(FK_FirstFused),
               "identity kinds must not collide with fused kinds");
 
-/// One group in the fused stream (one entry per program index).
-struct FusedInst {
-  uint16_t Kind; ///< FusedKind, or the MOp value for identity groups.
-  uint8_t Len;   ///< Component count (1 for identity).
-  uint8_t Cost;  ///< Pre-summed cycle cost of the whole group.
-};
-
 /// Interior instruction boundaries of a dispatched group never carry an
 /// interpreter-visible event, provided the engine stops dispatching
 /// this margin short of the next event cycle (see Machine::fastLimit).
 /// Every group's cost must stay below it.
 constexpr uint64_t FusedCostLimit = 24;
-
-struct FusedProgram {
-  std::vector<FusedInst> Stream; ///< Parallel to the decoded program.
-  uint64_t FusedEntries = 0;     ///< Stream entries with Len > 1.
-  uint64_t CoveredInsts = 0;     ///< Sum of Len over fused entries.
-};
-
-/// Runs the fusion passes over \p Prog: greedy longest-match against
-/// the base catalog, then repeated pairing of adjacent groups against
-/// the second-level catalog until nothing else fuses.
-FusedProgram fuseProgram(const std::vector<DecodedInst> &Prog);
 
 /// The threaded engine's execution record: group header and operands
 /// merged into one 20-byte entry per program index, so the hot loop
@@ -282,9 +118,9 @@ static_assert(sizeof(FastInst) == 20, "keep the engine record compact");
 /// the engine hands each one to the interpreter's storeMem.
 constexpr uint16_t AuxLogged = 0x200;
 
-/// Builds the engine stream from the decoded program and its groups.
-std::vector<FastInst> buildFastProgram(const std::vector<DecodedInst> &Prog,
-                                       const FusedProgram &FP);
+/// Builds the engine stream from the decoded program: each index gets
+/// its operands and the longest catalog group starting there.
+std::vector<FastInst> buildFastProgram(const std::vector<DecodedInst> &Prog);
 
 } // namespace wario::emu_detail
 

@@ -26,7 +26,7 @@
 namespace wario {
 
 /// The per-module preparation an Emulator instance amortizes across
-/// runs: the flattened + decoded program, its fused-group stream, and
+/// runs: the flattened + decoded program, its fused engine stream, and
 /// the initial NVM image.
 struct Emulator::Impl {
   const MModule &M;
@@ -36,7 +36,6 @@ struct Emulator::Impl {
   const uint64_t Uid;
   std::vector<emu_detail::CodeRef> Code; ///< Diagnostics (WAR reports).
   std::vector<emu_detail::DecodedInst> Prog; ///< Dense execution form.
-  emu_detail::FusedProgram Fused;  ///< Group stream parallel to Prog.
   std::vector<emu_detail::FastInst> Fast; ///< Merged engine records.
   std::vector<uint32_t> FuncEntry; ///< Entry code index per function.
   std::vector<uint8_t> BaseImage;  ///< Initial NVM (zeros + InitImage).

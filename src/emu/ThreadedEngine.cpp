@@ -218,18 +218,6 @@ __attribute__((noinline)) void noteStoreSlow(Machine &M, uint32_t Addr,
     J = Fast + T_;                                                             \
   } while (0)
 
-// Unconditional-branch-ending group retirement: the tail component is
-// a B at index n-1.
-#define WARIO_RETIRE_B(n)                                                      \
-  do {                                                                         \
-    uint32_t T_ = J[(n)-1].T0;                                                 \
-    Active += J->Cost;                                                         \
-    Insts += (n);                                                              \
-    ++St.FusedDispatches;                                                      \
-    St.FusedInstructions += (n);                                               \
-    J = Fast + T_;                                                             \
-  } while (0)
-
 // Component k of the current group could not complete: retire the
 // k-component prefix (cycle costs come from the decoded program — the
 // merged stream's interior entries describe the group starting there,
@@ -483,8 +471,7 @@ void Machine::runThreaded(uint64_t Limit) {
 #if WARIO_THREADED_GOTO
   // Dispatch table, indexed by FastInst::Kind. [0, 37): identity
   // groups in MOp declaration order; [37, 64): unreachable padding;
-  // [64, FK_KindLimit): fused kinds in declaration order — the base
-  // catalog, then the 9x9 Alu2 family, then the second-level pairs.
+  // [64, FK_KindLimit): fused kinds in catalog order.
   static const void *const Tbl[] = {
       &&H_Op_MovImm, &&H_Op_MovGlobal, &&H_Op_Mov,
       &&H_Op_Add, &&H_Op_Sub, &&H_Op_Mul, &&H_Op_UDiv, &&H_Op_SDiv,
@@ -502,15 +489,9 @@ void Machine::runThreaded(uint64_t Limit) {
       &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad,
 #define WARIO_TBL_X(NAME) &&H_FK_##NAME,
 #define WARIO_TBL_A(FAM, OP) &&H_FK_##FAM##_##OP,
-#define WARIO_TBL_A2(OP0, OP1) &&H_FK_Alu2_##OP0##_##OP1,
-#define WARIO_TBL_P(NAME, K1, K2) &&H_FK_##NAME,
       WARIO_EMU_FUSED_KINDS(WARIO_TBL_X, WARIO_TBL_A)
-      WARIO_EMU_ALU81(WARIO_TBL_A2)
-      WARIO_EMU_PAIR_KINDS(WARIO_TBL_P)
 #undef WARIO_TBL_X
 #undef WARIO_TBL_A
-#undef WARIO_TBL_A2
-#undef WARIO_TBL_P
   };
   static_assert(sizeof(Tbl) / sizeof(Tbl[0]) == FK_KindLimit,
                 "dispatch table out of sync with the kind numbering");
@@ -1066,1093 +1047,6 @@ dispatch:
     WB_Mov(1)
     WB_Ldr(2)
     WARIO_RETIRE(3);
-  }
-  DISPATCH();
-
-  // --- Second-level concatenations (9x9 ALU family + pair catalog) ---------
-
-#define WARIO_H_A2(OP0, OP1)                                                   \
-  FK_CASE(Alu2_##OP0##_##OP1) {                                                \
-    WB_Alu(0, OP0)                                                             \
-    WB_Alu(1, OP1)                                                             \
-    WARIO_RETIRE(2);                                                           \
-  }                                                                            \
-  DISPATCH();
-  WARIO_EMU_ALU81(WARIO_H_A2)
-#undef WARIO_H_A2
-
-  FK_CASE(Str_LdrSlot_Str_LdrSlot) {
-    WB_Str(0, 0)
-    WB_LdrSlot(1)
-    WB_Str(2, 4)
-    WB_LdrSlot(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_CBr) {
-    WB_Mov(0)
-    WARIO_RETIRE_BR(2);
-  }
-  DISPATCH();
-
-  FK_CASE(SetCond_Mov_CBr) {
-    WB_SetCond(0)
-    WB_Mov(1)
-    WARIO_RETIRE_BR(3);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_SetCond_CBr) {
-    WB_LdrSlot(0)
-    WB_SetCond(1)
-    WARIO_RETIRE_BR(3);
-  }
-  DISPATCH();
-
-  FK_CASE(Add_Mov_Ldr_Eor_MovImm) {
-    WB_Alu(0, Add)
-    WB_Mov(1)
-    WB_Ldr(2)
-    WB_Alu(3, Eor)
-    WB_MovImm(4)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(Add_Mov_Ldr_MovImm_Lsr) {
-    WB_Alu(0, Add)
-    WB_Mov(1)
-    WB_Ldr(2)
-    WB_MovImm(3)
-    WB_Alu(4, Lsr)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(Eor_MovImm_And_MovImm) {
-    WB_Alu(0, Eor)
-    WB_MovImm(1)
-    WB_Alu(2, And)
-    WB_MovImm(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(And_MovImm_MovImm_Lsl) {
-    WB_Alu(0, And)
-    WB_MovImm(1)
-    WB_MovImm(2)
-    WB_Alu(3, Lsl)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_Lsl_Add_Mov_Ldr) {
-    WB_MovImm(0)
-    WB_Alu(1, Lsl)
-    WB_Alu(2, Add)
-    WB_Mov(3)
-    WB_Ldr(4)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_Add_Mov_MovImm) {
-    WB_MovImm(0)
-    WB_Alu(1, Add)
-    WB_Mov(2)
-    WB_MovImm(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Str_MovImm_Add) {
-    WB_Str(0, 0)
-    WB_MovImm(1)
-    WB_Alu(2, Add)
-    WARIO_RETIRE(3);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_Add_LdrSlot) {
-    WB_MovImm(0)
-    WB_Alu(1, Add)
-    WB_LdrSlot(2)
-    WARIO_RETIRE(3);
-  }
-  DISPATCH();
-
-  FK_CASE(Str_Str) {
-    WB_Str(0, 0)
-    WB_Str(1, 2)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_LdrSlot_Lsr_LdrSlot_Eor_StrSlot) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsr)
-    WB_LdrSlot(3)
-    WB_Alu(4, Eor)
-    WB_StrSlot(5, J[0].Aux + 6)
-    WARIO_RETIRE(6);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_LdrSlot_Lsl_LdrSlot_Eor_StrSlot) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsl)
-    WB_LdrSlot(3)
-    WB_Alu(4, Eor)
-    WB_StrSlot(5, J[0].Aux + 6)
-    WARIO_RETIRE(6);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Eor_StrSlot_MovImm_LdrSlot_Lsl) {
-    WB_LdrSlot(0)
-    WB_Alu(1, Eor)
-    WB_StrSlot(2, 3)
-    WB_MovImm(3)
-    WB_LdrSlot(4)
-    WB_Alu(5, Lsl)
-    WARIO_RETIRE(6);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Mov_LdrSlot_Mov) {
-    WB_LdrSlot(0)
-    WB_Mov(1)
-    WB_LdrSlot(2)
-    WB_Mov(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(StrSlot_Mov_StrSlot_Mov) {
-    WB_StrSlot(0, 0)
-    WB_Mov(1)
-    WB_StrSlot(2, 3)
-    WB_Mov(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsl_MovImm_Lsr) {
-    WB_Alu(0, Lsl)
-    WB_MovImm(1)
-    WB_Alu(2, Lsr)
-    WARIO_RETIRE(3);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsl_Add_Mov_Ldr) {
-    WB_Alu(0, Lsl)
-    WB_Alu(1, Add)
-    WB_Mov(2)
-    WB_Ldr(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_Ldr_Eor_MovImm) {
-    WB_Mov(0)
-    WB_Ldr(1)
-    WB_Alu(2, Eor)
-    WB_MovImm(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Sub_MovImm_Lsl_Add) {
-    WB_Alu(0, Sub)
-    WB_MovImm(1)
-    WB_Alu(2, Lsl)
-    WB_Alu(3, Add)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Eor_MovImm_Sub_MovImm) {
-    WB_Alu(0, Eor)
-    WB_MovImm(1)
-    WB_Alu(2, Sub)
-    WB_MovImm(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_Mov_Mov_Mov) {
-    WB_Mov(0)
-    WB_Mov(1)
-    WB_Mov(2)
-    WB_Mov(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Add_MovImm_MovImm_Lsl) {
-    WB_Alu(0, Add)
-    WB_MovImm(1)
-    WB_MovImm(2)
-    WB_Alu(3, Lsl)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_Sub_MovImm_Lsl) {
-    WB_MovImm(0)
-    WB_Alu(1, Sub)
-    WB_MovImm(2)
-    WB_Alu(3, Lsl)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_LdrSlot_Str_LdrSlot) {
-    WB_LdrSlot(0)
-    WB_LdrSlot(1)
-    WB_Str(2, 4)
-    WB_LdrSlot(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Str_LdrSlot_LdrSlot_Str) {
-    WB_Str(0, 0)
-    WB_LdrSlot(1)
-    WB_LdrSlot(2)
-    WB_Str(3, 6)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Eor_Lsl_Lsr_Lsl) {
-    WB_Alu(0, Eor)
-    WB_Alu(1, Lsl)
-    WB_Alu(2, Lsr)
-    WB_Alu(3, Lsl)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Str_LdrSlot_LdrSlot) {
-    WB_LdrSlot(0)
-    WB_Str(1, 2)
-    WB_LdrSlot(2)
-    WB_LdrSlot(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Add_MovImm_SetCond_CBr) {
-    WB_Alu(0, Add)
-    WB_MovImm(1)
-    WB_SetCond(2)
-    WARIO_RETIRE_BR(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsr_Lsl_Lsr_StrSlot) {
-    WB_Alu(0, Lsr)
-    WB_Alu(1, Lsl)
-    WB_Alu(2, Lsr)
-    WB_StrSlot(3, 3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Str_LdrSlot_Str) {
-    WB_LdrSlot(0)
-    WB_Str(1, 2)
-    WB_LdrSlot(2)
-    WB_Str(3, 6)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_LdrSlot_Lsr_MovImm_Mul) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsr)
-    WB_MovImm(3)
-    WB_Alu(4, Mul)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsr_StrSlot_MovImm_LdrSlot_Lsl) {
-    WB_Alu(0, Lsr)
-    WB_StrSlot(1, 1)
-    WB_MovImm(2)
-    WB_LdrSlot(3)
-    WB_Alu(4, Lsl)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_LdrSlot_Lsl_MovImm_LdrSlot_Lsr) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsl)
-    WB_MovImm(3)
-    WB_LdrSlot(4)
-    WB_Alu(5, Lsr)
-    WARIO_RETIRE(6);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_Mul_Eor_Lsl) {
-    WB_MovImm(0)
-    WB_Alu(1, Mul)
-    WB_Alu(2, Eor)
-    WB_Alu(3, Lsl)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_LdrSlot_And_MovImm_SetCond_CBr) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, And)
-    WB_MovImm(3)
-    WB_SetCond(4)
-    WARIO_RETIRE_BR(6);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsl_Lsr_StrSlot_Add_MovImm) {
-    WB_Alu(0, Lsl)
-    WB_Alu(1, Lsr)
-    WB_StrSlot(2, 2)
-    WB_Alu(3, Add)
-    WB_MovImm(4)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsr_StrSlot_LdrSlot_Lsr) {
-    WB_Alu(0, Lsr)
-    WB_StrSlot(1, 1)
-    WB_LdrSlot(2)
-    WB_Alu(3, Lsr)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Lsr_Lsl_Lsr_StrSlot) {
-    WB_LdrSlot(0)
-    WB_Alu(1, Lsr)
-    WB_Alu(2, Lsl)
-    WB_Alu(3, Lsr)
-    WB_StrSlot(4, 5)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Ldr) {
-    WB_LdrSlot(0)
-    WB_Ldr(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  // --- Round-2 chain superinstructions: whole loop bodies ------------------
-
-  FK_CASE(CrcA1) {
-    WB_Alu(0, Add)
-    WB_Mov(1)
-    WB_Ldr(2)
-    WB_Alu(3, Eor)
-    WB_MovImm(4)
-    WB_Alu(5, And)
-    WB_MovImm(6)
-    WB_MovImm(7)
-    WB_Alu(8, Lsl)
-    WARIO_RETIRE(9);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcA2) {
-    WB_Alu(0, Add)
-    WB_Mov(1)
-    WB_Ldr(2)
-    WB_Alu(3, Eor)
-    WB_MovImm(4)
-    WB_Alu(5, And)
-    WB_MovImm(6)
-    WB_MovImm(7)
-    WB_Alu(8, Lsl)
-    WB_Alu(9, Add)
-    WB_Mov(10)
-    WB_Ldr(11)
-    WB_MovImm(12)
-    WB_Alu(13, Lsr)
-    WARIO_RETIRE(14);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcA3) {
-    WB_Alu(0, Add)
-    WB_Mov(1)
-    WB_Ldr(2)
-    WB_Alu(3, Eor)
-    WB_MovImm(4)
-    WB_Alu(5, And)
-    WB_MovImm(6)
-    WB_MovImm(7)
-    WB_Alu(8, Lsl)
-    WB_Alu(9, Add)
-    WB_Mov(10)
-    WB_Ldr(11)
-    WB_MovImm(12)
-    WB_Alu(13, Lsr)
-    WB_Alu(14, Eor)
-    WB_MovImm(15)
-    WARIO_RETIRE(16);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcA4) {
-    WB_Alu(0, Add)
-    WB_Mov(1)
-    WB_Ldr(2)
-    WB_Alu(3, Eor)
-    WB_MovImm(4)
-    WB_Alu(5, And)
-    WB_MovImm(6)
-    WB_MovImm(7)
-    WB_Alu(8, Lsl)
-    WB_Alu(9, Add)
-    WB_Mov(10)
-    WB_Ldr(11)
-    WB_MovImm(12)
-    WB_Alu(13, Lsr)
-    WB_Alu(14, Eor)
-    WB_MovImm(15)
-    WB_Alu(16, Add)
-    WARIO_RETIRE(17);
-  }
-  DISPATCH();
-
-  FK_CASE(Add_SetCond_Mov_CBr) {
-    WB_Alu(0, Add)
-    WB_SetCond(1)
-    WB_Mov(2)
-    WARIO_RETIRE_BR(4);
-  }
-  DISPATCH();
-
-  FK_CASE(StrLdr2) {
-    WB_Str(0, 0)
-    WB_LdrSlot(1)
-    WB_Str(2, 4)
-    WB_LdrSlot(3)
-    WB_Str(4, 8)
-    WB_LdrSlot(5)
-    WB_Str(6, 12)
-    WB_LdrSlot(7)
-    WARIO_RETIRE(8);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcB1) {
-    WB_MovImm(0)
-    WB_Alu(1, Add)
-    WB_Mov(2)
-    WB_MovImm(3)
-    WB_LdrSlot(4)
-    WB_Alu(5, Lsl)
-    WARIO_RETIRE(6);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcB2) {
-    WB_MovImm(0)
-    WB_Alu(1, Add)
-    WB_Mov(2)
-    WB_MovImm(3)
-    WB_LdrSlot(4)
-    WB_Alu(5, Lsl)
-    WB_LdrSlot(6)
-    WB_Alu(7, Eor)
-    WB_StrSlot(8, J[0].Aux + J[3].Aux + 8)
-    WARIO_RETIRE(9);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcB3) {
-    WB_MovImm(0)
-    WB_Alu(1, Add)
-    WB_Mov(2)
-    WB_MovImm(3)
-    WB_LdrSlot(4)
-    WB_Alu(5, Lsl)
-    WB_LdrSlot(6)
-    WB_Alu(7, Eor)
-    WB_StrSlot(8, J[0].Aux + J[3].Aux + 8)
-    WB_MovImm(9)
-    WB_LdrSlot(10)
-    WB_Alu(11, Lsr)
-    WB_LdrSlot(12)
-    WB_Alu(13, Eor)
-    WB_StrSlot(14, J[0].Aux + J[3].Aux + J[9].Aux + 16)
-    WARIO_RETIRE(15);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcC1) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsl)
-    WB_LdrSlot(3)
-    WB_Alu(4, Eor)
-    WB_StrSlot(5, J[0].Aux + 6)
-    WB_LdrSlot(6)
-    WB_Alu(7, Lsr)
-    WARIO_RETIRE(8);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcC2) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsl)
-    WB_LdrSlot(3)
-    WB_Alu(4, Eor)
-    WB_StrSlot(5, J[0].Aux + 6)
-    WB_LdrSlot(6)
-    WB_Alu(7, Lsr)
-    WB_MovImm(8)
-    WB_Alu(9, Lsl)
-    WARIO_RETIRE(10);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcC3) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsl)
-    WB_LdrSlot(3)
-    WB_Alu(4, Eor)
-    WB_StrSlot(5, J[0].Aux + 6)
-    WB_LdrSlot(6)
-    WB_Alu(7, Lsr)
-    WB_MovImm(8)
-    WB_Alu(9, Lsl)
-    WB_Alu(10, Lsr)
-    WB_Alu(11, Lsl)
-    WARIO_RETIRE(12);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcC4) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsl)
-    WB_LdrSlot(3)
-    WB_Alu(4, Eor)
-    WB_StrSlot(5, J[0].Aux + 6)
-    WB_LdrSlot(6)
-    WB_Alu(7, Lsr)
-    WB_MovImm(8)
-    WB_Alu(9, Lsl)
-    WB_Alu(10, Lsr)
-    WB_Alu(11, Lsl)
-    WB_Alu(12, Lsr)
-    WARIO_RETIRE(13);
-  }
-  DISPATCH();
-
-  FK_CASE(CrcC5) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsl)
-    WB_LdrSlot(3)
-    WB_Alu(4, Eor)
-    WB_StrSlot(5, J[0].Aux + 6)
-    WB_LdrSlot(6)
-    WB_Alu(7, Lsr)
-    WB_MovImm(8)
-    WB_Alu(9, Lsl)
-    WB_Alu(10, Lsr)
-    WB_Alu(11, Lsl)
-    WB_Alu(12, Lsr)
-    WB_Str(13, J[0].Aux + J[8].Aux + 15)
-    WB_MovImm(14)
-    WB_Alu(15, Add)
-    WARIO_RETIRE(16);
-  }
-  DISPATCH();
-
-  FK_CASE(Str_MovImm_Add_LdrSlot_SetCond_CBr) {
-    WB_Str(0, 0)
-    WB_MovImm(1)
-    WB_Alu(2, Add)
-    WB_LdrSlot(3)
-    WB_SetCond(4)
-    WARIO_RETIRE_BR(6);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsl_Lsr_Lsl_Lsr) {
-    WB_Alu(0, Lsl)
-    WB_Alu(1, Lsr)
-    WB_Alu(2, Lsl)
-    WB_Alu(3, Lsr)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsl_Lsr_Str_MovImm_Add) {
-    WB_Alu(0, Lsl)
-    WB_Alu(1, Lsr)
-    WB_Str(2, 2)
-    WB_MovImm(3)
-    WB_Alu(4, Add)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsr_MovImm_Lsl_Lsr) {
-    WB_Alu(0, Lsr)
-    WB_MovImm(1)
-    WB_Alu(2, Lsl)
-    WB_Alu(3, Lsr)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(ShaA1) {
-    WB_Alu(0, Sub)
-    WB_MovImm(1)
-    WB_Alu(2, Lsl)
-    WB_Alu(3, Add)
-    WB_Mov(4)
-    WB_Ldr(5)
-    WB_Alu(6, Eor)
-    WB_MovImm(7)
-    WARIO_RETIRE(8);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_Mov_Mov_Mov_B) {
-    WB_Mov(0)
-    WB_Mov(1)
-    WB_Mov(2)
-    WB_Mov(3)
-    WARIO_RETIRE_B(5);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_MovImm_SetCond_CBr) {
-    WB_Mov(0)
-    WB_MovImm(1)
-    WB_SetCond(2)
-    WARIO_RETIRE_BR(4);
-  }
-  DISPATCH();
-
-  FK_CASE(StrSlot_B) {
-    WB_StrSlot(0, 0)
-    WARIO_RETIRE_B(2);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrMov4x2) {
-    WB_LdrSlot(0)
-    WB_Mov(1)
-    WB_LdrSlot(2)
-    WB_Mov(3)
-    WB_LdrSlot(4)
-    WB_Mov(5)
-    WB_LdrSlot(6)
-    WB_Mov(7)
-    WARIO_RETIRE(8);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Mov_StrSlot_LdrSlot) {
-    WB_LdrSlot(0)
-    WB_Mov(1)
-    WB_StrSlot(2, 3)
-    WB_LdrSlot(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_Mov_B) {
-    WB_MovImm(0)
-    WB_Mov(1)
-    WARIO_RETIRE_B(3);
-  }
-  DISPATCH();
-
-  FK_CASE(ShaB1) {
-    WB_Alu(0, Add)
-    WB_MovImm(1)
-    WB_MovImm(2)
-    WB_Alu(3, Lsl)
-    WB_Alu(4, Add)
-    WB_Mov(5)
-    WB_Ldr(6)
-    WARIO_RETIRE(7);
-  }
-  DISPATCH();
-
-  FK_CASE(ShaB2) {
-    WB_Alu(0, Add)
-    WB_MovImm(1)
-    WB_MovImm(2)
-    WB_Alu(3, Lsl)
-    WB_Alu(4, Add)
-    WB_Mov(5)
-    WB_Ldr(6)
-    WB_Alu(7, Add)
-    WB_MovImm(8)
-    WARIO_RETIRE(9);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsl_MovImm_Lsr_Orr_MovImm) {
-    WB_Alu(0, Lsl)
-    WB_MovImm(1)
-    WB_Alu(2, Lsr)
-    WB_Alu(3, Orr)
-    WB_MovImm(4)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(StrMov4x2) {
-    WB_StrSlot(0, 0)
-    WB_Mov(1)
-    WB_StrSlot(2, 3)
-    WB_Mov(3)
-    WB_StrSlot(4, 6)
-    WB_Mov(5)
-    WB_StrSlot(6, 9)
-    WB_Mov(7)
-    WARIO_RETIRE(8);
-  }
-  DISPATCH();
-
-  FK_CASE(StrMov4_StrMov) {
-    WB_StrSlot(0, 0)
-    WB_Mov(1)
-    WB_StrSlot(2, 3)
-    WB_Mov(3)
-    WB_StrSlot(4, 6)
-    WB_Mov(5)
-    WARIO_RETIRE(6);
-  }
-  DISPATCH();
-
-  FK_CASE(StrSlot_Mov_StrSlot) {
-    WB_StrSlot(0, 0)
-    WB_Mov(1)
-    WB_StrSlot(2, 3)
-    WARIO_RETIRE(3);
-  }
-  DISPATCH();
-
-  FK_CASE(Orr_Add_LdrSlot_Add) {
-    WB_Alu(0, Orr)
-    WB_Alu(1, Add)
-    WB_LdrSlot(2)
-    WB_Alu(3, Add)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_Mov_MovImm_Lsl) {
-    WB_Mov(0)
-    WB_Mov(1)
-    WB_MovImm(2)
-    WB_Alu(3, Lsl)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(AesA1) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsl)
-    WB_Alu(3, Lsr)
-    WB_StrSlot(4, J[0].Aux + 4)
-    WB_MovImm(5)
-    WB_LdrSlot(6)
-    WB_Alu(7, Lsl)
-    WARIO_RETIRE(8);
-  }
-  DISPATCH();
-
-  FK_CASE(AesA2) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WB_Alu(2, Lsl)
-    WB_Alu(3, Lsr)
-    WB_StrSlot(4, J[0].Aux + 4)
-    WB_MovImm(5)
-    WB_LdrSlot(6)
-    WB_Alu(7, Lsl)
-    WB_MovImm(8)
-    WB_LdrSlot(9)
-    WB_Alu(10, Lsr)
-    WB_MovImm(11)
-    WB_Alu(12, Mul)
-    WARIO_RETIRE(13);
-  }
-  DISPATCH();
-
-  FK_CASE(AesB1) {
-    WB_Alu(0, Eor)
-    WB_Alu(1, Lsl)
-    WB_Alu(2, Lsr)
-    WB_Alu(3, Lsl)
-    WB_Alu(4, Lsr)
-    WB_StrSlot(5, 5)
-    WB_LdrSlot(6)
-    WB_Alu(7, Lsr)
-    WARIO_RETIRE(8);
-  }
-  DISPATCH();
-
-  FK_CASE(AesC1) {
-    WB_Alu(0, Lsl)
-    WB_Alu(1, Lsr)
-    WB_StrSlot(2, 2)
-    WB_Alu(3, Add)
-    WB_MovImm(4)
-    WB_SetCond(5)
-    WARIO_RETIRE_BR(7);
-  }
-  DISPATCH();
-
-  FK_CASE(AesD1) {
-    WB_LdrSlot(0)
-    WB_LdrSlot(1)
-    WB_Str(2, 4)
-    WB_LdrSlot(3)
-    WB_LdrSlot(4)
-    WB_Str(5, 10)
-    WB_LdrSlot(6)
-    WB_LdrSlot(7)
-    WARIO_RETIRE(8);
-  }
-  DISPATCH();
-
-  FK_CASE(AesE1) {
-    WB_LdrSlot(0)
-    WB_Str(1, 2)
-    WB_LdrSlot(2)
-    WB_Str(3, 6)
-    WB_LdrSlot(4)
-    WB_Str(5, 10)
-    WB_LdrSlot(6)
-    WB_Str(7, 14)
-    WARIO_RETIRE(8);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_Add_Mov_Ldr) {
-    WB_MovImm(0)
-    WB_Alu(1, Add)
-    WB_Mov(2)
-    WB_Ldr(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Mov_MovImm_SetCond_CBr) {
-    WB_LdrSlot(0)
-    WB_Mov(1)
-    WB_MovImm(2)
-    WB_SetCond(3)
-    WARIO_RETIRE_BR(5);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_StrSlot_B) {
-    WB_Mov(0)
-    WB_StrSlot(1, 1)
-    WARIO_RETIRE_B(3);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsr_MovImm_Mul) {
-    WB_Alu(0, Lsr)
-    WB_MovImm(1)
-    WB_Alu(2, Mul)
-    WARIO_RETIRE(3);
-  }
-  DISPATCH();
-
-  FK_CASE(Eor_Lsl_Lsr_Lsl_Lsr) {
-    WB_Alu(0, Eor)
-    WB_Alu(1, Lsl)
-    WB_Alu(2, Lsr)
-    WB_Alu(3, Lsl)
-    WB_Alu(4, Lsr)
-    WARIO_RETIRE(5);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsr_MovImm_Lsl_MovImm) {
-    WB_Alu(0, Lsr)
-    WB_MovImm(1)
-    WB_Alu(2, Lsl)
-    WB_MovImm(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsl_MovImm_Lsr_MovImm) {
-    WB_Alu(0, Lsl)
-    WB_MovImm(1)
-    WB_Alu(2, Lsr)
-    WB_MovImm(3)
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  // --- Round-3 chain superinstructions: loop-iteration prefixes ----------
-  //
-  // The longest chains the static fixpoint still admits under
-  // FusedCostLimit. WBODY_* macros hold the component sequences that
-  // several handlers share.
-
-  FK_CASE(TrCrc0) {
-    WB_Mov(0)
-    WB_Mov(1)
-    WB_SetCond(2)
-    WB_Mov(3)
-    WARIO_RETIRE_BR(5);
-  }
-  DISPATCH();
-
-#define WBODY_TrCrc2                                                           \
-    WB_Alu(0, Add)                                                             \
-    WB_Mov(1)                                                                  \
-    WB_Ldr(2)                                                                  \
-    WB_Alu(3, Eor)                                                             \
-    WB_MovImm(4)                                                               \
-    WB_Alu(5, And)                                                             \
-    WB_MovImm(6)                                                               \
-    WB_MovImm(7)                                                               \
-    WB_Alu(8, Lsl)                                                             \
-    WB_Alu(9, Add)                                                             \
-    WB_Mov(10)                                                                 \
-    WB_Ldr(11)                                                                 \
-    WB_MovImm(12)                                                              \
-    WB_Alu(13, Lsr)                                                            \
-    WB_Alu(14, Eor)                                                            \
-    WB_MovImm(15)                                                              \
-    WB_Alu(16, Add)                                                            \
-    WB_Mov(17)
-
-  FK_CASE(TrCrc2) {
-    WBODY_TrCrc2
-    WARIO_RETIRE(18);
-  }
-  DISPATCH();
-
-  FK_CASE(TrCrc3) {
-    WBODY_TrCrc2
-    WB_Mov(18)
-    WARIO_RETIRE(19);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha1                                                           \
-    WB_Mov(0)                                                                  \
-    WB_Mov(1)                                                                  \
-    WB_MovImm(2)                                                               \
-    WB_Alu(3, Lsl)                                                             \
-    WB_MovImm(4)                                                               \
-    WB_Alu(5, Lsr)
-
-  FK_CASE(TrSha1) {
-    WBODY_TrSha1
-    WARIO_RETIRE(6);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha2                                                           \
-    WBODY_TrSha1                                                               \
-    WB_Alu(6, Orr)                                                             \
-    WB_Alu(7, Add)                                                             \
-    WB_LdrSlot(8)                                                              \
-    WB_Alu(9, Add)
-
-  FK_CASE(TrSha2) {
-    WBODY_TrSha2
-    WARIO_RETIRE(10);
-  }
-  DISPATCH();
-
-  FK_CASE(TrSha3) {
-    WBODY_TrSha2
-    WB_Alu(10, Add)
-    WB_MovImm(11)
-    WB_MovImm(12)
-    WB_Alu(13, Lsl)
-    WB_Alu(14, Add)
-    WB_Mov(15)
-    WB_Ldr(16)
-    WB_Alu(17, Add)
-    WB_MovImm(18)
-    WARIO_RETIRE(19);
-  }
-  DISPATCH();
-
-  FK_CASE(TrSha9) {
-    WB_LdrSlot(0)
-    WB_Mov(1)
-    WB_LdrSlot(2)
-    WB_Mov(3)
-    WB_LdrSlot(4)
-    WB_Mov(5)
-    WB_LdrSlot(6)
-    WB_Mov(7)
-    WB_LdrSlot(8)
-    WB_Mov(9)
-    WB_StrSlot(10, 15)
-    WB_LdrSlot(11)
-    WARIO_RETIRE(12);
-  }
-  DISPATCH();
-
-#define WBODY_TrSha11                                                          \
-    WB_Alu(0, And)                                                             \
-    WB_Alu(1, And)                                                             \
-    WB_Alu(2, Orr)                                                             \
-    WB_Alu(3, And)
-
-  FK_CASE(TrSha11) {
-    WBODY_TrSha11
-    WARIO_RETIRE(4);
-  }
-  DISPATCH();
-
-  FK_CASE(TrSha12) {
-    WBODY_TrSha11
-    WB_Alu(4, Orr)
-    WB_Mov(5)
-    WARIO_RETIRE(6);
-  }
-  DISPATCH();
-
-  FK_CASE(TrSha13) {
-    WBODY_TrSha11
-    WB_Alu(4, Orr)
-    WB_Mov(5)
-    WB_MovImm(6)
-    WB_Mov(7)
-    WARIO_RETIRE_B(9);
   }
   DISPATCH();
 

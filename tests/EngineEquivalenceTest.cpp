@@ -11,9 +11,13 @@
 /// and for the weakened negative-control builds. Also covers the
 /// WARIO_ENGINE environment kill switch (unset resolves to threaded),
 /// mixed-engine snapshot record/replay in both directions, and the
-/// 16-bit SWAR WAR-stamp epoch wrap at 2^15.
+/// 16-bit SWAR WAR-stamp epoch wrap at 2^15. Random programs
+/// (RandomProgram.h) widen the instruction mix past the workloads': they
+/// form fusion groups no workload does.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "RandomProgram.h"
 
 #include "driver/Pipeline.h"
 #include "emu/PowerTrace.h"
@@ -182,6 +186,48 @@ TEST(EngineEquivalenceTest, WeakenedBuildsAreByteIdentical) {
       expectEngineIdentical(E, EO,
                             std::string(Name) + " @ fixed " +
                                 std::to_string(Budget));
+    }
+  }
+}
+
+/// Random programs under every environment plus the two rollback
+/// strategies, each run continuously (with the event trace) and under a
+/// fixed on-period derived from the seed.
+TEST(EngineEquivalenceTest, RandomProgramsAreByteIdentical) {
+  std::vector<std::pair<std::string, PipelineOptions>> Configs;
+  for (Environment Env : allEnvironments()) {
+    PipelineOptions PO;
+    PO.Env = Env;
+    Configs.emplace_back(environmentName(Env), PO);
+  }
+  for (CheckpointStrategy S : {CheckpointStrategy::Differential,
+                               CheckpointStrategy::Speculative}) {
+    PipelineOptions PO;
+    PO.Strat = S;
+    Configs.emplace_back(checkpointStrategyName(S), PO);
+  }
+  for (uint32_t Seed = 1; Seed <= 60; ++Seed) {
+    const std::string Source = test::RandomProgramGenerator(Seed).generate();
+    for (const auto &[Name, PO] : Configs) {
+      const std::string Tag = "seed " + std::to_string(Seed) + " @ " + Name;
+      DiagnosticEngine Diags;
+      std::unique_ptr<Module> M = compileC(Source, "fuzz", Diags);
+      ASSERT_TRUE(M) << Tag << ": " << Diags.formatAll();
+      MModule MM = compile(*M, PO);
+      Emulator E(MM);
+      const bool Plain = PO.Env == Environment::PlainC;
+      EmulatorOptions EO;
+      EO.CollectEventTrace = true;
+      EO.WarIsFatal = !Plain;
+      EmulatorResult R = expectEngineIdentical(E, EO, Tag);
+      EXPECT_TRUE(R.Ok) << Tag << ": " << R.Error;
+      // Without checkpoints a failure restarts the program, so the
+      // uninstrumented build runs continuously only.
+      if (Plain)
+        continue;
+      EmulatorOptions Fixed;
+      Fixed.Power = PowerSchedule::fixed(2500 + (Seed * 137) % 5000);
+      expectEngineIdentical(E, Fixed, Tag + " @ fixed");
     }
   }
 }

@@ -20,7 +20,11 @@
 #      built with them), so this is the only pass in which assert-only
 #      invariants — the hitting sets covering every WAR, the register
 #      allocator's retry — are checked;
-#   6. release-configuration pass: build -DCMAKE_BUILD_TYPE=Release and
+#   6. ubsan pass: a RelWithDebInfo tree compiled and linked with
+#      -fsanitize=undefined -fno-sanitize-recover=undefined runs the full
+#      suite, so any undefined behaviour (signed overflow, misaligned or
+#      out-of-range access, bad shifts) fails the test that reached it;
+#   7. release-configuration pass: build -DCMAKE_BUILD_TYPE=Release and
 #      run the `asan`-, `engine`-, `placement`- and `strategy`-labeled
 #      subsets there
 #      plus a one-workload bench smoke. This is the benchmarks'
@@ -28,7 +32,7 @@
 #      there (assert-side-effects, codepaths that only assert-guard an
 #      invariant, such as the hitting set covering every WAR) and broken
 #      release benchmark binaries before a BENCH recording does;
-#   7. re-run the docs lint standalone so a docs-only failure is
+#   8. re-run the docs lint standalone so a docs-only failure is
 #      reported even if a build step above broke first.
 #
 # The default-tree pass includes the `crash` label (the fault-injection
@@ -37,8 +41,8 @@
 # a quick local pre-push check.
 #
 # Usage: tools/ci.sh [build-root]   (default: build; the other trees go
-# to <build-root>/tsan, <build-root>/asan, <build-root>/assert and
-# <build-root>/release)
+# to <build-root>/tsan, <build-root>/asan, <build-root>/assert,
+# <build-root>/ubsan and <build-root>/release)
 
 set -eu
 
@@ -83,6 +87,13 @@ cmake -B "$build/assert" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build "$build/assert" -j "$jobs"
 ctest --test-dir "$build/assert" --output-on-failure -j "$jobs" -LE crash
+
+echo "==> ubsan build (RelWithDebInfo, -fsanitize=undefined) + full suite"
+ubsan_flags="-fsanitize=undefined -fno-sanitize-recover=undefined"
+cmake -B "$build/ubsan" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="$ubsan_flags" -DCMAKE_EXE_LINKER_FLAGS="$ubsan_flags"
+cmake --build "$build/ubsan" -j "$jobs"
+ctest --test-dir "$build/ubsan" --output-on-failure -j "$jobs" $label_excludes
 
 echo "==> release build + asan/engine/placement/strategy subsets + bench smoke"
 cmake -B "$build/release" -S "$root" -DCMAKE_BUILD_TYPE=Release
