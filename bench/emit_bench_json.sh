@@ -32,9 +32,6 @@
 # repetitions) — the cross-run protocol used through PR-9 let
 # background-load swings land on one side of the ratio only, inflating
 # or deflating it by tens of percent on this 1-vCPU container.
-# The snapshot is also diffed against the most recent prior
-# BENCH_pr*.json: any shared benchmark family regressing >10% puts a
-# warning block in context.notes (advisory only, never a failure).
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -77,12 +74,6 @@ trap 'rm -f "$EMU_JSON" "$ENG_JSON" "$COMP_JSON" "$LOADGEN_JSON" "$STRAT_JSON"' 
   --benchmark_format=json --benchmark_min_time=0.2 > "$ENG_JSON"
 "$BUILD/bench/micro_compiler" --benchmark_format=json \
   --benchmark_min_time=0.2 > "$COMP_JSON"
-
-# Most recent prior snapshot for the regression guard (empty when this
-# is the first recording or the only snapshot is the one being
-# rewritten).
-PREV_JSON=$(ls "$ROOT"/BENCH_pr*.json 2>/dev/null | grep -v "BENCH_${TAG}.json" \
-  | sort -V | tail -1 || true)
 
 # A non-Release recording understates every number and poisons the
 # perf trajectory across PRs (BENCH_pr5.json and BENCH_pr6.json were
@@ -193,8 +184,8 @@ EOF
 
 OUT="$ROOT/BENCH_${TAG}.json"
 python3 - "$EMU_JSON" "$COMP_JSON" "$E2E" "$CRASH_ON" "$CRASH_OFF" \
-    "$OUT" "$LOADGEN_JSON" "$STRAT_JSON" "$PREV_JSON" "$ENG_JSON" <<'EOF'
-import json, statistics, sys
+    "$OUT" "$LOADGEN_JSON" "$STRAT_JSON" "$ENG_JSON" <<'EOF'
+import json, sys
 emu, comp = (json.load(open(p)) for p in sys.argv[1:3])
 merged = emu
 if merged["context"].get("wario_build_type") != "Release":
@@ -218,7 +209,7 @@ notes = []
 # each repetition's invocation, and the median absorbs the
 # sample-to-sample load swings a single 0.2 s run is exposed to.
 eng = {}
-for b in json.load(open(sys.argv[10]))["benchmarks"]:
+for b in json.load(open(sys.argv[9]))["benchmarks"]:
     n = b.get("name", "")
     if b.get("aggregate_name") == "median" and "insts/s" in b:
         _, _, engine, w = n.removesuffix("_median").split("_", 3)
@@ -236,7 +227,6 @@ if threaded:
         f"{'met' if bar >= 5.0 else 'not met'}. Ratios recorded through "
         "PR-9 came from separate interp/threaded runs and carry "
         "cross-run load noise; they are not comparable to these.")
-prev = json.load(open(sys.argv[9])) if sys.argv[9] else None
 merged["benchmarks"].append({
     "name": "fig4_table3_single_thread",
     "run_type": "aggregate",
@@ -282,58 +272,6 @@ merged["benchmarks"].append({
     "time_unit": "ns",
     "checkpoints_executed": st["counts"],
 })
-# Regression guard: diff every benchmark name shared with the most
-# recent prior snapshot, grouped into coarse families, and flag any
-# family whose *median* member regressed by more than 10%. Median, not
-# worst: on a 1-vCPU container a single benchmark can swing 20% from
-# background load alone, but half a family moving together is a real
-# signal. Advisory only — the warning lands in context.notes and on
-# stderr, never in the exit status.
-def family(name):
-    if name.startswith(("BM_Engine_", "BM_Emulator", "BM_Snapshot",
-                        "BM_LateCrash")):
-        return "emulator"
-    return {"fig4_table3_single_thread": "e2e",
-            "verify_crash_single_thread": "crash",
-            "serve_loadgen": "loadgen",
-            "strategy_checkpoint_counts": "strategy"}.get(name, "compiler")
-
-def metric(b):
-    """(value, higher_is_better) for the benchmark's primary number."""
-    if "insts/s" in b:
-        return b["insts/s"], True
-    if "requests_per_second" in b:
-        return b["requests_per_second"], True
-    if "real_time" in b:
-        return b["real_time"], False
-    return None
-
-if prev:
-    old = {b["name"]: b for b in prev.get("benchmarks", []) if "name" in b}
-    fams = {}
-    for b in merged["benchmarks"]:
-        ob = old.get(b.get("name"))
-        if not ob:
-            continue
-        new_m, old_m = metric(b), metric(ob)
-        if not new_m or not old_m or new_m[1] != old_m[1] or not old_m[0]:
-            continue
-        v_new, higher = new_m
-        v_old = old_m[0]
-        reg = (v_old - v_new) / v_old if higher else (v_new - v_old) / v_old
-        fams.setdefault(family(b["name"]), []).append(100.0 * reg)
-    warns = []
-    for fam, regs in sorted(fams.items()):
-        med = statistics.median(regs)
-        if med > 10.0:
-            warns.append(f"{fam} median -{med:.0f}% across {len(regs)} "
-                         f"shared benchmarks")
-    if warns:
-        import os
-        w = (f"WARNING: vs {os.path.basename(sys.argv[9])}, regressed "
-             f">10%: {'; '.join(warns)} (1-vCPU container, advisory).")
-        notes.append(w)
-        print(w, file=sys.stderr)
 if notes:
     merged["context"]["notes"] = " ".join(notes)
 json.dump(merged, open(sys.argv[6], "w"), indent=1)

@@ -96,8 +96,9 @@ EmulatorResult Machine::run(const std::string &Entry) {
   CurEntry = Entry;
   prepareScratch();
 
-  // Every strategy runs threaded: the engine's access and commit fast
-  // paths keep the strategy journals exactly as the member paths do.
+  // Every strategy runs threaded: the engine's access fast paths keep
+  // the strategy journals exactly as the member paths do, and its
+  // checkpoints commit through commitCheckpoint.
   UseThreaded =
       resolveEngine(Opts.Engine) != EngineKind::Interp && !P.Fast.empty();
   if (Strat == CheckpointStrategy::Differential)
@@ -393,12 +394,6 @@ uint32_t Machine::rawLoad(uint32_t Addr) {
   return V;
 }
 
-void Machine::rawStore(uint32_t Addr, uint32_t V) {
-  noteWrite(Addr, 4);
-  for (unsigned I = 0; I != 4; ++I)
-    Scr.Mem[Addr + I] = uint8_t(V >> (8 * I));
-}
-
 // --- Snapshots -----------------------------------------------------------------
 /// A chain's recorded configuration serves a replay under Opts when
 /// every option that influences the pre-divergence execution prefix
@@ -692,20 +687,34 @@ void Machine::reboot() {
   RegionFresh = true;
 }
 
+/// The one checkpoint commit, for both engines (the threaded loop
+/// flushes its locals, calls this, and reloads): r0-r14 and the resume
+/// pc go to the buffer the active word does not name, then the word
+/// flips to it.
 void Machine::commitCheckpoint(CheckpointCause Cause) {
   uint64_t CommitBegin = ActiveSinceBoot;
-  uint32_t Active = rawLoad(CkptActiveWord);
-  uint32_t Buf = (Active == 1) ? CkptBuf1 : CkptBuf0;
-  for (int R = 0; R != 15; ++R)
-    rawStore(Buf + 4 * unsigned(R), Regs[R]);
-  rawStore(Buf + 4 * 15, Pc); // Resume after this instruction.
-  rawStore(CkptActiveWord, (Active == 1) ? 2 : 1);
-  spend(cycles::Checkpoint);
-  if (Strat == CheckpointStrategy::Differential) {
-    // Commit only what the region dirtied: one flush per journal page
-    // on top of the register save, then the journal resets.
-    spend(uint64_t(DiffPages.size()) * cycles::DiffPageCommit);
+  uint8_t *const Mem = Scr.Mem.data();
+  const uint32_t Active = rawLoad(CkptActiveWord);
+  const uint32_t Buf = (Active == 1) ? CkptBuf1 : CkptBuf0;
+  const uint32_t NewActive = (Active == 1) ? 2 : 1;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  std::memcpy(Mem + Buf, Regs, 15 * 4);
+  std::memcpy(Mem + Buf + 60, &Pc, 4); // Resume after this instruction.
+  std::memcpy(Mem + CkptActiveWord, &NewActive, 4);
+#else
+  for (unsigned B = 0; B != 4; ++B) {
+    for (int R = 0; R != 15; ++R)
+      Mem[Buf + 4 * unsigned(R) + B] = uint8_t(Regs[R] >> (8 * B));
+    Mem[Buf + 60 + B] = uint8_t(Pc >> (8 * B));
+    Mem[CkptActiveWord + B] = uint8_t(NewActive >> (8 * B));
   }
+#endif
+  noteWrite(Buf, 64);
+  noteWrite(CkptActiveWord, 4);
+  // The register save, and under differential one flush per journal
+  // page (only what the region dirtied); then the journals reset.
+  spend(cycles::Checkpoint +
+        uint64_t(DiffPages.size()) * cycles::DiffPageCommit);
   clearStrategyJournals();
 
   ++Res.CheckpointsExecuted;

@@ -152,9 +152,8 @@ public:
   void storeMem(uint32_t Addr, unsigned Size, uint32_t V,
                 bool Logged = false);
 
-  /// Raw word access bypassing the monitor (checkpoint machinery).
+  /// Raw word load bypassing the monitor (checkpoint machinery).
   uint32_t rawLoad(uint32_t Addr);
-  void rawStore(uint32_t Addr, uint32_t V);
 
   // --- Strategy runtimes (docs/STRATEGIES.md) ---------------------------------
   /// Differential: saves a pristine copy of every page the region is
@@ -210,12 +209,13 @@ public:
   void step();
 
   /// Direct-threaded fast loop (ThreadedEngine.cpp): executes fused
-  /// groups until ActiveSinceBoot would reach \p Limit, the region goes
-  /// stale for the outer loop (checkpoint under recording/splicing), or
-  /// the run ends. The caller guarantees Limit is at least FusedCostLimit
-  /// under the next interpreter-visible event cycle, so no event can
-  /// fire at a group-interior instruction boundary. Runs every
-  /// checkpoint strategy, with the strategy runtimes below.
+  /// groups until ActiveSinceBoot would reach \p Limit, a checkpoint
+  /// commits under ExitOnCommit, or the run ends. Every checkpoint
+  /// commits through commitCheckpoint. The caller guarantees Limit is
+  /// at least FusedCostLimit under the next interpreter-visible event
+  /// cycle, so no event can fire at a group-interior instruction
+  /// boundary. Runs every checkpoint strategy, with the strategy
+  /// runtimes below.
   void runThreaded(uint64_t Limit);
 
   /// The earliest active-cycle at which an outer-loop event could fire:
@@ -266,9 +266,9 @@ public:
   /// Resolved engine choice for this run (run() sets it; the threaded
   /// loop additionally requires a non-empty fused stream).
   bool UseThreaded = false;
-  /// The threaded loop must return to the outer loop at every
+  /// The threaded loop must return to the outer loop after every
   /// checkpoint commit (snapshot cadence under recording, splice
-  /// matching under replay); otherwise it may continue in-loop.
+  /// matching under replay); otherwise it continues in-loop.
   bool ExitOnCommit = false;
 
   // Recording state.

@@ -36,9 +36,9 @@
 ///    (recordAccess returns before stamping) and a region's first store
 ///    to a page journals it (diffJournal); under speculative the stamps
 ///    work as for idempotent, and logged stores bail so step() runs
-///    them through storeMem. An in-loop commit pays the differential
-///    per-page commit cost and clears both journals, as
-///    commitCheckpoint does.
+///    them through storeMem. A Checkpoint flushes the locals, commits
+///    through commitCheckpoint itself (the one commit both engines
+///    share) and reloads, leaving the loop only under ExitOnCommit.
 ///
 /// Handler bodies are composed from per-component WB_* macros: WB_X(k)
 /// executes component k of the group the cursor points at, reading its
@@ -296,11 +296,6 @@ void Machine::runThreaded(uint64_t Limit) {
   uint8_t *const Mem = Scr.Mem.data();
   uint16_t *const Acc = Scr.Access.data();
   const bool Trace = Opts.CollectEventTrace;
-  // Checkpoint commits may stay in-loop (no flush/member-call round
-  // trip) only when nothing observes the intermediate machine state:
-  // no snapshot recorder or splicer, and no per-region collection.
-  const bool FastCommit = !ExitOnCommit && !Chain && !Plan &&
-                          !Opts.CollectRegionSizes && !Opts.CollectEventTrace;
   // Differential runs without the WAR monitor (recordAccess returns
   // before stamping): zero stamp masks make the SWAR checks below pass
   // without touching a stamp, and the page journal rides on the store
@@ -338,7 +333,7 @@ void Machine::runThreaded(uint64_t Limit) {
   const FastInst *J = Fast + (Pc & ~CodeAddrBit);
 
   // The SWAR stamp patterns, hoisted out of every access: they only
-  // change with the epoch (reload and in-loop checkpoint commits).
+  // change with the epoch, which reload() picks up.
   constexpr uint64_t Lanes = 0x0001000100010001ull;
   uint64_t RPat = Lanes * WantR;
   uint64_t WPat = RPat | Lanes;
@@ -705,76 +700,14 @@ dispatch:
     CheckpointCause C = CheckpointCause(J->Aux);
     ++Insts;
     ++J; // The committed resume point is *after* this instruction.
-    if (FastCommit) {
-      // Inline commit in lockstep with commitCheckpoint(): the member
-      // routine plus its flush/reload round trip costs ~1/5 of
-      // call-heavy workloads (measured on AES). Only reachable when
-      // nobody observes the intermediate state (no recorder, splicer,
-      // region-size or event collection), so the flush can wait.
-      uint32_t AW;
-      std::memcpy(&AW, Mem + CkptActiveWord, 4);
-      const uint32_t Buf = (AW == 1) ? CkptBuf1 : CkptBuf0;
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-      std::memcpy(Mem + Buf, R, 15 * 4);
-#else
-      for (int Ri = 0; Ri != 15; ++Ri)
-        for (unsigned B = 0; B != 4; ++B)
-          Mem[Buf + 4 * unsigned(Ri) + B] = uint8_t(R[Ri] >> (8 * B));
-#endif
-      const uint32_t RPc = CodeAddrBit | uint32_t(J - Fast);
-      const uint32_t NewAW = (AW == 1) ? 2u : 1u;
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-      std::memcpy(Mem + Buf + 60, &RPc, 4);
-      std::memcpy(Mem + CkptActiveWord, &NewAW, 4);
-#else
-      for (unsigned B = 0; B != 4; ++B) {
-        Mem[Buf + 60 + B] = uint8_t(RPc >> (8 * B));
-        Mem[CkptActiveWord + B] = uint8_t(NewAW >> (8 * B));
-      }
-#endif
-      noteWrite(Buf, 64); // Same pages rawStore would dirty.
-      noteWrite(CkptActiveWord, 4);
-      // flush()'s delta plus the commit's spend(), folded: the register
-      // save, and under differential one flush per journaled page.
-      const uint64_t CC = cycles::Checkpoint + uint64_t(DiffPages.size()) *
-                                                   cycles::DiffPageCommit;
-      const uint64_t D = Active - LastSync + CC;
-      Active += CC;
-      clearStrategyJournals();
-      Res.TotalCycles += D;
-      CyclesSinceIrq += D;
-      LastSync = Active;
-      ++Res.CheckpointsExecuted;
-      switch (C) {
-      case CheckpointCause::MiddleEndWar: ++Res.Causes.MiddleEndWar; break;
-      case CheckpointCause::BackendSpill: ++Res.Causes.BackendSpill; break;
-      case CheckpointCause::FunctionEntry: ++Res.Causes.FunctionEntry; break;
-      case CheckpointCause::FunctionExit: ++Res.Causes.FunctionExit; break;
-      }
-      RegionStartCycles = Res.TotalCycles;
-      // clearFirstAccess() inline, plus the stamp-key refresh reload()
-      // would have done.
-      if (++Scr.Epoch >= 0x8000u) {
-        std::fill(Scr.Access.begin(), Scr.Access.end(), uint16_t(0));
-        Scr.Epoch = 1;
-      }
-      WantR = Scr.Epoch << 1;
-      WantW = WantR | 1u;
-      RPat = Lanes * WantR;
-      WPat = RPat | Lanes;
-      ProgressThisBoot = true;
-      // RegionFresh stays false: unobserved under the FastCommit gate,
-      // and the next dispatch makes it stale anyway.
-    } else {
-      flush();
-      commitCheckpoint(C);
-      reload(); // Commit cycles + the fresh region epoch.
-      if (ExitOnCommit)
-        goto out; // Snapshot cadence / splice matching run out there.
-      // Unobserved between here and the next instruction (no recorder,
-      // no splicer), and the next dispatch makes it stale anyway.
-      RegionFresh = false;
-    }
+    flush();
+    commitCheckpoint(C);
+    reload(); // Commit cycles + the fresh region epoch.
+    if (ExitOnCommit)
+      goto out; // Snapshot cadence / splice matching run out there.
+    // Unobserved between here and the next instruction (no recorder,
+    // no splicer), and the next dispatch makes it stale anyway.
+    RegionFresh = false;
   }
   DISPATCH();
 

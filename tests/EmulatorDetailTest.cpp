@@ -10,8 +10,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "emu/Emulator.h"
+#include "emu/ThreadedEngine.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace wario;
 
@@ -316,6 +319,53 @@ TEST(EmulatorDetailTest, CheckpointCausesAttributedExactly) {
   EXPECT_EQ(R.Causes.FunctionExit, 1u);
   EXPECT_EQ(R.CheckpointsExecuted, 5u);
   EXPECT_EQ(R.RegionSizes.size(), 5u);
+}
+
+TEST(EmulatorDetailTest, CheckpointDoubleBufferLayout) {
+  // Section 4.5's double buffer: a commit saves r0-r14 and the resume pc
+  // into the buffer the active word does not name, then flips the word.
+  // Active word 1 names buffer 0, 2 names buffer 1; a buffer holds r_i
+  // at +4*i and the resume pc at +60.
+  constexpr uint32_t ActiveWord = 0x100, Buf0 = 0x110, Buf1 = 0x160;
+  constexpr uint32_t CodeAddrBit = 0x80000000u;
+  for (EngineKind Engine : {EngineKind::Interp, EngineKind::Threaded}) {
+    for (unsigned Commits = 1; Commits <= 3; ++Commits) {
+      // Commit K runs with r0-r12 = K << 8 | i (sp and lr keep their boot
+      // values), and its Checkpoint is code index 14K - 1.
+      MBuilder B("main");
+      B.block("entry");
+      for (unsigned K = 1; K <= Commits; ++K) {
+        for (int Rn = R0; Rn <= R12; ++Rn)
+          B.movImm(Rn, K << 8 | unsigned(Rn));
+        B.checkpoint();
+      }
+      B.emit(MOp::Ret);
+      EmulatorOptions EO;
+      EO.Engine = Engine;
+      EmulatorResult R = emulate(B.module(), EO);
+      const std::string Tag = std::string(engineName(Engine)) + " after " +
+                              std::to_string(Commits) + " commits";
+      ASSERT_TRUE(R.Ok) << Tag << ": " << R.Error;
+      ASSERT_EQ(R.CheckpointsExecuted, Commits) << Tag;
+      EXPECT_EQ(R.readWord(ActiveWord), Commits % 2 ? 1u : 2u) << Tag;
+
+      // The last commit and the one before it fill opposite buffers:
+      // odd commits buffer 0, even commits buffer 1.
+      for (unsigned K = std::max(Commits, 2u) - 1; K <= Commits; ++K) {
+        const uint32_t Buf = K % 2 ? Buf0 : Buf1;
+        for (unsigned Rn = R0; Rn <= R12; ++Rn)
+          EXPECT_EQ(R.readWord(Buf + 4 * Rn), K << 8 | Rn)
+              << Tag << ": commit " << K << " r" << Rn;
+        EXPECT_EQ(R.readWord(Buf + 4 * SP), memmap::StackTop) << Tag;
+        EXPECT_EQ(R.readWord(Buf + 4 * LR), 0xFFFFFFFEu) << Tag;
+        EXPECT_EQ(R.readWord(Buf + 60), CodeAddrBit | (14 * K)) << Tag;
+      }
+      if (Commits == 1) {
+        for (uint32_t Off = 0; Off != 64; Off += 4)
+          EXPECT_EQ(R.readWord(Buf1 + Off), 0u) << Tag << ": +" << Off;
+      }
+    }
+  }
 }
 
 TEST(PowerTraceTest, SchedulesAreDeterministicAndSane) {

@@ -2,8 +2,10 @@
 # The one CI entry point (also what .github/workflows/ci.yml runs):
 #
 #   1. configure + build the default tree, run the full ctest suite;
-#   2. differential-engine pass: the `engine`-labeled equivalence suite
-#      (threaded engine vs interpreter oracle, every strategy) and the
+#   2. differential-engine pass: the `engine`-labeled suites (threaded
+#      engine vs interpreter oracle under every strategy, emulation
+#      results pinned to recorded values, the hand-built emulator
+#      tests) and the
 #      `strategy` suite (rollback-strategy crash campaigns, negative
 #      controls, and golden differences — docs/STRATEGIES.md) on the
 #      default tree and again under WARIO_ENGINE=interp, so the
