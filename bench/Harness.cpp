@@ -138,21 +138,10 @@ const char *wario::bench::strategyColName(CheckpointStrategy S) {
 
 namespace {
 
-std::unique_ptr<Module> buildIRorDie(const Workload &W) {
-  DiagnosticEngine Diags;
-  std::unique_ptr<Module> M = buildWorkloadIR(W, Diags);
-  if (!M) {
-    std::fprintf(stderr, "frontend failure on %s:\n%s\n", W.Name.c_str(),
-                 Diags.formatAll().c_str());
-    std::exit(1);
-  }
-  return M;
-}
-
-/// The harness's hard failure policy (shared by the cached and uncached
-/// paths): experiment regenerators have no use for partial data. The
-/// staged cache stores failures as data (the daemon turns them into
-/// error replies); here any cached error aborts the process.
+/// The harness's hard failure policy: experiment regenerators have no use
+/// for partial data. The staged cache stores failures as data (the daemon
+/// turns them into error replies); here any cached error aborts the
+/// process.
 void checkRunOrDie(const EmulatorResult &R, const std::string &Workload,
                    const PipelineOptions &PO) {
   if (!R.Ok) {
@@ -168,34 +157,7 @@ void checkRunOrDie(const EmulatorResult &R, const std::string &Workload,
   }
 }
 
-/// Emulates a compiled cell and enforces the failure policy (the
-/// uncached reference path; the staged store adds snapshot reuse).
-EmulatorResult emulateOrDie(const MModule &MM, const std::string &Workload,
-                            const PipelineOptions &PO,
-                            const EmulatorOptions &EOpts) {
-  EmulatorResult R = emulate(MM, serve::effectiveOptions(PO, EOpts));
-  checkRunOrDie(R, Workload, PO);
-  return R;
-}
-
 } // namespace
-
-RunResult wario::bench::runOne(const Workload &W, const MatrixCell &Cell) {
-  std::unique_ptr<Module> M = buildIRorDie(W);
-  RunResult R;
-  MModule MM = compile(*M, Cell.PO, &R.Pipeline);
-  R.TextBytes = MM.textSizeBytes();
-  R.Emu = emulateOrDie(MM, W.Name, Cell.PO, Cell.EO);
-  return R;
-}
-
-RunResult wario::bench::runOne(const Workload &W, Environment Env,
-                               const EmulatorOptions &EOpts,
-                               unsigned UnrollFactor) {
-  MatrixCell C = cell(W.Name, Env, UnrollFactor);
-  C.EO = EOpts;
-  return runOne(W, C);
-}
 
 //===----------------------------------------------------------------------===//
 // The staged store: serve::StagedCache + snapshot-chain reuse
@@ -399,16 +361,6 @@ wario::bench::runMatrix(const std::vector<MatrixCell> &Cells) {
 std::shared_ptr<const RunResult>
 wario::bench::cachedRun(const std::string &Name, Environment Env) {
   return globalCache().run(cell(Name, Env));
-}
-
-MModule wario::bench::compileOnly(const Workload &W, Environment Env,
-                                  PipelineStats *Stats,
-                                  unsigned UnrollFactor) {
-  std::unique_ptr<Module> M = buildIRorDie(W);
-  PipelineOptions PO;
-  PO.Env = Env;
-  PO.UnrollFactor = UnrollFactor;
-  return compile(*M, PO, Stats);
 }
 
 //===----------------------------------------------------------------------===//

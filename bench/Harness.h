@@ -131,26 +131,10 @@ ResultCache &globalCache();
 std::vector<std::shared_ptr<const RunResult>>
 runMatrix(const std::vector<MatrixCell> &Cells);
 
-/// Compiles \p W under \p Cell.PO and runs it to completion under
-/// \p Cell.EO, bypassing every cache (one fresh frontend-to-emulator
-/// pass). Aborts the process with a message on any failure — experiment
-/// regenerators have no use for partial data.
-RunResult runOne(const Workload &W, const MatrixCell &Cell);
-
-/// Back-compat convenience used by older regenerator code.
-RunResult runOne(const Workload &W, Environment Env,
-                 const EmulatorOptions &EOpts = {},
-                 unsigned UnrollFactor = 8);
-
 /// Process-lifetime cache of continuous-power runs (a view over
 /// globalCache()).
 std::shared_ptr<const RunResult> cachedRun(const std::string &Workload,
                                            Environment Env);
-
-/// Compiles only (no emulation); for code-size measurements.
-MModule compileOnly(const Workload &W, Environment Env,
-                    PipelineStats *Stats = nullptr,
-                    unsigned UnrollFactor = 8);
 
 /// Regenerator entry hook: parses harness flags. `--timing` prints a
 /// per-stage wall-clock and cache-hit summary to stderr when the process

@@ -25,13 +25,7 @@
 # committed BENCH_*.json by default. Point build-dir at a Release tree
 # (-DCMAKE_BUILD_TYPE=Release): BENCH_pr6.json was recorded from a debug
 # build (its context says debug_build=true), so its absolute emulator
-# numbers understate the engine and its engine-vs-interpreter ratios
-# were measured with asserts on. Engine ratios come from the same-run
-# BM_Engine_* matrix inside micro_emulator (each workload and strategy
-# pinned to interp / threaded within one binary invocation, median of 3
-# repetitions) — the cross-run protocol used through PR-9 let
-# background-load swings land on one side of the ratio only, inflating
-# or deflating it by tens of percent on this 1-vCPU container.
+# numbers understate the engine.
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -55,23 +49,13 @@ if [ ! -x "$BUILD/tools/wario_loadgen" ]; then
 fi
 
 EMU_JSON=$(mktemp)
-ENG_JSON=$(mktemp)
 COMP_JSON=$(mktemp)
 LOADGEN_JSON=""
 STRAT_JSON=""
-trap 'rm -f "$EMU_JSON" "$ENG_JSON" "$COMP_JSON" "$LOADGEN_JSON" "$STRAT_JSON"' EXIT
+trap 'rm -f "$EMU_JSON" "$COMP_JSON" "$LOADGEN_JSON" "$STRAT_JSON"' EXIT
 
 "$BUILD/bench/micro_emulator" --benchmark_format=json \
   --benchmark_min_time=0.2 > "$EMU_JSON"
-# Engine-ratio pass: the BM_Engine_* rows pin each workload to
-# interp / threaded inside one invocation, so the engine acceptance bar
-# is re-evaluated from ratios whose numerator and denominator share the
-# same run's machine noise — and from the
-# median of 3 repetitions, because a single 0.2 s sample on this
-# loaded 1-vCPU container can still swing a ratio by tens of percent.
-"$BUILD/bench/micro_emulator" --benchmark_filter='BM_Engine_' \
-  --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
-  --benchmark_format=json --benchmark_min_time=0.2 > "$ENG_JSON"
 "$BUILD/bench/micro_compiler" --benchmark_format=json \
   --benchmark_min_time=0.2 > "$COMP_JSON"
 
@@ -184,7 +168,7 @@ EOF
 
 OUT="$ROOT/BENCH_${TAG}.json"
 python3 - "$EMU_JSON" "$COMP_JSON" "$E2E" "$CRASH_ON" "$CRASH_OFF" \
-    "$OUT" "$LOADGEN_JSON" "$STRAT_JSON" "$ENG_JSON" <<'EOF'
+    "$OUT" "$LOADGEN_JSON" "$STRAT_JSON" <<'EOF'
 import json, sys
 emu, comp = (json.load(open(p)) for p in sys.argv[1:3])
 merged = emu
@@ -201,32 +185,6 @@ if "wario_build_type" in merged["context"]:
         merged["context"]["libbenchmark_build_type"] = lbt
 merged["benchmarks"] += comp["benchmarks"]
 
-notes = []
-
-# Engine-vs-interpreter insts/s ratios per workload (and strategy:
-# BM_Engine_<Engine>_<workload>[_diff|_spec]) from the median-of-3
-# aggregate pass (bar: threaded >= 5x). Both engines run inside
-# each repetition's invocation, and the median absorbs the
-# sample-to-sample load swings a single 0.2 s run is exposed to.
-eng = {}
-for b in json.load(open(sys.argv[9]))["benchmarks"]:
-    n = b.get("name", "")
-    if b.get("aggregate_name") == "median" and "insts/s" in b:
-        _, _, engine, w = n.removesuffix("_median").split("_", 3)
-        eng.setdefault(w.upper(), {})[engine] = b["insts/s"]
-threaded = {w: round(r["Threaded"] / r["Interp"], 2)
-            for w, r in eng.items() if "Threaded" in r and "Interp" in r}
-bt = merged["context"].get("wario_build_type")
-if threaded:
-    merged["context"]["engine_vs_interp_insts_per_s"] = threaded
-    bar = min(threaded.values())
-    notes.append(
-        f"PR-6 bar (threaded engine >= 5x interpreter insts/s), "
-        f"re-evaluated on this {bt} build from the same-run engine "
-        f"matrix: min ratio {bar}x across {'/'.join(threaded)} -> "
-        f"{'met' if bar >= 5.0 else 'not met'}. Ratios recorded through "
-        "PR-9 came from separate interp/threaded runs and carry "
-        "cross-run load noise; they are not comparable to these.")
 merged["benchmarks"].append({
     "name": "fig4_table3_single_thread",
     "run_type": "aggregate",
@@ -272,8 +230,6 @@ merged["benchmarks"].append({
     "time_unit": "ns",
     "checkpoints_executed": st["counts"],
 })
-if notes:
-    merged["context"]["notes"] = " ".join(notes)
 json.dump(merged, open(sys.argv[6], "w"), indent=1)
 diffs = st["counts"].get("coremark", {})
 print(f"wrote {sys.argv[6]} (fig4+table3 single-thread: {sys.argv[3]}s; "

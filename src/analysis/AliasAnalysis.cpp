@@ -166,41 +166,9 @@ MemLocation AliasAnalysis::decompose(const Value *Addr,
   return Loc; // Loads, calls, arithmetic results: unknown.
 }
 
-MemLocation AliasAnalysis::getLocation(const Value *Addr) const {
-  if (!CacheEnabled)
-    return decompose(Addr, 0);
-  auto It = LocationCache.find(Addr);
-  if (It != LocationCache.end())
-    return It->second;
-  MemLocation Loc = decompose(Addr, 0);
-  LocationCache.emplace(Addr, Loc);
-  return Loc;
-}
-
 AliasResult AliasAnalysis::alias(const Value *AddrA, uint8_t SizeA,
                                  const Value *AddrB, uint8_t SizeB,
                                  bool CrossIteration) const {
-  if (!CacheEnabled)
-    return aliasUncached(AddrA, SizeA, AddrB, SizeB, CrossIteration);
-  // alias() is symmetric in its two accesses, so canonicalize the key:
-  // lower pointer first (sizes travel with their address; tie-break on
-  // size when both addresses are the same Value).
-  QueryKey K{AddrA, AddrB, SizeA, SizeB, CrossIteration};
-  if (AddrB < AddrA || (AddrA == AddrB && SizeB < SizeA)) {
-    std::swap(K.A, K.B);
-    std::swap(K.SizeA, K.SizeB);
-  }
-  auto It = QueryCache.find(K);
-  if (It != QueryCache.end())
-    return It->second;
-  AliasResult R = aliasUncached(AddrA, SizeA, AddrB, SizeB, CrossIteration);
-  QueryCache.emplace(K, R);
-  return R;
-}
-
-AliasResult AliasAnalysis::aliasUncached(const Value *AddrA, uint8_t SizeA,
-                                         const Value *AddrB, uint8_t SizeB,
-                                         bool CrossIteration) const {
   if (AddrA == AddrB && !CrossIteration)
     return SizeA == SizeB ? AliasResult::MustAlias : AliasResult::MayAlias;
 

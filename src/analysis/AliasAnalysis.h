@@ -23,9 +23,6 @@
 
 #include "ir/Function.h"
 
-#include <unordered_map>
-#include <unordered_set>
-
 namespace wario {
 
 enum class AliasResult { NoAlias, MayAlias, MustAlias };
@@ -53,33 +50,23 @@ struct MemLocation {
 
 /// Per-function alias queries at a configurable precision.
 ///
-/// Queries are pure functions of the IR, so results are memoized: address
-/// decompositions per Value, and pair verdicts per canonicalized
-/// (AddrA, SizeA, AddrB, SizeB, CrossIteration) key — alias() is
-/// symmetric, so (A, B) and (B, A) share one entry. MemoryDependence's
-/// WAR search therefore never re-computes a query it (or any earlier
-/// pass holding the same AliasAnalysis) already issued. The caches key
-/// on Value pointers: invalidate() (or a fresh AliasAnalysis) is required
-/// after the IR is mutated. Instances are not thread-safe; use one per
-/// thread.
+/// The analysis holds nothing but its precision: getLocation() decomposes
+/// the address and alias() computes the verdict on every call. Queries
+/// are pure functions of the IR, so an instance stays valid across IR
+/// mutation and may be shared between threads.
 class AliasAnalysis {
 public:
-  explicit AliasAnalysis(AliasPrecision P, bool EnableCache = true)
-      : Precision(P), CacheEnabled(EnableCache) {}
+  explicit AliasAnalysis(AliasPrecision P) : Precision(P) {}
 
   AliasPrecision getPrecision() const { return Precision; }
 
-  /// Drops all memoized results (call after mutating the IR).
-  void invalidate() const {
-    LocationCache.clear();
-    QueryCache.clear();
+  /// Decomposes the address \p Addr (as used by a load/store).
+  MemLocation getLocation(const Value *Addr) const {
+    return decompose(Addr, 0);
   }
 
-  /// Decomposes the address \p Addr (as used by a load/store).
-  MemLocation getLocation(const Value *Addr) const;
-
   /// May/must/no-alias verdict for two accesses of \p SizeA and \p SizeB
-  /// bytes at the given addresses.
+  /// bytes at the given addresses. Symmetric in the two accesses.
   ///
   /// \p CrossIteration matters when address expressions involve loop-
   /// variant values: with it set, the two accesses may execute in
@@ -96,37 +83,8 @@ public:
 
 private:
   MemLocation decompose(const Value *Addr, unsigned Depth) const;
-  AliasResult aliasUncached(const Value *AddrA, uint8_t SizeA,
-                            const Value *AddrB, uint8_t SizeB,
-                            bool CrossIteration) const;
-
-  /// Canonicalized pair-query key: the lower pointer first (alias() is
-  /// symmetric), sizes in matching order, plus the cross-iteration flag.
-  struct QueryKey {
-    const Value *A;
-    const Value *B;
-    uint8_t SizeA;
-    uint8_t SizeB;
-    bool Cross;
-    bool operator==(const QueryKey &O) const {
-      return A == O.A && B == O.B && SizeA == O.SizeA && SizeB == O.SizeB &&
-             Cross == O.Cross;
-    }
-  };
-  struct QueryKeyHash {
-    size_t operator()(const QueryKey &K) const {
-      size_t H = std::hash<const void *>()(K.A);
-      H = H * 1000003u ^ std::hash<const void *>()(K.B);
-      H = H * 1000003u ^
-          (size_t(K.SizeA) << 10 | size_t(K.SizeB) << 2 | size_t(K.Cross));
-      return H;
-    }
-  };
 
   AliasPrecision Precision;
-  bool CacheEnabled;
-  mutable std::unordered_map<const Value *, MemLocation> LocationCache;
-  mutable std::unordered_map<QueryKey, AliasResult, QueryKeyHash> QueryCache;
 };
 
 } // namespace wario

@@ -1,6 +1,6 @@
 #include "transforms/CheckpointInserter.h"
 
-#include "analysis/MemoryDependence.h"
+#include "analysis/WarDependence.h"
 #include "ir/IRBuilder.h"
 #include "support/WarPlacement.h"
 
@@ -30,8 +30,9 @@ wario::insertCheckpoints(Function &F, const CheckpointInserterOptions &Opts) {
   AliasAnalysis AA(Opts.Precision);
   DominatorTree DT(F);
   LoopInfo LI(F, DT);
-  MemoryDependence MD(F, AA, LI);
-  Stats.WarsFound = unsigned(MD.deps().size());
+  CFGReachability Reach(F, LI);
+  std::vector<MemDep> Wars = findWars(F, AA, LI, Reach);
+  Stats.WarsFound = unsigned(Wars.size());
 
   // The function's instructions as program points, blocks numbered as in
   // CFGReachability; instruction ids are dense, so points are looked up
@@ -54,10 +55,10 @@ wario::insertCheckpoints(Function &F, const CheckpointInserterOptions &Opts) {
   std::vector<const MemDep *> Unresolved;
   CutFreeFlood Flood(L);
   const Instruction *Read = nullptr;
-  for (const MemDep &D : MD.deps()) {
+  for (const MemDep &D : Wars) {
     if (D.Src != Read) {
       Read = D.Src;
-      Flood.from(PosOf[Read->getId()], MD.reachability());
+      Flood.from(PosOf[Read->getId()], Reach);
     }
     if (Flood.reaches(PosOf[D.Dst->getId()]))
       Unresolved.push_back(&D);

@@ -1,7 +1,6 @@
 #include "transforms/LoopWriteClusterer.h"
 
-
-#include "analysis/MemoryDependence.h"
+#include "analysis/WarDependence.h"
 #include "ir/IRBuilder.h"
 #include "ir/Cloning.h"
 #include "transforms/LoopUnroller.h"
@@ -26,12 +25,9 @@ struct Analyses {
   LoopInfo LI;
   CFGReachability Reach;
 
-  /// The comma trick drops AA's memoized results before any re-query:
-  /// the rewrite that forced this rebuild may have deleted Values whose
-  /// pointers (the cache keys) a later allocation could reuse.
   Analyses(Function &F, const AliasAnalysis &AA)
-      : F(F), AA((AA.invalidate(), AA)), DT(F), PDT(F, /*Post=*/true),
-        LI(F, DT), Reach(F, LI) {}
+      : F(F), AA(AA), DT(F), PDT(F, /*Post=*/true), LI(F, DT),
+        Reach(F, LI) {}
 
   /// The WARs with both accesses inside \p L.
   std::vector<MemDep> warsIn(const Loop &L) const {

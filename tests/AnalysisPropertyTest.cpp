@@ -11,7 +11,7 @@
 
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
-#include "analysis/MemoryDependence.h"
+#include "analysis/WarDependence.h"
 #include "ir/IRBuilder.h"
 
 #include <gtest/gtest.h>
@@ -191,7 +191,7 @@ TEST_P(CFGSeeds, LoopInfoStructuralInvariants) {
       EXPECT_TRUE(L->contains(E));
       EXPECT_FALSE(L->contains(X));
     }
-    // Natural loops are nested or disjoint (MemoryDependence tests for a
+    // Natural loops are nested or disjoint (findWars tests for a
     // common loop by comparing outermost loops).
     for (Loop *O : LI.loops()) {
       bool Shared = false, OInL = true, LInO = true;

@@ -19,8 +19,8 @@
 
 #include "RandomProgram.h"
 
-#include "analysis/MemoryDependence.h"
 #include "analysis/Verifier.h"
+#include "analysis/WarDependence.h"
 #include "driver/Pipeline.h"
 #include "emu/Emulator.h"
 #include "frontend/Frontend.h"
@@ -95,10 +95,10 @@ void judgeWars(Function &F, AliasPrecision P, Fn Judge) {
   AliasAnalysis AA(P);
   DominatorTree DT(F);
   LoopInfo LI(F, DT);
-  MemoryDependence MD(F, AA, LI);
+  CFGReachability Reach(F, LI);
   const Instruction *Read = nullptr;
   std::vector<bool> Uncut;
-  for (const MemDep &D : MD.deps()) {
+  for (const MemDep &D : findWars(F, AA, LI, Reach)) {
     if (D.Src != Read) {
       Read = D.Src;
       Uncut = uncutFrom(Read);

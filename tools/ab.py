@@ -20,11 +20,13 @@ traced runs (default one) on the first of those seeds, in the same
 order. For every end-to-end metric the report gives each side's median
 [Q1, Q3], the candidate/base ratio of medians, the pairs the candidate
 won, and whether the medians differ by more than the base's
-interquartile range (IQR); for each `*.self_s` layer of the traced runs
-it gives the median seconds per operation. One traced run per side is
-at the mercy of the host's noise; take several to compare layers. Pick
-seeds you did not use while developing the change. The JSON written to
---out holds every run's values, all per-layer metrics included.
+interquartile range (IQR); for each per-layer time of the traced runs
+(every BENCHMARK.json per_layer metric in seconds but the trace.*
+totals) it gives the median seconds per operation. One traced run per
+side is at the mercy of the host's noise; take several to compare
+layers. Pick seeds you did not use while developing the change. The
+JSON written to --out holds every run's values, all per-layer metrics
+included.
 
 The script only reads perfbench/ and BENCHMARK.json.
 """
@@ -160,6 +162,8 @@ def main():
         fail("--pairs and --seconds must be positive")
     if args.traced_pairs > args.pairs:
         fail("--traced-pairs may not exceed --pairs")
+    layer_times = [m["name"] for m in bench["per_layer"]
+                   if m["unit"] == "s" and not m["name"].startswith("trace.")]
 
     try:
         base_rev = git("rev-parse", "--verify", args.base + "^{commit}")
@@ -222,8 +226,8 @@ def main():
             if s:
                 entry["end_to_end"][name] = s
 
-        # Layer self times are compared per operation: the faster side
-        # fits more operations into the same run length.
+        # Layer times are compared per operation: the faster side fits
+        # more operations into the same run length.
         traces = {"base": [], "candidate": []}
         for i, seed, side in interleave(sides, traced_seeds):
             print(f"ab: {workload} traced {i + 1}/{args.traced_pairs} "
@@ -238,8 +242,8 @@ def main():
             traces[side["name"]].append({
                 "ops": ops,
                 "metrics": layers,
-                "self_s_per_op": {k: v / ops for k, v in layers.items()
-                                  if k.endswith(".self_s") and ops},
+                "self_s_per_op": {k: layers[k] / ops for k in layer_times
+                                  if k in layers and ops},
             })
         entry["trace"]["runs"] = traces
         per_op = {}
@@ -287,7 +291,7 @@ def print_workload(workload, entry):
               f"  {'yes' if s['beyond_base_iqr'] else 'no'}")
     per_op = entry["trace"]["self_s_per_op"]
     if per_op:
-        print("  traced self time per operation (ms), median of "
+        print("  traced layer time per operation (ms), median of "
               f"{len(entry['trace']['runs']['base'])} run(s) per side:")
         for name, t in per_op.items():
             if not t or not (t["base"]["median"] or t["candidate"]["median"]):

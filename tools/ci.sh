@@ -28,10 +28,13 @@
 #      out-of-range access, bad shifts) fails the test that reached it;
 #   7. release-configuration pass: build -DCMAKE_BUILD_TYPE=Release and
 #      run the `asan`-, `engine`-, `placement`- and `strategy`-labeled
-#      subsets there
-#      plus a one-workload bench smoke. This is the benchmarks'
-#      configuration (-O3, NDEBUG); the pass catches bugs that show only
-#      there (assert-side-effects, codepaths that only assert-guard an
+#      subsets there, plus a one-workload microbenchmark smoke and the
+#      perfbench smoke (tools/perfbench_smoke.sh: every BENCHMARK.json
+#      workload for one second and compile_matrix once traced, each run
+#      required to report "correct": true; the benchmark builds under
+#      <build-root>/perfbench). This is the benchmarks' configuration
+#      (-O3, NDEBUG); the pass catches bugs that show only there
+#      (assert-side-effects, codepaths that only assert-guard an
 #      invariant, such as the hitting set covering every WAR) and broken
 #      release benchmark binaries before a BENCH recording does;
 #   8. re-run the docs lint standalone so a docs-only failure is
@@ -44,7 +47,7 @@
 #
 # Usage: tools/ci.sh [build-root]   (default: build; the other trees go
 # to <build-root>/tsan, <build-root>/asan, <build-root>/assert,
-# <build-root>/ubsan and <build-root>/release)
+# <build-root>/ubsan, <build-root>/release and <build-root>/perfbench)
 
 set -eu
 
@@ -97,7 +100,7 @@ cmake -B "$build/ubsan" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$build/ubsan" -j "$jobs"
 ctest --test-dir "$build/ubsan" --output-on-failure -j "$jobs" $label_excludes
 
-echo "==> release build + asan/engine/placement/strategy subsets + bench smoke"
+echo "==> release build + asan/engine/placement/strategy subsets + bench smokes"
 cmake -B "$build/release" -S "$root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build/release" -j "$jobs"
 ctest --test-dir "$build/release" --output-on-failure -j "$jobs" \
@@ -105,6 +108,7 @@ ctest --test-dir "$build/release" --output-on-failure -j "$jobs" \
 "$build/release/bench/micro_compiler" \
   --benchmark_filter='BM_Arena|BM_ModuleTeardown|BM_StageCloneModule' \
   --benchmark_min_time=0.05
+"$root/tools/perfbench_smoke.sh" "$build/perfbench"
 
 echo "==> docs lint"
 "$root/tools/check_docs.sh" "$root"
