@@ -1,13 +1,9 @@
 #include "Harness.h"
 
-#include "emu/Snapshot.h"
 #include "support/ThreadPool.h"
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <mutex>
 
 using namespace wario;
@@ -102,7 +98,7 @@ void wario::bench::initHarness(int argc, char **argv) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cells and the uncached reference path
+// Cells
 //===----------------------------------------------------------------------===//
 
 MatrixCell wario::bench::cell(const std::string &Workload, Environment Env,
@@ -157,151 +153,28 @@ void checkRunOrDie(const EmulatorResult &R, const std::string &Workload,
   }
 }
 
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// The staged store: serve::StagedCache + snapshot-chain reuse
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Snapshot chains are shared between a continuous-power cell (which
-/// records while it runs — see Emulator::record) and its power-schedule
-/// siblings (which resume from the governing snapshot of their first
-/// on-period — see Emulator::replay). The key is the cell configuration
-/// with the power schedule erased: two cells agree on it exactly when
-/// the recorded chain is compatible with the sibling's replay.
-struct ChainKey {
-  std::string Workload;
-  PipelineOptions PO;
-  EmulatorOptions EO; ///< Power normalized to continuous.
-  auto operator<=>(const ChainKey &) const = default;
-};
-
-/// A recorded golden run: the pre-decoded Emulator plus its snapshot
-/// chain. The emulator borrows the machine module from the compile-level
-/// entry, so the artifact pins that entry — the staged cache may evict
-/// it at any time, and shared ownership is what keeps replays valid.
-struct ChainArtifact {
-  std::shared_ptr<const serve::CompileResult> CR;
-  Emulator E;
-  SnapshotChain Chain;
-  explicit ChainArtifact(std::shared_ptr<const serve::CompileResult> C)
-      : CR(std::move(C)), E(CR->MM) {}
-};
-
-/// A chain slot: filled exactly once by the recording thread; replayers
-/// peek non-blockingly (tryGet) so scheduling can only change the wall
-/// clock, never the data.
-struct ChainSlot {
-  std::mutex M;
-  bool Ready = false;
-  std::shared_ptr<const ChainArtifact> Val;
-
-  void publish(std::shared_ptr<const ChainArtifact> Value) {
-    std::lock_guard<std::mutex> Lock(M);
-    Val = std::move(Value);
-    Ready = true;
-  }
-  std::shared_ptr<const ChainArtifact> tryGet() {
-    std::lock_guard<std::mutex> Lock(M);
-    return Ready ? Val : nullptr;
-  }
-};
+/// The staged store's configuration: the byte budget plus the --timing
+/// stage and hit hooks.
+serve::CacheConfig harnessConfig(size_t ByteBudget) {
+  serve::CacheConfig C;
+  C.ByteBudget = ByteBudget;
+  C.OnStage = [](serve::CacheStage S, double Seconds) {
+    addStage(stageFor(S), Seconds);
+  };
+  C.OnHit = [](serve::CacheLevel L, uint64_t N) {
+    addHits(Store(L), unsigned(N));
+  };
+  return C;
+}
 
 } // namespace
 
-struct ResultCache::Impl {
-  // Chain store first, cache last: the cache's Emulate hook reads the
-  // chain store, so it must be destroyed before the store it points at.
-  std::mutex ChainMutex;
-  std::map<ChainKey, std::shared_ptr<ChainSlot>> Chains;
-  serve::StagedCache Cache;
+//===----------------------------------------------------------------------===//
+// The staged store
+//===----------------------------------------------------------------------===//
 
-  explicit Impl(size_t ByteBudget) : Cache(config(ByteBudget)) {}
-
-  serve::CacheConfig config(size_t ByteBudget) {
-    serve::CacheConfig C;
-    C.ByteBudget = ByteBudget;
-    C.OnStage = [](serve::CacheStage S, double Seconds) {
-      addStage(stageFor(S), Seconds);
-    };
-    C.OnHit = [](serve::CacheLevel L, uint64_t N) {
-      addHits(Store(L), unsigned(N));
-    };
-    C.Emulate = [this](const std::shared_ptr<const serve::CompileResult> &CR,
-                       const serve::CacheRequest &R,
-                       const EmulatorOptions &EO) {
-      return emulateCell(CR, R, EO);
-    };
-    return C;
-  }
-
-  /// Cell emulation with snapshot reuse: a continuous-power cell records
-  /// a chain as a free by-product of its own run; a power-schedule
-  /// sibling resumes from the governing snapshot of its first on-period
-  /// instead of re-executing the shared continuous prefix from boot.
-  /// Results are byte-identical to plain emulate() on every path.
-  EmulatorResult
-  emulateCell(const std::shared_ptr<const serve::CompileResult> &CR,
-              const serve::CacheRequest &Req, const EmulatorOptions &EO) {
-    if (!snapshotsEnabled())
-      return emulate(CR->MM, EO);
-    ChainKey K{Req.Workload, Req.PO, EO};
-    K.EO.Power = PowerSchedule::continuous();
-    if (EO.Power.isContinuous()) {
-      std::shared_ptr<ChainSlot> S;
-      bool Mine = false;
-      {
-        std::lock_guard<std::mutex> Lock(ChainMutex);
-        auto [It, Inserted] = Chains.try_emplace(K);
-        if (Inserted)
-          It->second = std::make_shared<ChainSlot>();
-        S = It->second;
-        Mine = Inserted;
-      }
-      if (!Mine) // Identical cells dedupe upstream in the run store.
-        return emulate(CR->MM, EO);
-      auto A = std::make_shared<ChainArtifact>(CR);
-      EmulatorResult R = A->E.record(EO, SnapshotSchedule{}, A->Chain);
-      S->publish(A->Chain.valid()
-                     ? std::shared_ptr<const ChainArtifact>(std::move(A))
-                     : nullptr);
-      return R;
-    }
-    std::shared_ptr<ChainSlot> S;
-    {
-      std::lock_guard<std::mutex> Lock(ChainMutex);
-      auto It = Chains.find(K);
-      if (It != Chains.end())
-        S = It->second;
-    }
-    if (S) {
-      if (std::shared_ptr<const ChainArtifact> A = S->tryGet()) {
-        ReplayPlan Plan;
-        Plan.Chain = &A->Chain;
-        return A->E.replay(EO, Plan);
-      }
-    }
-    return emulate(CR->MM, EO);
-  }
-
-  std::shared_ptr<const RunResult> runChecked(const MatrixCell &C) {
-    std::shared_ptr<const RunResult> R =
-        Cache.run({/*Tenant=*/"", C.Workload, C.PO, C.EO});
-    if (!R->Error.empty()) {
-      std::fprintf(stderr, "%s\n", R->Error.c_str());
-      std::exit(1);
-    }
-    checkRunOrDie(R->Emu, C.Workload, C.PO);
-    return R;
-  }
-};
-
-// Out of line: Impl must be complete where the maps are destroyed.
 ResultCache::ResultCache(size_t ByteBudget)
-    : I(std::make_unique<Impl>(ByteBudget)) {}
-ResultCache::~ResultCache() = default;
+    : Cache(harnessConfig(ByteBudget)) {}
 
 std::vector<std::shared_ptr<const RunResult>>
 ResultCache::runMatrix(const std::vector<MatrixCell> &Cells) {
@@ -309,20 +182,26 @@ ResultCache::runMatrix(const std::vector<MatrixCell> &Cells) {
   // one key compute once, duplicates block on the producing slot, and
   // cells sharing a stage artifact build that stage exactly once).
   std::vector<std::shared_ptr<const RunResult>> Out(Cells.size());
-  parallelFor(Cells.size(),
-              [&](size_t J) { Out[J] = I->runChecked(Cells[J]); });
+  parallelFor(Cells.size(), [&](size_t J) { Out[J] = run(Cells[J]); });
   return Out;
 }
 
 std::shared_ptr<const RunResult> ResultCache::run(const MatrixCell &Cell) {
-  return I->runChecked(Cell);
+  std::shared_ptr<const RunResult> R =
+      Cache.run({/*Tenant=*/"", Cell.Workload, Cell.PO, Cell.EO});
+  if (!R->Error.empty()) {
+    std::fprintf(stderr, "%s\n", R->Error.c_str());
+    std::exit(1);
+  }
+  checkRunOrDie(R->Emu, Cell.Workload, Cell.PO);
+  return R;
 }
 
 std::shared_ptr<const CompileResult>
 ResultCache::compileCell(const std::string &Workload,
                          const PipelineOptions &PO) {
   std::shared_ptr<const CompileResult> R =
-      I->Cache.compileCell({/*Tenant=*/"", Workload, PO, {}});
+      Cache.compileCell({/*Tenant=*/"", Workload, PO, {}});
   if (!R->Error.empty()) {
     std::fprintf(stderr, "%s\n", R->Error.c_str());
     std::exit(1);
@@ -331,7 +210,7 @@ ResultCache::compileCell(const std::string &Workload,
 }
 
 serve::CacheCounters ResultCache::counters() const {
-  return I->Cache.counters();
+  return Cache.counters();
 }
 
 namespace {

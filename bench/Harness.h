@@ -8,15 +8,18 @@
 ///
 /// The store itself is serve::StagedCache (src/serve/Cache.h) — the same
 /// four-level staged cache behind the wario-served daemon, promoted out
-/// of this harness. This wrapper adds the pieces only regenerators want:
+/// of this harness; every cell emulates with plain emulate(), exactly as
+/// a daemon request does. This wrapper adds the pieces only regenerators
+/// want:
 ///
 ///  - a hard failure policy (regenerators have no use for partial data,
 ///    so any cached error aborts the process with a message),
-///  - snapshot-chain reuse (a continuous-power cell records a chain as a
-///    by-product of its run; power-schedule siblings replay from it
-///    instead of re-executing the shared prefix — results byte-identical
-///    to plain emulate() on every path),
 ///  - the --timing stage/hit accounting (initHarness).
+///
+/// Snapshot chains are not used here: a same-run A/B found that
+/// recording one per continuous-power cell, so that table3's
+/// power-schedule cells could resume from it, cost more than it saved
+/// (DESIGN.md §7.6).
 ///
 /// Results come back as shared_ptr: entries stay valid for as long as a
 /// caller holds them even if the cache evicts (globalCache() runs under
@@ -97,9 +100,6 @@ public:
   /// four cache levels (0 = unbounded; evicted entries recompute on the
   /// next request).
   explicit ResultCache(size_t ByteBudget = 0);
-  ~ResultCache();
-  ResultCache(const ResultCache &) = delete;
-  ResultCache &operator=(const ResultCache &) = delete;
 
   /// Computes every not-yet-cached cell in parallel and returns the
   /// results in cell order.
@@ -118,8 +118,7 @@ public:
   serve::CacheCounters counters() const;
 
 private:
-  struct Impl;
-  std::unique_ptr<Impl> I;
+  serve::StagedCache Cache;
 };
 
 /// The process-lifetime cache shared by all regenerators, bounded by

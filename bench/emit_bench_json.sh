@@ -7,9 +7,8 @@
 #   - the end-to-end single-threaded wall time of the fig4 + table3
 #     regenerators (the PR-2 acceptance metric; WARIO_JOBS=1 so the
 #     number measures artifact reuse, not parallelism),
-#   - the verify_crash campaign wall time with the snapshot/restore
-#     engine enabled vs disabled (WARIO_SNAPSHOTS=0) — the PR-5
-#     acceptance metric (target: >= 5x reduction),
+#   - the verify_crash campaign wall time (single-threaded, best of 3;
+#     the campaigns resume injected runs from snapshots, DESIGN.md §7.6),
 #   - the serving daemon's throughput: wario_loadgen against an
 #     in-process daemon (4 connections x 32 requests, mixed workloads),
 #     recording requests/s with p50/p99 latency and the shared cache's
@@ -99,28 +98,22 @@ print(f"{min(times):.3f}")
 EOF
 )
 
-# verify_crash campaign wall time, snapshots on (best-of-3) vs off
-# (single run — it is the multi-second baseline, so relative noise is
-# small). Single-threaded for the same reason as the E2E number above.
+# verify_crash campaign wall time, best-of-3, single-threaded for the
+# same reason as the E2E number above.
 CRASH=$(python3 - "$BUILD" <<'EOF'
 import subprocess, sys, time, os
 build = sys.argv[1]
 bin = os.path.join(build, "bench", "verify_crash")
-def run(snapshots, reps):
-    env = dict(os.environ, WARIO_JOBS="1", WARIO_SNAPSHOTS=snapshots)
-    times = []
-    for _ in range(reps):
-        t0 = time.monotonic()
-        subprocess.run([bin], env=env, stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL, check=True)
-        times.append(time.monotonic() - t0)
-    return min(times)
-on, off = run("1", 3), run("0", 1)
-print(f"{on:.3f} {off:.3f}")
+env = dict(os.environ, WARIO_JOBS="1")
+times = []
+for _ in range(3):
+    t0 = time.monotonic()
+    subprocess.run([bin], env=env, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL, check=True)
+    times.append(time.monotonic() - t0)
+print(f"{min(times):.3f}")
 EOF
 )
-CRASH_ON=${CRASH% *}
-CRASH_OFF=${CRASH#* }
 
 # Serving-daemon throughput: the loadgen spins an in-process daemon on a
 # temp socket, drives it with the deterministic request mix, and prints
@@ -167,8 +160,8 @@ json.dump({"wall_s": wall, "counts": counts}, open(out, "w"))
 EOF
 
 OUT="$ROOT/BENCH_${TAG}.json"
-python3 - "$EMU_JSON" "$COMP_JSON" "$E2E" "$CRASH_ON" "$CRASH_OFF" \
-    "$OUT" "$LOADGEN_JSON" "$STRAT_JSON" <<'EOF'
+python3 - "$EMU_JSON" "$COMP_JSON" "$E2E" "$CRASH" "$OUT" \
+    "$LOADGEN_JSON" "$STRAT_JSON" <<'EOF'
 import json, sys
 emu, comp = (json.load(open(p)) for p in sys.argv[1:3])
 merged = emu
@@ -193,18 +186,15 @@ merged["benchmarks"].append({
     "real_time": float(sys.argv[3]) * 1e9,
     "time_unit": "ns",
 })
-on, off = float(sys.argv[4]), float(sys.argv[5])
 merged["benchmarks"].append({
     "name": "verify_crash_single_thread",
     "run_type": "aggregate",
     "aggregate_name": "min",
     "iterations": 3,
-    "real_time": on * 1e9,
+    "real_time": float(sys.argv[4]) * 1e9,
     "time_unit": "ns",
-    "snapshots_disabled_real_time": off * 1e9,
-    "snapshot_speedup": off / on,
 })
-lg = json.load(open(sys.argv[7]))
+lg = json.load(open(sys.argv[6]))
 merged["benchmarks"].append({
     "name": "serve_loadgen",
     "run_type": "aggregate",
@@ -220,7 +210,7 @@ merged["benchmarks"].append({
     "cache_misses": lg["cache_misses"],
     "cache_evictions": lg["cache_evictions"],
 })
-st = json.load(open(sys.argv[8]))
+st = json.load(open(sys.argv[7]))
 merged["benchmarks"].append({
     "name": "strategy_checkpoint_counts",
     "run_type": "aggregate",
@@ -230,10 +220,10 @@ merged["benchmarks"].append({
     "time_unit": "ns",
     "checkpoints_executed": st["counts"],
 })
-json.dump(merged, open(sys.argv[6], "w"), indent=1)
+json.dump(merged, open(sys.argv[5], "w"), indent=1)
 diffs = st["counts"].get("coremark", {})
-print(f"wrote {sys.argv[6]} (fig4+table3 single-thread: {sys.argv[3]}s; "
-      f"verify_crash {on}s vs {off}s snapshots-off, {off / on:.1f}x; "
+print(f"wrote {sys.argv[5]} (fig4+table3 single-thread: {sys.argv[3]}s; "
+      f"verify_crash {sys.argv[4]}s; "
       f"loadgen {lg['rps']} req/s, p50 {lg['p50_ms']}ms, "
       f"p99 {lg['p99_ms']}ms; strategy table1 {st['wall_s']:.3f}s, "
       f"coremark ckpts {diffs})")

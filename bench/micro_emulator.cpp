@@ -180,7 +180,7 @@ void BM_SnapshotRecord_CRC(benchmark::State &State) {
   size_t ChainBytes = 0, ChainSnaps = 0;
   for (auto _ : State) {
     SnapshotChain Chain;
-    EmulatorResult R = E.record(EO, SnapshotSchedule{}, Chain);
+    EmulatorResult R = E.record(EO, Chain);
     if (!R.Ok || !Chain.valid()) {
       State.SkipWithError("record failed");
       return;
@@ -206,7 +206,7 @@ void runLateCrashBench(benchmark::State &State, bool Warm) {
   Emulator E(MM);
   EmulatorOptions Base = continuousNoRegions();
   SnapshotChain Chain;
-  EmulatorResult Golden = E.record(Base, SnapshotSchedule{}, Chain);
+  EmulatorResult Golden = E.record(Base, Chain);
   if (!Golden.Ok || !Chain.valid()) {
     State.SkipWithError("golden record failed");
     return;

@@ -13,6 +13,16 @@
 using namespace wario;
 using namespace wario::emu_detail;
 
+namespace {
+// Snapshot cadence while recording: start dense and double the interval
+// every SnapshotsPerBackoff snapshots, so short programs get fine-grained
+// coverage and long ones stay under the cap (recording continues past
+// it; later crash points resume from the last snapshot).
+constexpr uint64_t FirstSnapshotInterval = 1024; ///< Active cycles.
+constexpr size_t SnapshotsPerBackoff = 2048;
+constexpr size_t MaxSnapshots = 16384;
+} // namespace
+
 static uint64_t nextEmulatorUid() {
   static std::atomic<uint64_t> Counter{0};
   return ++Counter; // Ids start at 1; 0 marks a never-primed scratch.
@@ -111,9 +121,8 @@ EmulatorResult Machine::run(const std::string &Entry) {
     Chain->RecordedEO = Opts;
     Chain->PerPage.resize(snapshot::NumPages);
     SnapMark.assign(snapshot::NumPages, 0);
-    EffInterval = Sched.IntervalCycles ? Sched.IntervalCycles : 1024;
-    AutoTune = Sched.IntervalCycles == 0;
-    GrowAt = 2048;
+    EffInterval = FirstSnapshotInterval;
+    GrowAt = SnapshotsPerBackoff;
   }
 
   // Resume decision: the run is byte-identical to a cold run up to
@@ -413,7 +422,7 @@ bool Machine::compatible(const SnapshotChain &C) const {
 }
 
 void Machine::maybeSnapshot() {
-  if (Chain->Snaps.size() >= Sched.MaxSnapshots)
+  if (Chain->Snaps.size() >= MaxSnapshots)
     return;
   if (!Chain->Snaps.empty() &&
       ActiveSinceBoot - Chain->Snaps.back().ActiveCycle < EffInterval)
@@ -460,11 +469,11 @@ void Machine::takeSnapshot() {
   S.PageLogEnd = uint32_t(Chain->PageLog.size());
   Chain->Snaps.push_back(S);
 
-  // Auto-tuned interval: back off geometrically as the recording
-  // grows so arbitrarily long programs stay under the snapshot cap.
-  if (AutoTune && Chain->Snaps.size() >= GrowAt) {
+  // Back off geometrically as the recording grows so arbitrarily long
+  // programs stay under the snapshot cap.
+  if (Chain->Snaps.size() >= GrowAt) {
     EffInterval *= 2;
-    GrowAt += 2048;
+    GrowAt += SnapshotsPerBackoff;
   }
 }
 
@@ -926,44 +935,42 @@ Emulator::~Emulator() = default;
 
 const MModule &Emulator::module() const { return I->M; }
 
-EmulatorResult Emulator::run(const EmulatorOptions &Opts,
-                             const std::string &Entry,
-                             EmulatorScratch *Scratch,
-                             EngineStats *Stats) const {
-  if (Scratch) {
-    Machine Mach(*I, Opts, *Scratch, /*Persistent=*/true);
-    Mach.setStats(Stats);
-    return Mach.run(Entry);
-  }
+EmulatorResult Emulator::runMachine(const EmulatorOptions &Opts,
+                                    const std::string &Entry,
+                                    EmulatorScratch *Scratch,
+                                    EngineStats *Stats, SnapshotChain *Chain,
+                                    const ReplayPlan *Plan,
+                                    ReplayOutcome *Outcome) const {
   EmulatorScratch Local;
-  Machine Mach(*I, Opts, Local, /*Persistent=*/false);
+  Machine Mach(*I, Opts, Scratch ? *Scratch : Local,
+               /*Persistent=*/Scratch != nullptr);
+  if (Chain)
+    Mach.enableRecord(Chain);
+  if (Plan)
+    Mach.enableReplay(*Plan, Outcome);
   Mach.setStats(Stats);
   return Mach.run(Entry);
 }
 
+EmulatorResult Emulator::run(const EmulatorOptions &Opts,
+                             const std::string &Entry,
+                             EmulatorScratch *Scratch,
+                             EngineStats *Stats) const {
+  return runMachine(Opts, Entry, Scratch, Stats, nullptr, nullptr, nullptr);
+}
+
 EmulatorResult Emulator::record(const EmulatorOptions &Opts,
-                                const SnapshotSchedule &Sched,
                                 SnapshotChain &Chain,
                                 const std::string &Entry,
                                 EmulatorScratch *Scratch,
                                 EngineStats *Stats) const {
-  if (!Opts.Power.isContinuous() || Opts.TraceWindowHi != 0) {
-    // Snapshots index the continuous-power timeline; anything else
-    // records nothing but still runs correctly.
+  // Snapshots index the continuous-power timeline; anything else
+  // records nothing but still runs correctly.
+  bool Records = Opts.Power.isContinuous() && Opts.TraceWindowHi == 0;
+  if (!Records)
     Chain.clear();
-    return run(Opts, Entry, Scratch, Stats);
-  }
-  if (Scratch) {
-    Machine Mach(*I, Opts, *Scratch, /*Persistent=*/true);
-    Mach.enableRecord(&Chain, Sched);
-    Mach.setStats(Stats);
-    return Mach.run(Entry);
-  }
-  EmulatorScratch Local;
-  Machine Mach(*I, Opts, Local, /*Persistent=*/false);
-  Mach.enableRecord(&Chain, Sched);
-  Mach.setStats(Stats);
-  return Mach.run(Entry);
+  return runMachine(Opts, Entry, Scratch, Stats, Records ? &Chain : nullptr,
+                    nullptr, nullptr);
 }
 
 EmulatorResult Emulator::replay(const EmulatorOptions &Opts,
@@ -974,17 +981,7 @@ EmulatorResult Emulator::replay(const EmulatorOptions &Opts,
                                 EngineStats *Stats) const {
   if (Outcome)
     *Outcome = ReplayOutcome{};
-  if (Scratch) {
-    Machine Mach(*I, Opts, *Scratch, /*Persistent=*/true);
-    Mach.enableReplay(Plan, Outcome);
-    Mach.setStats(Stats);
-    return Mach.run(Entry);
-  }
-  EmulatorScratch Local;
-  Machine Mach(*I, Opts, Local, /*Persistent=*/false);
-  Mach.enableReplay(Plan, Outcome);
-  Mach.setStats(Stats);
-  return Mach.run(Entry);
+  return runMachine(Opts, Entry, Scratch, Stats, nullptr, &Plan, Outcome);
 }
 
 EmulatorResult wario::emulate(const MModule &M, const EmulatorOptions &Opts,

@@ -29,7 +29,6 @@
 namespace wario {
 
 class SnapshotChain;
-struct SnapshotSchedule;
 struct EmulatorScratch;
 struct ReplayPlan;
 struct ReplayOutcome;
@@ -214,8 +213,7 @@ public:
   /// the machine state into \p Chain (see Snapshot.h). Requires a
   /// continuous power schedule; \p Chain is cleared (left invalid) if
   /// the run fails.
-  EmulatorResult record(const EmulatorOptions &Opts,
-                        const SnapshotSchedule &Sched, SnapshotChain &Chain,
+  EmulatorResult record(const EmulatorOptions &Opts, SnapshotChain &Chain,
                         const std::string &Entry = "main",
                         EmulatorScratch *Scratch = nullptr,
                         EngineStats *Stats = nullptr) const;
@@ -235,6 +233,15 @@ public:
   struct Impl; ///< Public so the in-file interpreter can bind to it.
 
 private:
+  /// The one body of run/record/replay: a Machine on \p Scratch (or on a
+  /// throwaway scratch when null), recording into \p Chain and/or
+  /// replaying \p Plan when set.
+  EmulatorResult runMachine(const EmulatorOptions &Opts,
+                            const std::string &Entry, EmulatorScratch *Scratch,
+                            EngineStats *Stats, SnapshotChain *Chain,
+                            const ReplayPlan *Plan,
+                            ReplayOutcome *Outcome) const;
+
   std::unique_ptr<Impl> I;
 };
 

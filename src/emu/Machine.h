@@ -56,10 +56,7 @@ public:
         Strat(P.M.Strat) {}
 
   /// Journals periodic snapshots into \p C while running.
-  void enableRecord(SnapshotChain *C, const SnapshotSchedule &S) {
-    Chain = C;
-    Sched = S;
-  }
+  void enableRecord(SnapshotChain *C) { Chain = C; }
 
   /// Resumes from / splices against Plan.Chain per the plan.
   void enableReplay(const ReplayPlan &P, ReplayOutcome *O) {
@@ -273,10 +270,8 @@ public:
 
   // Recording state.
   SnapshotChain *Chain = nullptr;
-  SnapshotSchedule Sched;
-  uint64_t EffInterval = 0;
-  bool AutoTune = false;
-  size_t GrowAt = 0;
+  uint64_t EffInterval = 0; ///< Current minimum cycles between snapshots.
+  size_t GrowAt = 0;        ///< Snapshot count at which EffInterval doubles.
   std::vector<uint8_t> SnapMark;   ///< Per page: dirty since last snap.
   std::vector<uint32_t> SnapDirty; ///< Pages with SnapMark set.
 

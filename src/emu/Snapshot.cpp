@@ -1,7 +1,6 @@
 #include "emu/Snapshot.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace wario;
 
@@ -48,12 +47,4 @@ const uint8_t *SnapshotChain::pageAt(uint32_t Page, int SnapIdx) const {
   if (It == Entries.begin())
     return nullptr;
   return Blob.data() + (It - 1)->BlobOff;
-}
-
-bool wario::snapshotsEnabled() {
-  static const bool Enabled = [] {
-    const char *E = std::getenv("WARIO_SNAPSHOTS");
-    return !(E && E[0] == '0' && E[1] == '\0');
-  }();
-  return Enabled;
 }

@@ -2,7 +2,8 @@
 ///
 /// \file
 /// Snapshot/restore engine for the emulator: incremental replay for
-/// crash-consistency campaigns and power-schedule sweeps.
+/// crash-consistency campaigns (src/verify/FaultInjector.h, its only
+/// user outside the tests and microbenchmarks).
 ///
 /// The emulator is fully deterministic, and a crash-injected run is
 /// byte-identical to the continuous-power golden run up to the crash
@@ -45,18 +46,6 @@ inline constexpr uint32_t PageSize = 1u << PageShift;
 inline constexpr uint32_t NumPages = memmap::MemSize >> PageShift;
 static_assert(memmap::MemSize % PageSize == 0);
 } // namespace snapshot
-
-/// When snapshots are taken during a recording run.
-struct SnapshotSchedule {
-  /// Minimum active cycles between snapshots. 0 = auto-tune: start
-  /// dense (1024 cycles) and back off geometrically as the recording
-  /// grows, so short programs get fine-grained coverage and long
-  /// programs still fit under MaxSnapshots.
-  uint64_t IntervalCycles = 0;
-  /// Hard cap on recorded snapshots (recording continues past the cap;
-  /// later crash points simply resume from the last snapshot).
-  unsigned MaxSnapshots = 16384;
-};
 
 /// Reusable per-worker emulator state: the NVM image and the WAR
 /// monitor's flat per-byte stamp array (3 MiB total). A campaign that
@@ -189,11 +178,6 @@ struct ReplayOutcome {
   int ResumeSnapshot = -1;
   int SpliceSnapshot = -1;
 };
-
-/// Global kill-switch: WARIO_SNAPSHOTS=0 disables snapshot use in the
-/// fault injector and the bench harness (for A/B wall-clock runs; all
-/// reports stay byte-identical either way).
-bool snapshotsEnabled();
 
 } // namespace wario
 

@@ -4,13 +4,12 @@
 /// The direct-threaded execution engine (DESIGN.md §7.7).
 ///
 /// Machine::runThreaded executes the merged FastInst stream with one
-/// dispatch per group: computed goto under GCC/Clang, a plain switch
-/// loop elsewhere (the handler bodies are shared; only the OP_CASE /
-/// DISPATCH macros change). The hot machine state — the stream cursor,
-/// the active cycle counter, the instruction counter, the WAR stamp
-/// pattern — is kept in locals and synced with the Machine members only
-/// at the rare points that need them (bail-outs, push/pop, checkpoint
-/// commits, loop exit).
+/// computed-goto dispatch per group (a GNU extension, like the function
+/// attributes below; GCC and Clang both provide it). The hot machine
+/// state — the stream cursor, the active cycle counter, the instruction
+/// counter, the WAR stamp pattern — is kept in locals and synced with
+/// the Machine members only at the rare points that need them
+/// (bail-outs, push/pop, checkpoint commits, loop exit).
 ///
 /// Correctness contract with the interpreter (the byte-identity bar):
 ///  - The caller (Machine::run) enters only while the next
@@ -165,15 +164,8 @@ __attribute__((noinline)) void noteStoreSlow(Machine &M, uint32_t Addr,
 #define WARIO_EVAL_Lsr(A, B) ((B) >= 32 ? 0u : (A) >> (B))
 #define WARIO_EVAL_Asr(A, B) evalAsr((A), (B))
 
-#if defined(__GNUC__) || defined(__clang__)
-#define WARIO_THREADED_GOTO 1
 #define WARIO_ALWAYS_INLINE __attribute__((always_inline))
-#else
-#define WARIO_THREADED_GOTO 0
-#define WARIO_ALWAYS_INLINE
-#endif
 
-#if WARIO_THREADED_GOTO
 #define OP_CASE(N) H_Op_##N:
 // Fused-group entry resets the in-group forwarding mirror (see fwdSrc):
 // inside a group the producer is one component back (a hit), across
@@ -187,11 +179,6 @@ __attribute__((noinline)) void noteStoreSlow(Machine &M, uint32_t Addr,
     ++St.Dispatches;                                                           \
     goto *Tbl[J->Kind];                                                        \
   } while (0)
-#else
-#define OP_CASE(N) case uint16_t(MOp::N):
-#define FK_CASE(N) case uint16_t(FK_##N): FwdD = -1;
-#define DISPATCH() goto dispatch
-#endif
 
 // Group retirement: cycles from the precomputed group cost (read BEFORE
 // the cursor moves), then the cursor past every component.
@@ -244,16 +231,12 @@ __attribute__((noinline)) void noteStoreSlow(Machine &M, uint32_t Addr,
 // maintaining the mirror.
 WARIO_ALWAYS_INLINE static inline uint32_t
 fwdSrc(int32_t S, int32_t FwdD, uint32_t FwdV, const uint32_t *R) {
-#if defined(__GNUC__) || defined(__clang__)
   if (__builtin_expect(S == FwdD, 1))
     return FwdV;
   // The empty asm keeps this a real (well-predicted) branch: if-converting
   // to a conditional move would put the R[] load back on the critical path.
   asm("");
   return R[S];
-#else
-  return S == FwdD ? FwdV : R[S];
-#endif
 }
 #define WB_SRC0(k) fwdSrc(J[k].Src0, FwdD, FwdV, R)
 #define WB_SRC1(k) fwdSrc(J[k].Src1, FwdD, FwdV, R)
@@ -463,7 +446,6 @@ void Machine::runThreaded(uint64_t Limit) {
   // matching) in lockstep even when this loop exits at the margin.
   RegionFresh = false;
 
-#if WARIO_THREADED_GOTO
   // Dispatch table, indexed by FastInst::Kind. [0, 37): identity
   // groups in MOp declaration order; [37, 64): unreachable padding;
   // [64, FK_KindLimit): fused kinds in catalog order.
@@ -493,13 +475,6 @@ void Machine::runThreaded(uint64_t Limit) {
   static_assert(int(MOp::Nop) == 36, "identity block out of sync with MOp");
 
   DISPATCH();
-#else
-dispatch:
-  if (Active >= Limit)
-    goto out;
-  ++St.Dispatches;
-  switch (J->Kind) {
-#endif
 
   // --- Identity groups (one instruction; step()'s transition inlined) ------
 
@@ -983,16 +958,9 @@ dispatch:
   }
   DISPATCH();
 
-#if WARIO_THREADED_GOTO
 H_Bad:
   assert(false && "padding kind dispatched");
   goto bail;
-#else
-  default:
-    assert(false && "unknown kind dispatched");
-    goto bail;
-  }
-#endif
 
 bail:
   // Something irregular at the current pc (counters already advanced

@@ -8,8 +8,8 @@
 /// The engine itself lives in ThreadedEngine.cpp as an alternative
 /// implementation of Machine's inner loop: the decoded program is
 /// lowered once per module into a fused-group stream (Fusion.h), and a
-/// computed-goto dispatch loop (portable switch fallback) executes
-/// whole groups per dispatch, under every checkpoint strategy. The
+/// computed-goto dispatch loop executes whole groups per dispatch,
+/// under every checkpoint strategy. The
 /// interpreter in Emulator.cpp remains the differential oracle —
 /// byte-identical results are enforced by
 /// tests/EngineEquivalenceTest.cpp.

@@ -341,9 +341,7 @@ struct StagedCache::Impl {
       Res->Error = CR->Error;
       if (Res->Error.empty()) {
         ScopeTimer T(CacheStage::Emulate, Config.OnStage);
-        EmulatorOptions EO = effectiveOptions(R.PO, R.EO);
-        Res->Emu = Config.Emulate ? Config.Emulate(CR, R, EO)
-                                  : emulate(CR->MM, EO);
+        Res->Emu = emulate(CR->MM, effectiveOptions(R.PO, R.EO));
         Res->Pipeline.EmulateSeconds = T.seconds();
         if (!Res->Emu.Ok)
           Res->Error = "emulation failure on " + R.Workload + " @ " +

@@ -16,6 +16,10 @@
 ///   compile  machine module            per (tenant, workload, PipelineOptions)
 ///   run      emulation result          per (tenant, workload, PO, EmulatorOptions)
 ///
+/// A run-level miss is one plain emulate() of the compiled module, for
+/// the daemon and the harness alike: no snapshot chain is recorded or
+/// replayed here (snapshots pay only in crash campaigns, DESIGN.md §7.6).
+///
 /// Tenancy: every key carries the requesting tenant's namespace, so two
 /// tenants submitting identical options get distinct entries and can
 /// never observe each other's cache state (not even as a hit/miss timing
@@ -136,24 +140,12 @@ struct CacheConfig {
   /// the cache.
   std::function<void(CacheStage, double)> OnStage;
   std::function<void(CacheLevel, uint64_t)> OnHit;
-
-  /// Run-level emulation policy. The default runs emulate() on the
-  /// compiled module; the bench harness substitutes its
-  /// snapshot-chain-reusing path. The CompileResult is passed as a
-  /// shared_ptr so the policy can pin the module beyond eviction (the
-  /// harness's recorded chains borrow it). Results must be
-  /// byte-identical to plain emulate() — the cache memoizes whatever
-  /// this returns.
-  std::function<EmulatorResult(const std::shared_ptr<const CompileResult> &,
-                               const CacheRequest &,
-                               const EmulatorOptions &)>
-      Emulate;
 };
 
 /// The emulator options a request actually runs under: PlainC builds
 /// carry no checkpoints, so WAR "violations" are expected and non-fatal
-/// there. Shared by the cache, the harness's uncached reference path,
-/// and the soak test's cold-recompute oracle.
+/// there. Shared by the cache, the soak test's cold-recompute oracle
+/// and perfbench.
 EmulatorOptions effectiveOptions(const PipelineOptions &PO,
                                  const EmulatorOptions &EO);
 

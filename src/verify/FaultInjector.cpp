@@ -213,7 +213,7 @@ wario::verify::runCrashCampaigns(const MModule &MM,
   if (Modes.empty())
     return Reports;
 
-  const bool Snaps = Opts.UseSnapshots && snapshotsEnabled();
+  const bool Snaps = Opts.UseSnapshots;
   Emulator E(MM);
 
   // Resolve the execution engine once for the stat line; the emulations
@@ -233,8 +233,7 @@ wario::verify::runCrashCampaigns(const MModule &MM,
   GoldenEO.TraceWindowLo = GoldenEO.TraceWindowHi = 0;
   SnapshotChain Chain;
   EmulatorResult Golden =
-      Snaps ? E.record(GoldenEO, SnapshotSchedule{}, Chain, Opts.Entry,
-                       nullptr, &Dispatch)
+      Snaps ? E.record(GoldenEO, Chain, Opts.Entry, nullptr, &Dispatch)
             : E.run(GoldenEO, Opts.Entry, nullptr, &Dispatch);
   for (CrashReport &R : Reports)
     ++R.EmulationsRun;

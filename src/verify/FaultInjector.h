@@ -80,8 +80,7 @@ struct FaultInjectorOptions {
   /// record a snapshot chain during the golden run, resume each injected
   /// run from the governing snapshot of its crash budget, and splice the
   /// golden tail once the post-crash state reconverges. Reports are
-  /// byte-identical either way; this (and the WARIO_SNAPSHOTS=0 override,
-  /// see snapshotsEnabled()) only trades wall-clock for memory.
+  /// byte-identical either way; this only trades wall-clock for memory.
   bool UseSnapshots = true;
   /// Metadata echoed into the report.
   std::string Workload;

@@ -302,7 +302,7 @@ TEST(EngineEquivalenceTest, MixedEngineSnapshotResume) {
       EmulatorOptions RecEO = Base;
       RecEO.Engine = RecEngine;
       SnapshotChain Chain;
-      EmulatorResult Golden = E.record(RecEO, SnapshotSchedule{}, Chain);
+      EmulatorResult Golden = E.record(RecEO, Chain);
       ASSERT_TRUE(Golden.Ok)
           << checkpointStrategyName(S) << ": " << Golden.Error;
       ASSERT_TRUE(Chain.valid()) << checkpointStrategyName(S);

@@ -338,8 +338,16 @@ TEST(FrontendTest, DiagnosticSyntax) {
 // End-to-end: C source through every environment on the emulator
 //===----------------------------------------------------------------------===//
 
-TEST(FrontendTest, EndToEndAllEnvironments) {
-  const char *Src = R"(
+namespace {
+
+/// The hand-written end-to-end inputs.
+struct EndToEndProgram {
+  const char *Name;
+  const char *Src;
+};
+
+const EndToEndProgram EndToEndPrograms[] = {
+    {"xorshift", R"(
     unsigned int state = 0x12345678;
     unsigned int history[16];
 
@@ -359,30 +367,80 @@ TEST(FrontendTest, EndToEndAllEnvironments) {
       }
       return (int)(sum & 0x7FFFFFFF);
     }
-  )";
-  DiagnosticEngine Diags;
-  int32_t Expected;
-  {
-    auto M = compileC(Src, "e2e", Diags);
-    ASSERT_TRUE(M) << Diags.formatAll();
-    InterpResult R = interpretModule(*M);
-    ASSERT_TRUE(R.Ok) << R.Error;
-    Expected = R.ReturnValue;
-  }
-  for (Environment Env : allEnvironments()) {
-    auto M = compileC(Src, "e2e", Diags);
-    ASSERT_TRUE(M) << Diags.formatAll();
-    PipelineOptions PO;
-    PO.Env = Env;
-    MModule MM = compile(*M, PO);
-    EmulatorOptions EO;
-    if (Env == Environment::PlainC)
-      EO.WarIsFatal = false;
-    EmulatorResult R = emulate(MM, EO);
-    ASSERT_TRUE(R.Ok) << environmentName(Env) << ": " << R.Error;
-    EXPECT_EQ(R.ReturnValue, Expected) << environmentName(Env);
-    if (Env != Environment::PlainC) {
-      EXPECT_EQ(R.WarViolations, 0u) << environmentName(Env);
+  )"},
+    // Forward-strided, loop-carried WARs: iteration t reads w[t + 3] and
+    // b[t + 1], which iterations t + 3 and t + 1 overwrite. An alias
+    // verdict that calls the read and the later write disjoint across
+    // iterations leaves these WARs uncut, and WarIsFatal reports them.
+    {"strided", R"(
+    int w[40];
+    char b[40];
+
+    int main(void) {
+      for (int i = 0; i < 40; i++) {
+        w[i] = i * 5 + 1;
+        b[i] = i * 3;
+      }
+      for (int t = 0; t < 37; t++)
+        w[t] = w[t + 3] + t;
+      for (int t = 0; t < 39; t++)
+        b[t] = b[t + 1] + 1;
+      int sum = 0;
+      for (int i = 0; i < 40; i++)
+        sum = sum + w[i] * (i + 1) + b[i];
+      return sum;
+    }
+  )"},
+};
+
+} // namespace
+
+/// Every input gives the interpreter's result in every environment at
+/// unroll factors 1/2/4/8; every instrumented build also survives
+/// fixed(3000) on-periods, with WAR violations fatal throughout.
+TEST(FrontendTest, EndToEndAllEnvironments) {
+  for (const EndToEndProgram &P : EndToEndPrograms) {
+    DiagnosticEngine Diags;
+    int32_t Expected;
+    {
+      auto M = compileC(P.Src, "e2e", Diags);
+      ASSERT_TRUE(M) << P.Name << ": " << Diags.formatAll();
+      InterpResult R = interpretModule(*M);
+      ASSERT_TRUE(R.Ok) << P.Name << ": " << R.Error;
+      Expected = R.ReturnValue;
+    }
+    for (Environment Env : allEnvironments()) {
+      for (unsigned Unroll : {1u, 2u, 4u, 8u}) {
+        auto M = compileC(P.Src, "e2e", Diags);
+        ASSERT_TRUE(M) << P.Name << ": " << Diags.formatAll();
+        PipelineOptions PO;
+        PO.Env = Env;
+        PO.UnrollFactor = Unroll;
+        MModule MM = compile(*M, PO);
+        for (PowerSchedule Power :
+             {PowerSchedule::continuous(), PowerSchedule::fixed(3000)}) {
+          // Plain C has no checkpoints: it cannot finish under
+          // intermittent power, and its WARs are expected.
+          if (Env == Environment::PlainC && !Power.isContinuous())
+            continue;
+          EmulatorOptions EO;
+          EO.Power = Power;
+          EO.WarIsFatal = Env != Environment::PlainC;
+          EmulatorResult R = emulate(MM, EO);
+          std::string Where = std::string(P.Name) + " @ " +
+                              environmentName(Env) + ", N=" +
+                              std::to_string(Unroll) +
+                              (Power.isContinuous() ? "" : ", fixed(3000)");
+          ASSERT_TRUE(R.Ok) << Where << ": " << R.Error;
+          EXPECT_EQ(R.ReturnValue, Expected) << Where;
+          if (!Power.isContinuous()) {
+            EXPECT_GT(R.PowerFailures, 0u) << Where;
+          }
+          if (Env != Environment::PlainC) {
+            EXPECT_EQ(R.WarViolations, 0u) << Where;
+          }
+        }
+      }
     }
   }
 }

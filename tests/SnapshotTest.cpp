@@ -62,7 +62,7 @@ struct Recorded {
 std::unique_ptr<Recorded> recordGolden(const MModule &MM,
                                        const EmulatorOptions &EO) {
   auto R = std::make_unique<Recorded>(MM);
-  R->Golden = R->E.record(EO, SnapshotSchedule{}, R->Chain);
+  R->Golden = R->E.record(EO, R->Chain);
   EXPECT_TRUE(R->Golden.Ok) << R->Golden.Error;
   EXPECT_TRUE(R->Chain.valid());
   return R;
@@ -79,7 +79,7 @@ TEST(SnapshotTest, RecordMatchesRun) {
     EmulatorOptions EO;
     EO.CollectEventTrace = true;
     SnapshotChain Chain;
-    EmulatorResult Rec = E.record(EO, SnapshotSchedule{}, Chain);
+    EmulatorResult Rec = E.record(EO, Chain);
     EmulatorResult Cold = E.run(EO);
     EXPECT_TRUE(Rec == Cold) << W.Name;
     ASSERT_TRUE(Chain.valid()) << W.Name;
@@ -289,14 +289,6 @@ TEST(SnapshotTest, ScratchSurvivesEmulatorLifetimes) {
       EXPECT_TRUE(EB.run(EO, "main", &Scratch) == GoldB);
     }
   }
-}
-
-/// The WARIO_SNAPSHOTS kill-switch parser (the ambient environment of a
-/// test run must not disable the engine unless explicitly set to "0").
-TEST(SnapshotTest, KillSwitchDefaultsOn) {
-  const char *E = std::getenv("WARIO_SNAPSHOTS");
-  bool ExpectOn = !(E && std::string(E) == "0");
-  EXPECT_EQ(snapshotsEnabled(), ExpectOn);
 }
 
 /// Combined campaigns (one golden run, crash points deduplicated across
