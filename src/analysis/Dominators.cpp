@@ -1,25 +1,18 @@
 #include "analysis/Dominators.h"
 
 #include <algorithm>
-#include <functional>
 
 using namespace wario;
 
 namespace {
 
-/// Neighbor accessor that hides the direction of the walk.
-std::vector<BasicBlock *> nexts(const BasicBlock *BB, bool Post) {
-  if (!Post)
+/// The blocks after \p BB in a walk of the CFG, or of the reversed CFG
+/// when \p Reversed: its successors, or its predecessors.
+std::span<BasicBlock *const> nexts(const BasicBlock *BB, bool Reversed) {
+  if (!Reversed)
     return BB->successors();
-  const auto &P = BB->predecessors();
-  return {P.begin(), P.end()};
-}
-std::vector<BasicBlock *> prevs(const BasicBlock *BB, bool Post) {
-  if (!Post) {
-    const auto &P = BB->predecessors();
-    return {P.begin(), P.end()};
-  }
-  return BB->successors();
+  const ArenaVec<BasicBlock *> &P = BB->predecessors();
+  return {P.begin(), P.size()};
 }
 
 } // namespace
@@ -28,42 +21,44 @@ DominatorTree::DominatorTree(const Function &F, bool Post) : Post(Post) {
   if (F.isDeclaration())
     return;
   F.ensureCFG();
+  Nodes.resize(F.numBlockNumbers());
+  auto NodeOf = [&](const BasicBlock *BB) -> Node & {
+    return Nodes[BB->getNumber()];
+  };
 
   // Collect roots: the entry block, or every exit block in post mode.
   std::vector<BasicBlock *> Roots;
+  std::vector<bool> IsRoot(Nodes.size());
   if (!Post) {
     Roots.push_back(F.getEntryBlock());
   } else {
-    for (BasicBlock *BB : const_cast<Function &>(F))
+    for (BasicBlock *BB : F)
       if (BB->successors().empty())
         Roots.push_back(BB);
   }
+  for (BasicBlock *R : Roots)
+    IsRoot[R->getNumber()] = true;
 
   // Post-order DFS over the walk direction, then reverse.
-  std::unordered_map<const BasicBlock *, unsigned> State; // 0 new 1 open 2 done
-  std::vector<BasicBlock *> PostOrder;
-  std::function<void(BasicBlock *)> DFS = [&](BasicBlock *BB) {
-    State[BB] = 1;
+  std::vector<bool> Seen(Nodes.size());
+  auto DFS = [&](auto &Self, BasicBlock *BB) -> void {
+    Seen[BB->getNumber()] = true;
     for (BasicBlock *S : nexts(BB, Post))
-      if (State[S] == 0)
-        DFS(S);
-    State[BB] = 2;
-    PostOrder.push_back(BB);
+      if (!Seen[S->getNumber()])
+        Self(Self, S);
+    RPO.push_back(BB);
   };
   for (BasicBlock *R : Roots)
-    if (State[R] == 0)
-      DFS(R);
-  RPO.assign(PostOrder.rbegin(), PostOrder.rend());
-
+    if (!Seen[R->getNumber()])
+      DFS(DFS, R);
+  std::reverse(RPO.begin(), RPO.end());
   for (unsigned I = 0; I != RPO.size(); ++I)
-    Info[RPO[I]].RPONum = I;
+    NodeOf(RPO[I]).RPONum = I;
 
   // Cooper-Harvey-Kennedy iteration. Roots hang off a virtual super-root
   // represented as nullptr, so climbing above a root yields nullptr and
   // intersect() of nodes under different roots converges to the super-root.
-  std::unordered_map<const BasicBlock *, bool> Processed;
-  for (BasicBlock *R : Roots)
-    Processed[R] = true;
+  std::vector<bool> Processed = IsRoot;
 
   // Intersect two (possibly virtual) dominator-tree ancestors by climbing
   // RPO numbers. nullptr is the virtual super-root and absorbs everything.
@@ -71,17 +66,17 @@ DominatorTree::DominatorTree(const Function &F, bool Post) : Post(Post) {
     while (A != B) {
       if (!A || !B)
         return nullptr;
-      while (A != B && Info[A].RPONum > Info[B].RPONum) {
-        A = Info[A].IDom;
+      while (A != B && NodeOf(A).RPONum > NodeOf(B).RPONum) {
+        A = NodeOf(A).IDom;
         if (!A)
           return nullptr;
       }
-      while (A != B && Info[B].RPONum > Info[A].RPONum) {
-        B = Info[B].IDom;
+      while (A != B && NodeOf(B).RPONum > NodeOf(A).RPONum) {
+        B = NodeOf(B).IDom;
         if (!B)
           return nullptr;
       }
-      if (A != B && Info[A].RPONum == Info[B].RPONum)
+      if (A != B && NodeOf(A).RPONum == NodeOf(B).RPONum)
         return nullptr; // Two distinct roots: meet at the super-root.
     }
     return A;
@@ -91,13 +86,13 @@ DominatorTree::DominatorTree(const Function &F, bool Post) : Post(Post) {
   while (Changed) {
     Changed = false;
     for (BasicBlock *BB : RPO) {
-      if (std::find(Roots.begin(), Roots.end(), BB) != Roots.end())
+      if (IsRoot[BB->getNumber()])
         continue;
       BasicBlock *NewIDom = nullptr;
       bool HaveFirst = false;
       bool VirtualRooted = false;
-      for (BasicBlock *P : prevs(BB, Post)) {
-        if (!Info.count(P) || !Processed[P])
+      for (BasicBlock *P : nexts(BB, !Post)) {
+        if (!Processed[P->getNumber()])
           continue;
         if (!HaveFirst) {
           NewIDom = P;
@@ -113,58 +108,43 @@ DominatorTree::DominatorTree(const Function &F, bool Post) : Post(Post) {
       if (!HaveFirst)
         continue; // No processed predecessor yet; try next iteration.
       BasicBlock *Final = VirtualRooted ? nullptr : NewIDom;
-      if (!Processed[BB] || Info[BB].IDom != Final) {
-        Info[BB].IDom = Final;
-        Processed[BB] = true;
+      if (!Processed[BB->getNumber()] || NodeOf(BB).IDom != Final) {
+        NodeOf(BB).IDom = Final;
+        Processed[BB->getNumber()] = true;
         Changed = true;
       }
     }
   }
 
-  // Drop nodes that were never processed (unreachable in walk direction).
-  for (auto It = Info.begin(); It != Info.end();) {
-    if (!Processed[It->first] &&
-        std::find(Roots.begin(), Roots.end(), It->first) == Roots.end())
-      It = Info.erase(It);
-    else
-      ++It;
+  // Assign DFS in/out numbers over the dominator tree for O(1) queries,
+  // visiting roots and children in RPO. Nodes never processed
+  // (unreachable in walk direction) stay outside the tree.
+  std::vector<BasicBlock *> FirstChild(Nodes.size()), Next(Nodes.size());
+  BasicBlock *FirstRoot = nullptr;
+  for (auto It = RPO.rbegin(); It != RPO.rend(); ++It) {
+    if (!Processed[(*It)->getNumber()])
+      continue;
+    BasicBlock *IDom = NodeOf(*It).IDom;
+    BasicBlock *&Head = IDom ? FirstChild[IDom->getNumber()] : FirstRoot;
+    Next[(*It)->getNumber()] = Head;
+    Head = *It;
   }
-
-  // Assign DFS in/out numbers over the dominator tree for O(1) queries.
-  std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>> Children;
-  std::vector<BasicBlock *> TreeRoots;
-  for (auto &[BB, N] : Info) {
-    if (N.IDom)
-      Children[N.IDom].push_back(const_cast<BasicBlock *>(BB));
-    else
-      TreeRoots.push_back(const_cast<BasicBlock *>(BB));
-  }
-  // Deterministic order.
-  auto ByRPO = [&](BasicBlock *A, BasicBlock *B) {
-    return Info[A].RPONum < Info[B].RPONum;
-  };
-  std::sort(TreeRoots.begin(), TreeRoots.end(), ByRPO);
-  for (auto &[BB, Kids] : Children)
-    std::sort(Kids.begin(), Kids.end(), ByRPO);
-
   unsigned Clock = 1;
-  std::function<void(BasicBlock *)> Number = [&](BasicBlock *BB) {
-    Info[BB].In = Clock++;
-    for (BasicBlock *C : Children[BB])
-      Number(C);
-    Info[BB].Out = Clock++;
+  auto Number = [&](auto &Self, BasicBlock *BB) -> void {
+    NodeOf(BB).In = Clock++;
+    for (BasicBlock *C = FirstChild[BB->getNumber()]; C;
+         C = Next[C->getNumber()])
+      Self(Self, C);
+    NodeOf(BB).Out = Clock++;
   };
-  for (BasicBlock *R : TreeRoots)
-    Number(R);
+  for (BasicBlock *R = FirstRoot; R; R = Next[R->getNumber()])
+    Number(Number, R);
 }
 
 bool DominatorTree::dominates(const BasicBlock *A,
                               const BasicBlock *B) const {
-  auto AIt = Info.find(A), BIt = Info.find(B);
-  if (AIt == Info.end() || BIt == Info.end())
-    return false;
-  return AIt->second.In <= BIt->second.In &&
-         BIt->second.Out <= AIt->second.Out;
+  const Node *NA = node(A), *NB = node(B);
+  return NA && NB && NA->In <= NB->In && NB->Out <= NA->Out;
 }
 
 bool DominatorTree::dominates(const Instruction *A,
@@ -184,9 +164,4 @@ bool DominatorTree::dominates(const Instruction *A,
   }
   assert(false && "instructions not found in their parent block");
   return false;
-}
-
-BasicBlock *DominatorTree::getIDom(const BasicBlock *BB) const {
-  auto It = Info.find(BB);
-  return It == Info.end() ? nullptr : It->second.IDom;
 }

@@ -11,8 +11,6 @@
 
 #include "ir/Function.h"
 
-#include <unordered_map>
-
 namespace wario {
 
 /// Dominator tree over the reachable blocks of a function.
@@ -20,6 +18,8 @@ namespace wario {
 /// With \p Post = true this computes the post-dominator tree instead,
 /// using a virtual exit node that all Ret-terminated blocks lead to
 /// (blocks on infinite loops with no path to any exit get no parent).
+/// Nodes are indexed by block number; a block created after the tree was
+/// built is not in it.
 class DominatorTree {
 public:
   explicit DominatorTree(const Function &F, bool Post = false);
@@ -34,13 +34,14 @@ public:
   bool dominates(const Instruction *A, const Instruction *B) const;
 
   /// The immediate dominator, or nullptr for the root / unreachable blocks.
-  BasicBlock *getIDom(const BasicBlock *BB) const;
+  BasicBlock *getIDom(const BasicBlock *BB) const {
+    const Node *N = node(BB);
+    return N ? N->IDom : nullptr;
+  }
 
   /// True if \p BB was reachable when the tree was built (for post mode:
   /// can reach an exit).
-  bool contains(const BasicBlock *BB) const {
-    return Info.count(BB) != 0;
-  }
+  bool contains(const BasicBlock *BB) const { return node(BB) != nullptr; }
 
   /// Blocks in reverse post-order of the (forward) CFG walk used to build
   /// the tree. For post-dominators this is an RPO of the reversed CFG.
@@ -52,13 +53,19 @@ private:
   struct Node {
     BasicBlock *IDom = nullptr;
     unsigned RPONum = 0;
-    // DFS-in/out numbering of the dominator tree for O(1) queries.
+    // DFS-in/out numbering of the dominator tree for O(1) queries; In is
+    // 0 for blocks outside the tree.
     unsigned In = 0, Out = 0;
   };
 
+  const Node *node(const BasicBlock *BB) const {
+    unsigned N = BB->getNumber();
+    return N < Nodes.size() && Nodes[N].In ? &Nodes[N] : nullptr;
+  }
+
   bool Post;
   std::vector<BasicBlock *> RPO;
-  std::unordered_map<const BasicBlock *, Node> Info;
+  std::vector<Node> Nodes; ///< By block number.
 };
 
 } // namespace wario

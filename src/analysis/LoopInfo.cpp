@@ -47,49 +47,49 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
   assert(!DT.isPostDom() && "LoopInfo needs a forward dominator tree");
   if (F.isDeclaration())
     return;
+  unsigned N = F.numBlockNumbers();
+  BlockMap.assign(N, nullptr);
+  HeaderLoop.assign(N, nullptr);
 
-  // 1. Find back edges: U -> H where H dominates U.
-  std::vector<std::pair<BasicBlock *, BasicBlock *>> Backs;
-  for (BasicBlock *U : const_cast<Function &>(F)) {
+  // 1-2. Find back edges U -> H, where H dominates U, and build one loop
+  // per header from the union of its natural-loop bodies.
+  for (BasicBlock *U : F) {
     if (!DT.contains(U))
       continue; // Skip unreachable blocks.
-    for (BasicBlock *H : U->successors())
-      if (DT.dominates(H, U)) {
-        Backs.emplace_back(U, H);
-        BackEdges.insert({U, H});
-      }
-  }
-
-  // 2. Group back edges by header and build one loop per header from the
-  // union of its natural-loop bodies.
-  std::unordered_map<BasicBlock *, Loop *> HeaderLoop;
-  for (auto &[U, H] : Backs) {
-    Loop *L = HeaderLoop[H];
-    if (!L) {
-      Storage.push_back(std::make_unique<Loop>());
-      L = Storage.back().get();
-      L->Header = H;
-      HeaderLoop[H] = L;
-    }
-    // Walk backwards from U, stopping at H.
-    std::vector<BasicBlock *> Work{U};
-    L->Blocks.insert(H);
-    while (!Work.empty()) {
-      BasicBlock *BB = Work.back();
-      Work.pop_back();
-      if (!L->Blocks.insert(BB).second)
+    for (BasicBlock *H : U->successors()) {
+      if (!DT.dominates(H, U))
         continue;
-      for (BasicBlock *P : BB->predecessors())
-        if (DT.contains(P))
-          Work.push_back(P);
+      Loop *&L = HeaderLoop[H->getNumber()];
+      if (!L) {
+        Storage.push_back(std::make_unique<Loop>());
+        L = Storage.back().get();
+        L->Header = H;
+        L->Blocks.assign(N, false);
+        L->Blocks[H->getNumber()] = true;
+      }
+      // Walk backwards from U, stopping at H.
+      std::vector<BasicBlock *> Work{U};
+      while (!Work.empty()) {
+        BasicBlock *BB = Work.back();
+        Work.pop_back();
+        if (L->Blocks[BB->getNumber()])
+          continue;
+        L->Blocks[BB->getNumber()] = true;
+        for (BasicBlock *P : BB->predecessors())
+          if (DT.contains(P))
+            Work.push_back(P);
+      }
     }
   }
 
   // Deterministic block lists: function block order.
-  for (auto &LPtr : Storage) {
-    for (BasicBlock *BB : const_cast<Function &>(F))
-      if (LPtr->Blocks.count(BB))
-        LPtr->BlockList.push_back(BB);
+  std::vector<unsigned> Position(N);
+  unsigned Idx = 0;
+  for (BasicBlock *BB : F) {
+    Position[BB->getNumber()] = Idx++;
+    for (auto &L : Storage)
+      if (L->contains(BB))
+        L->BlockList.push_back(BB);
   }
 
   // 3. Nesting: loop A is inside loop B iff B contains A's header and
@@ -97,9 +97,9 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
   for (auto &A : Storage) {
     Loop *Best = nullptr;
     for (auto &B : Storage) {
-      if (A.get() == B.get() || !B->Blocks.count(A->Header))
+      if (A.get() == B.get() || !B->contains(A->Header))
         continue;
-      if (!Best || B->Blocks.size() < Best->Blocks.size())
+      if (!Best || B->BlockList.size() < Best->BlockList.size())
         Best = B.get();
     }
     A->Parent = Best;
@@ -116,7 +116,7 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
   // 4. Block -> innermost loop map.
   for (auto &L : Storage)
     for (const BasicBlock *BB : L->BlockList) {
-      Loop *&Slot = BlockMap[BB];
+      Loop *&Slot = BlockMap[BB->getNumber()];
       if (!Slot || L->Depth > Slot->Depth)
         Slot = L.get();
     }
@@ -125,13 +125,9 @@ LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
   // function (outermost loops first).
   for (auto &L : Storage)
     AllLoops.push_back(L.get());
-  std::unordered_map<const BasicBlock *, unsigned> BlockOrder;
-  unsigned Idx = 0;
-  for (BasicBlock *BB : const_cast<Function &>(F))
-    BlockOrder[BB] = Idx++;
   std::sort(AllLoops.begin(), AllLoops.end(), [&](Loop *A, Loop *B) {
     if (A->Depth != B->Depth)
       return A->Depth < B->Depth;
-    return BlockOrder[A->Header] < BlockOrder[B->Header];
+    return Position[A->Header->getNumber()] < Position[B->Header->getNumber()];
   });
 }

@@ -12,12 +12,12 @@
 #include "analysis/Dominators.h"
 
 #include <memory>
-#include <unordered_set>
 
 namespace wario {
 
 /// One natural loop: header plus the blocks that can reach a latch without
-/// leaving through the header.
+/// leaving through the header. Membership is indexed by block number; a
+/// block created after the loop was found is not in it.
 class Loop {
 public:
   BasicBlock *getHeader() const { return Header; }
@@ -25,7 +25,9 @@ public:
   const std::vector<Loop *> &getSubLoops() const { return SubLoops; }
   unsigned getDepth() const { return Depth; }
 
-  bool contains(const BasicBlock *BB) const { return Blocks.count(BB) != 0; }
+  bool contains(const BasicBlock *BB) const {
+    return BB->getNumber() < Blocks.size() && Blocks[BB->getNumber()];
+  }
   bool contains(const Instruction *I) const {
     return I->getParent() && contains(I->getParent());
   }
@@ -51,7 +53,7 @@ private:
   Loop *Parent = nullptr;
   std::vector<Loop *> SubLoops;
   unsigned Depth = 1;
-  std::unordered_set<const BasicBlock *> Blocks;
+  std::vector<bool> Blocks;             // By block number.
   std::vector<BasicBlock *> BlockList; // Deterministic order.
 };
 
@@ -65,8 +67,8 @@ public:
 
   /// Innermost loop containing \p BB, or nullptr.
   Loop *getLoopFor(const BasicBlock *BB) const {
-    auto It = BlockMap.find(BB);
-    return It == BlockMap.end() ? nullptr : It->second;
+    return BB->getNumber() < BlockMap.size() ? BlockMap[BB->getNumber()]
+                                              : nullptr;
   }
 
   /// Loop nesting depth of \p BB (0 = not in any loop).
@@ -75,26 +77,19 @@ public:
     return L ? L->getDepth() : 0;
   }
 
-  /// True if the CFG edge From->To is a back edge of some natural loop.
+  /// True if the CFG edge From->To is a back edge of some natural loop:
+  /// To heads a loop containing From (a header dominates its whole loop).
   bool isBackEdge(const BasicBlock *From, const BasicBlock *To) const {
-    return BackEdges.count({From, To}) != 0;
+    return To->getNumber() < HeaderLoop.size() &&
+           HeaderLoop[To->getNumber()] &&
+           HeaderLoop[To->getNumber()]->contains(From);
   }
 
 private:
-  struct PairHash {
-    size_t operator()(
-        const std::pair<const BasicBlock *, const BasicBlock *> &P) const {
-      return std::hash<const void *>()(P.first) * 31 ^
-             std::hash<const void *>()(P.second);
-    }
-  };
-
   std::vector<std::unique_ptr<Loop>> Storage;
   std::vector<Loop *> AllLoops;
-  std::unordered_map<const BasicBlock *, Loop *> BlockMap;
-  std::unordered_set<std::pair<const BasicBlock *, const BasicBlock *>,
-                     PairHash>
-      BackEdges;
+  std::vector<Loop *> BlockMap;   ///< Innermost loop, by block number.
+  std::vector<Loop *> HeaderLoop; ///< Loop headed by the block, by number.
 };
 
 } // namespace wario

@@ -2,21 +2,24 @@
 
 #include <algorithm>
 #include <iterator>
+#include <unordered_map>
 
 using namespace wario;
 
 CFGReachability::CFGReachability(const Function &F, const LoopInfo &LI) {
+  size_t N = F.size();
+  Index.assign(F.numBlockNumbers(), ~0u);
+  unsigned Pos = 0;
   for (const BasicBlock *BB : F)
-    Index.emplace(BB, unsigned(Index.size()));
-  size_t N = Index.size();
+    Index[BB->getNumber()] = Pos++;
   Words = (N + 63) / 64;
   Succs.resize(N);
   std::vector<std::vector<unsigned>> ForwardSuccs(N);
   for (const BasicBlock *BB : F)
     for (const BasicBlock *S : BB->successors()) {
-      Succs[Index.at(BB)].push_back(Index.at(S));
+      Succs[index(BB)].push_back(index(S));
       if (!LI.isBackEdge(BB, S))
-        ForwardSuccs[Index.at(BB)].push_back(Index.at(S));
+        ForwardSuccs[index(BB)].push_back(index(S));
     }
 
   // A flood from every block; N is small for embedded code.

@@ -19,8 +19,6 @@
 #include "analysis/AliasAnalysis.h"
 #include "analysis/LoopInfo.h"
 
-#include <unordered_map>
-
 namespace wario {
 
 /// One WAR: the read Src can execute before the write Dst and the
@@ -34,14 +32,18 @@ struct MemDep {
 };
 
 /// Block-level reachability over a function CFG, with and without back
-/// edges. Blocks are numbered by their position in the function; the
+/// edges. Blocks are indexed by their position in the function; the
 /// successor lists and one bit row per block are built once.
 class CFGReachability {
 public:
   CFGReachability(const Function &F, const LoopInfo &LI);
 
   unsigned numBlocks() const { return unsigned(Succs.size()); }
-  unsigned index(const BasicBlock *BB) const { return Index.at(BB); }
+  unsigned index(const BasicBlock *BB) const {
+    assert(BB->getNumber() < Index.size() &&
+           Index[BB->getNumber()] < numBlocks() && "block not in the CFG");
+    return Index[BB->getNumber()];
+  }
   const std::vector<unsigned> &successors(unsigned B) const { return Succs[B]; }
 
   /// True if a path with at least one edge leads from \p From to \p To.
@@ -62,7 +64,7 @@ public:
   bool onCycle(const BasicBlock *BB) const { return reaches(BB, BB); }
 
 private:
-  std::unordered_map<const BasicBlock *, unsigned> Index;
+  std::vector<unsigned> Index; ///< Position, by block number.
   std::vector<std::vector<unsigned>> Succs;
   size_t Words = 0;                    ///< 64-bit words per row.
   std::vector<uint64_t> Full, Forward; ///< [from][to] bit rows.

@@ -17,6 +17,7 @@
 #include "ir/Instruction.h"
 
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,13 +77,19 @@ public:
   /// a const std::list<Instruction *> did.
   using const_iterator = iterator;
 
-  BasicBlock(Function *Parent, std::string Name) : Parent(Parent) {
+  BasicBlock(Function *Parent, unsigned Number, std::string Name)
+      : Parent(Parent), Number(Number) {
     setName(std::move(Name));
   }
   BasicBlock(const BasicBlock &) = delete;
   BasicBlock &operator=(const BasicBlock &) = delete;
 
   Function *getParent() const { return Parent; }
+  /// Dense per-function number, fixed at creation: the block's index in
+  /// its function's creation order, below Function::numBlockNumbers().
+  /// Erased blocks keep theirs, so the attached blocks' numbers may have
+  /// holes. Analyses index their per-block tables by it.
+  unsigned getNumber() const { return Number; }
   const std::string &getName() const { return *Name; }
   void setName(std::string N) { Name = &internedName(std::move(N)); }
 
@@ -113,8 +120,9 @@ public:
     return ILast;
   }
 
-  /// Successor blocks, read off the terminator.
-  std::vector<BasicBlock *> successors() const;
+  /// Successor blocks: a view of the terminator's block operands (empty
+  /// when the block is unterminated), valid until the terminator changes.
+  std::span<BasicBlock *const> successors() const;
   /// Predecessor blocks (maintained lazily by the parent Function).
   const ArenaVec<BasicBlock *> &predecessors() const;
 
@@ -133,6 +141,7 @@ private:
   Instruction *IFirst = nullptr;
   Instruction *ILast = nullptr;
   uint32_t NumInsts = 0;
+  uint32_t Number;
   BasicBlock *PrevB = nullptr; ///< Intrusive function block list links.
   BasicBlock *NextB = nullptr;
   mutable ArenaVec<BasicBlock *> Preds; // Cache; see Function::ensureCFG.

@@ -111,6 +111,9 @@ public:
   /// Unlinks \p BB from the block list and detaches its instructions.
   /// The block must have no predecessors.
   void eraseBlock(BasicBlock *BB);
+  /// One past the largest block number ever handed out (erased blocks
+  /// included): the size of a table indexed by BasicBlock::getNumber().
+  unsigned numBlockNumbers() const { return unsigned(AllBlocks.size()); }
 
   // -- Instructions -----------------------------------------------------------
   /// Bump-allocates a detached instruction in this function's arena,

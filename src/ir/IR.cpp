@@ -328,12 +328,11 @@ void BasicBlock::remove(Instruction *I) {
   --NumInsts;
 }
 
-std::vector<BasicBlock *> BasicBlock::successors() const {
-  std::vector<BasicBlock *> Succs;
-  if (const Instruction *Term = getTerminator())
-    for (unsigned I = 0, E = Term->getNumBlockOperands(); I != E; ++I)
-      Succs.push_back(Term->getBlockOperand(I));
-  return Succs;
+std::span<BasicBlock *const> BasicBlock::successors() const {
+  const Instruction *Term = getTerminator();
+  if (!Term)
+    return {};
+  return {Term->BlockOps.begin(), Term->BlockOps.size()};
 }
 
 const ArenaVec<BasicBlock *> &BasicBlock::predecessors() const {
@@ -375,7 +374,8 @@ Function::Function(Module *Parent, Arena *A, std::string Name,
 }
 
 BasicBlock *Function::createBlock(std::string BlockName) {
-  BasicBlock *BB = A->create<BasicBlock>(this, std::move(BlockName));
+  BasicBlock *BB =
+      A->create<BasicBlock>(this, numBlockNumbers(), std::move(BlockName));
   AllBlocks.push_back(*A, BB);
   BB->PrevB = BLast;
   (BLast ? BLast->NextB : BFirst) = BB;
@@ -388,7 +388,8 @@ BasicBlock *Function::createBlock(std::string BlockName) {
 BasicBlock *Function::createBlockAfter(BasicBlock *After,
                                        std::string BlockName) {
   assert(After && After->Parent == this && "anchor block not in this function");
-  BasicBlock *BB = A->create<BasicBlock>(this, std::move(BlockName));
+  BasicBlock *BB =
+      A->create<BasicBlock>(this, numBlockNumbers(), std::move(BlockName));
   AllBlocks.push_back(*A, BB);
   BB->PrevB = After;
   BB->NextB = After->NextB;

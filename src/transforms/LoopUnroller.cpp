@@ -21,7 +21,7 @@ std::vector<BasicBlock *> wario::loopBodyRPO(Loop &L) {
   Visited.insert(H);
   while (!Stack.empty()) {
     auto &[BB, NextIdx] = Stack.back();
-    std::vector<BasicBlock *> Succs = BB->successors();
+    auto Succs = BB->successors();
     if (NextIdx >= Succs.size()) {
       PostOrder.push_back(BB);
       Stack.pop_back();

@@ -7,7 +7,6 @@
 #include "transforms/Utils.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace wario;
@@ -73,11 +72,18 @@ public:
   /// Transforms the (already unrolled) loop with header \p Header.
   /// Returns false if no store could be postponed.
   bool run(const UnrollResult &UR) {
-    Body = UR.allBlocks();
-    BodySet.insert(Body.begin(), Body.end());
+    std::vector<BasicBlock *> Body = UR.allBlocks();
+    Order.assign(F.nextInstId(), NotInBody);
+    IsPostponed.assign(F.nextInstId(), false);
+    unsigned Pos = 0;
     for (BasicBlock *BB : Body)
-      for (Instruction *I : *BB)
-        Order.emplace(I, unsigned(Order.size()));
+      for (Instruction *I : *BB) {
+        Order[I->getId()] = Pos++;
+        if (I->getOpcode() == Opcode::Load)
+          Reads.push_back({I, {}});
+        else if (I->getOpcode() == Opcode::Store)
+          Stores.push_back(I);
+      }
 
     Analyses A(F, AA);
     Loop *L = A.LI.getLoopFor(Body.front());
@@ -87,36 +93,36 @@ public:
     assert(Latch && "unrolled loop lost its unique latch");
     Instruction *LatchTerm = Latch->getTerminator();
 
-    // Collect the unrolled loop's WAR writes and dependent reads.
+    // Collect the unrolled loop's WAR writes, in original order.
     std::vector<Instruction *> Postponed;
-    std::unordered_set<Instruction *> PostponedSet;
     for (const MemDep &D : A.warsIn(*L)) {
       Instruction *W = D.Dst;
-      if (!BodySet.count(W->getParent()) || PostponedSet.count(W))
+      if (Order[W->getId()] == NotInBody || IsPostponed[W->getId()])
         continue;
       Postponed.push_back(W);
-      PostponedSet.insert(W);
+      IsPostponed[W->getId()] = true;
     }
     if (Postponed.empty())
       return false;
+    std::sort(Postponed.begin(), Postponed.end(),
+              [&](Instruction *X, Instruction *Y) {
+                return Order[X->getId()] < Order[Y->getId()];
+              });
 
     // Exit edges of the unrolled loop.
     std::vector<std::pair<BasicBlock *, BasicBlock *>> Exits =
         L->getExitEdges();
 
-    // Iteratively drop stores whose postponement cannot be compensated.
-    dropUnsupportedStores(A, LatchTerm, Exits, Postponed, PostponedSet);
+    // Drop stores whose postponement cannot be compensated.
+    dropUnsupportedStores(A, LatchTerm, Exits, Postponed);
+    std::erase_if(Postponed,
+                  [&](Instruction *W) { return !IsPostponed[W->getId()]; });
     if (Postponed.empty())
       return false;
 
-    std::sort(Postponed.begin(), Postponed.end(),
-              [&](Instruction *X, Instruction *Y) {
-                return Order.at(X) < Order.at(Y);
-              });
-
     // Dependent reads must be instrumented before the stores move (the
     // checks are inserted at the read, using the store's operands).
-    instrumentReads(A, Postponed);
+    instrumentReads();
 
     // Early exits get compensating copies of every postponed store that
     // dominates them.
@@ -141,161 +147,156 @@ public:
   }
 
 private:
+  /// A postponed store a body load may depend on: the store can reach the
+  /// load without the back edge, and the two may alias.
+  struct Dep {
+    Instruction *W;
+    AliasResult Alias;
+    bool Dominates; ///< W dominates the load.
+  };
+  /// A body load and its candidate dependences in original order.
+  struct Read {
+    Instruction *R;
+    std::vector<Dep> Deps;
+  };
+
   /// A store S must not be overtaken by an aliasing stationary store, must
   /// dominate or be disjoint from every exit it "precedes", and every
   /// dependent read must be dominated by it (so the runtime check is
-  /// meaningful). Violations remove S from the postponed set; removal can
-  /// create new stationary stores, so iterate to a fixed point.
+  /// meaningful). Violations clear S from IsPostponed. Checks (a0), (a),
+  /// (c) and (d) depend on S alone and run once; (b) depends on the
+  /// stationary stores, so each store, when it becomes stationary, drops
+  /// the postponed stores it would be overtaken by. Both only drop more as
+  /// the stationary set grows, so the set they leave is the unique one
+  /// that no check rejects, whatever the order of the drops.
   void dropUnsupportedStores(
       Analyses &A, Instruction *LatchTerm,
       const std::vector<std::pair<BasicBlock *, BasicBlock *>> &Exits,
-      std::vector<Instruction *> &Postponed,
-      std::unordered_set<Instruction *> &PostponedSet) {
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (auto It = Postponed.begin(); It != Postponed.end();) {
-        Instruction *W = *It;
-        bool Drop = false;
+      const std::vector<Instruction *> &Postponed) {
+    std::vector<Instruction *> Stationary;
+    auto Drop = [&](Instruction *W) {
+      IsPostponed[W->getId()] = false;
+      Stationary.push_back(W);
+    };
+    for (Instruction *S : Stores)
+      if (!IsPostponed[S->getId()])
+        Stationary.push_back(S);
 
-        // (a0) W must dominate the latch: postponing may only move a
-        // store that executes on *every* latch-reaching iteration, or a
-        // conditional store would become unconditional. (The paper's
-        // IsCandidate phrases this as the latch post-dominating the
-        // write, which a rejoining branch arm also satisfies — dominance
-        // is the sound direction.)
-        if (!A.DT.dominates(W, LatchTerm))
-          Drop = true;
+    for (Instruction *W : Postponed) {
+      // (a0) W must dominate the latch: postponing may only move a store
+      // that executes on *every* latch-reaching iteration, or a
+      // conditional store would become unconditional. (The paper's
+      // IsCandidate phrases this as the latch post-dominating the write,
+      // which a rejoining branch arm also satisfies — dominance is the
+      // sound direction.)
+      bool Unsupported = !A.DT.dominates(W, LatchTerm);
 
-        // (a) Operands must be available at the latch insertion point.
-        for (unsigned J = 0; J != W->getNumOperands() && !Drop; ++J)
-          if (auto *Def = dyn_cast<Instruction>(W->getOperand(J)))
-            if (!A.DT.dominates(Def, LatchTerm))
-              Drop = true;
+      // (a) Operands must be available at the latch insertion point.
+      for (unsigned J = 0; J != W->getNumOperands() && !Unsupported; ++J)
+        if (auto *Def = dyn_cast<Instruction>(W->getOperand(J)))
+          Unsupported = !A.DT.dominates(Def, LatchTerm);
 
-        // (b) No stationary aliasing store W could overtake when sinking
-        // (order on some forward path would flip).
-        for (BasicBlock *BB : Body) {
-          if (Drop)
-            break;
-          for (Instruction *S : *BB) {
-            if (S->getOpcode() != Opcode::Store || PostponedSet.count(S) ||
-                S == W)
-              continue;
-            if (onForwardPath(A, W, S) &&
-                AA.alias(S, W) != AliasResult::NoAlias)
-              Drop = true;
-          }
-        }
+      // (c) Exits W forward-reaches must be dominated by W, or the
+      // compensating copy cannot be placed.
+      for (auto &[E, X] : Exits) {
+        (void)X;
+        if (Unsupported)
+          break;
+        Instruction *ETerm = E->getTerminator();
+        if (A.DT.dominates(W, ETerm))
+          continue; // Copy is well-defined.
+        // Reachable but conditional: cannot compensate.
+        Unsupported = W->getParent() == E ||
+                      A.Reach.forwardReaches(W->getParent(), E);
+      }
+      if (Unsupported)
+        Drop(W);
+    }
 
-        // (c) Exits W forward-reaches must be dominated by W, or the
-        // compensating copy cannot be placed.
-        for (auto &[E, X] : Exits) {
-          (void)X;
-          if (Drop)
-            break;
-          Instruction *ETerm = E->getTerminator();
-          if (A.DT.dominates(W, ETerm))
-            continue; // Copy is well-defined.
-          if (W->getParent() == E ||
-              A.Reach.forwardReaches(W->getParent(), E))
-            Drop = true; // Reachable but conditional: cannot compensate.
-        }
+    // The candidate dependences of every body load, in program order;
+    // the break-even guard and instrumentReads read them too.
+    for (Read &Rd : Reads)
+      for (Instruction *W : Postponed) {
+        if (!IsPostponed[W->getId()] || !onForwardPath(A, W, Rd.R))
+          continue; // Carried around the back edge: cluster runs first.
+        AliasResult AR = AA.alias(Rd.R, W);
+        if (AR == AliasResult::NoAlias)
+          continue;
+        // In one block, onForwardPath means W comes first.
+        bool Dom = W->getParent() == Rd.R->getParent() ||
+                   A.DT.dominates(W->getParent(), Rd.R->getParent());
+        Rd.Deps.push_back({W, AR, Dom});
+      }
 
-        // (d) Dependent reads must be dominated by W, or the runtime
-        // check would consult a store that never "executed".
-        if (!Drop) {
-          for (BasicBlock *BB : Body) {
-            if (Drop)
-              break;
-            for (Instruction *R : *BB) {
-              if (R->getOpcode() != Opcode::Load)
-                continue;
-              if (AA.alias(R, W) == AliasResult::NoAlias)
-                continue;
-              if (!onForwardPath(A, W, R) || A.DT.dominates(W, R))
-                continue;
-              Drop = true;
-              break;
-            }
-          }
-        }
+    // (d) Dependent reads must be dominated by W, or the runtime check
+    // would consult a store that never "executed".
+    for (const Read &Rd : Reads)
+      for (const Dep &D : Rd.Deps)
+        if (!D.Dominates && IsPostponed[D.W->getId()])
+          Drop(D.W);
 
-        if (Drop) {
-          PostponedSet.erase(W);
-          It = Postponed.erase(It);
-          Changed = true;
-        } else {
-          ++It;
-        }
+    for (;;) {
+      // (b) No stationary aliasing store W could overtake when sinking
+      // (order on some forward path would flip).
+      while (!Stationary.empty()) {
+        Instruction *S = Stationary.back();
+        Stationary.pop_back();
+        for (Instruction *W : Postponed)
+          if (IsPostponed[W->getId()] && onForwardPath(A, W, S) &&
+              AA.alias(S, W) != AliasResult::NoAlias)
+            Drop(W);
       }
 
       // (e) Break-even guard (paper Section 3.1.2): a read needing more
       // than a few compare+select pairs costs more than the checkpoint it
-      // saves. Un-postpone the stores feeding such reads. Must-alias
-      // forwarding is free and exempt.
-      if (!Changed) {
-        for (BasicBlock *BB : Body) {
-          for (Instruction *R : *BB) {
-            if (R->getOpcode() != Opcode::Load)
-              continue;
-            bool PureForward = false;
-            std::vector<Instruction *> Deps =
-                depsForRead(A, R, Postponed, PureForward);
-            if (PureForward || Deps.size() <= MaxChecksPerRead)
-              continue;
-            for (Instruction *W : Deps) {
-              PostponedSet.erase(W);
-              Postponed.erase(
-                  std::find(Postponed.begin(), Postponed.end(), W));
-            }
-            Changed = true;
-            break;
-          }
-          if (Changed)
-            break;
-        }
+      // saves. Un-postpone the stores feeding the first such read, then
+      // recheck (b). Must-alias forwarding is free and exempt (it returns
+      // one dependence).
+      std::vector<Instruction *> Deps;
+      for (const Read &Rd : Reads) {
+        bool PureForward;
+        Deps = depsForRead(Rd, PureForward);
+        if (Deps.size() > MaxChecksPerRead)
+          break;
+        Deps.clear();
       }
+      if (Deps.empty())
+        return;
+      for (Instruction *W : Deps)
+        Drop(W);
     }
   }
 
   static constexpr unsigned MaxChecksPerRead = 4;
+  static constexpr unsigned NotInBody = ~0u;
 
   /// True if execution can flow from \p W to \p R without taking the
   /// unrolled loop's back edge.
-  bool onForwardPath(Analyses &A, Instruction *W, Instruction *R) {
+  bool onForwardPath(Analyses &A, Instruction *W, Instruction *R) const {
     if (W->getParent() == R->getParent())
-      return Order.at(W) < Order.at(R);
+      return Order[W->getId()] < Order[R->getId()];
     return A.Reach.forwardReaches(W->getParent(), R->getParent());
   }
 
-  /// Postponed stores the read \p R may depend on, in original program
-  /// order. When the latest one must-alias R (so its value statically
-  /// shadows all earlier ones), only that store is returned with
-  /// \p PureForward set: the read forwards with no runtime check.
-  std::vector<Instruction *>
-  depsForRead(Analyses &A, Instruction *R,
-              const std::vector<Instruction *> &Postponed,
-              bool &PureForward) {
+  /// Postponed stores the read \p Rd may depend on, in original program
+  /// order. When the latest one must-alias the read (so its value
+  /// statically shadows all earlier ones), only that store is returned
+  /// with \p PureForward set: the read forwards with no runtime check.
+  std::vector<Instruction *> depsForRead(const Read &Rd,
+                                         bool &PureForward) const {
     std::vector<Instruction *> Deps;
-    for (Instruction *W : Postponed) {
-      if (AA.alias(R, W) == AliasResult::NoAlias)
-        continue;
-      if (!onForwardPath(A, W, R))
-        continue; // Carried around the back edge: cluster runs first.
-      Deps.push_back(W);
-    }
-    std::sort(Deps.begin(), Deps.end(), [&](Instruction *X, Instruction *Y) {
-      return Order.at(X) < Order.at(Y);
-    });
-    PureForward = false;
-    if (!Deps.empty() && AA.alias(R, Deps.back()) == AliasResult::MustAlias &&
-        A.DT.dominates(Deps.back(), R)) {
-      // Store-to-load forwarding: the latest store writes exactly this
-      // location on every path, shadowing all earlier aliasing stores.
-      PureForward = true;
-      Deps = {Deps.back()};
-    }
+    const Dep *Latest = nullptr;
+    for (const Dep &D : Rd.Deps)
+      if (IsPostponed[D.W->getId()]) {
+        Deps.push_back(D.W);
+        Latest = &D;
+      }
+    // Store-to-load forwarding: the latest store writes exactly this
+    // location on every path, shadowing all earlier aliasing stores.
+    PureForward = Latest && Latest->Alias == AliasResult::MustAlias &&
+                  Latest->Dominates;
+    if (PureForward)
+      Deps = {Latest->W};
     return Deps;
   }
 
@@ -303,66 +304,55 @@ private:
   /// `cmp = (raddr == waddr); sel = cmp ? wval : prev` per aliasing
   /// postponed store (in store order, so the latest store wins), then
   /// rewire the read's users to the final select.
-  void instrumentReads(Analyses &A,
-                       const std::vector<Instruction *> &Postponed) {
+  void instrumentReads() {
     IRBuilder IRB(M);
-    for (BasicBlock *BB : Body) {
-      // Snapshot: instrumentation inserts instructions into the block.
-      std::vector<Instruction *> Loads;
-      for (Instruction *I : *BB)
-        if (I->getOpcode() == Opcode::Load)
-          Loads.push_back(I);
-      for (Instruction *R : Loads) {
-        bool PureForward = false;
-        std::vector<Instruction *> Deps =
-            depsForRead(A, R, Postponed, PureForward);
-        if (Deps.empty())
+    for (const Read &Rd : Reads) {
+      Instruction *R = Rd.R;
+      bool PureForward = false;
+      std::vector<Instruction *> Deps = depsForRead(Rd, PureForward);
+      if (Deps.empty())
+        continue;
+      for ([[maybe_unused]] const Dep &D : Rd.Deps)
+        assert((D.Dominates || !IsPostponed[D.W->getId()]) &&
+               "unsupported store left in postponed set");
+
+      Value *Final = R;
+      std::vector<Instruction *> Chain;
+      if (PureForward) {
+        // The latest store must-aliases the read on every path: the
+        // read's value is simply the stored register (the now-dead
+        // load is cleaned up by DCE).
+        Final = Deps.back()->getStoredValue();
+      } else {
+        // Insert the chain right after the load (a load is never a
+        // block terminator, so a next instruction always exists).
+        auto Pos = std::find(R->getParent()->begin(),
+                             R->getParent()->end(), R);
+        ++Pos;
+        assert(Pos != R->getParent()->end() && "load terminates a block?");
+        for (Instruction *W : Deps) {
+          IRB.setInsertPoint(*Pos);
+          Instruction *Cmp =
+              IRB.createICmp(CmpPred::EQ, R->getAddressOperand(),
+                             W->getAddressOperand(), "wchk");
+          Instruction *Sel =
+              IRB.createSelect(Cmp, W->getStoredValue(), Final, "wfwd");
+          Chain.push_back(Cmp);
+          Chain.push_back(Sel);
+          Final = Sel;
+          ++Stats.RuntimeChecks;
+        }
+      }
+
+      // Rewire users of R (outside the chain) to the final value.
+      std::vector<Instruction *> Users(R->users().begin(), R->users().end());
+      std::unordered_set<Instruction *> ChainSet(Chain.begin(), Chain.end());
+      for (Instruction *U : Users) {
+        if (ChainSet.count(U))
           continue;
-        for ([[maybe_unused]] Instruction *W : Deps)
-          assert(A.DT.dominates(W, R) &&
-                 "unsupported store left in postponed set");
-
-        Value *Final = R;
-        std::vector<Instruction *> Chain;
-        if (PureForward) {
-          // The latest store must-aliases the read on every path: the
-          // read's value is simply the stored register (the now-dead
-          // load is cleaned up by DCE).
-          Final = Deps.back()->getStoredValue();
-        } else {
-          // Insert the chain right after the load (a load is never a
-          // block terminator, so a next instruction always exists).
-          auto Pos = std::find(R->getParent()->begin(),
-                               R->getParent()->end(), R);
-          ++Pos;
-          assert(Pos != R->getParent()->end() &&
-                 "load terminates a block?");
-          for (Instruction *W : Deps) {
-            IRB.setInsertPoint(*Pos);
-            Instruction *Cmp =
-                IRB.createICmp(CmpPred::EQ, R->getAddressOperand(),
-                               W->getAddressOperand(), "wchk");
-            Instruction *Sel =
-                IRB.createSelect(Cmp, W->getStoredValue(), Final, "wfwd");
-            Chain.push_back(Cmp);
-            Chain.push_back(Sel);
-            Final = Sel;
-            ++Stats.RuntimeChecks;
-          }
-        }
-
-        // Rewire users of R (outside the chain) to the final value.
-        std::vector<Instruction *> Users(R->users().begin(),
-                                         R->users().end());
-        std::unordered_set<Instruction *> ChainSet(Chain.begin(),
-                                                   Chain.end());
-        for (Instruction *U : Users) {
-          if (ChainSet.count(U))
-            continue;
-          for (unsigned J = 0, E = U->getNumOperands(); J != E; ++J)
-            if (U->getOperand(J) == R)
-              U->setOperand(J, Final);
-        }
+        for (unsigned J = 0, E = U->getNumOperands(); J != E; ++J)
+          if (U->getOperand(J) == R)
+            U->setOperand(J, Final);
       }
     }
   }
@@ -403,11 +393,12 @@ private:
   Module *M;
   const AliasAnalysis &AA;
   LoopWriteClustererStats &Stats;
-  std::vector<BasicBlock *> Body;
-  std::unordered_set<const BasicBlock *> BodySet;
-  /// Per-instruction position in the unrolled body, iteration-major;
-  /// used as "original program order" after unrolling.
-  std::unordered_map<const Instruction *, unsigned> Order;
+  /// Position in the unrolled body by instruction id, iteration-major
+  /// ("original program order" after unrolling); NotInBody outside it.
+  std::vector<unsigned> Order;
+  std::vector<bool> IsPostponed;     ///< By instruction id.
+  std::vector<Read> Reads;           ///< The body's loads, in order.
+  std::vector<Instruction *> Stores; ///< The body's stores, in order.
 };
 
 } // namespace

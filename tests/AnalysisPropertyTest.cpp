@@ -36,15 +36,20 @@ struct XorShift {
 
 /// Builds a random function CFG: N blocks, each ending in Ret (sinks),
 /// Jmp, or Br with random targets (entry never targeted, so it stays a
-/// proper entry).
+/// proper entry). About a third of the blocks are created after a spare
+/// block that is erased at the end, so the block numbers the analyses
+/// index by have holes, as they do after cleanup.
 std::unique_ptr<Module> randomCFG(uint32_t Seed, unsigned NumBlocks) {
-  XorShift Rng(Seed);
+  XorShift Rng(Seed), HoleRng(Seed ^ 0x5bd1e995u);
   auto M = std::make_unique<Module>("cfg");
   GlobalVariable *G = M->createGlobal("g", 4);
   Function *F = M->createFunction("main", 0, true);
-  std::vector<BasicBlock *> Blocks;
-  for (unsigned I = 0; I != NumBlocks; ++I)
+  std::vector<BasicBlock *> Blocks, Spares;
+  for (unsigned I = 0; I != NumBlocks; ++I) {
+    if (HoleRng.range(3) == 0)
+      Spares.push_back(F->createBlock("spare" + std::to_string(I)));
     Blocks.push_back(F->createBlock("b" + std::to_string(I)));
+  }
   IRBuilder IRB(M.get());
   for (unsigned I = 0; I != NumBlocks; ++I) {
     IRB.setInsertPoint(Blocks[I]);
@@ -71,6 +76,8 @@ std::unique_ptr<Module> randomCFG(uint32_t Seed, unsigned NumBlocks) {
       }
     }
   }
+  for (BasicBlock *BB : Spares)
+    F->eraseBlock(BB);
   return M;
 }
 
@@ -236,6 +243,36 @@ TEST_P(CFGSeeds, ReachabilityMatchesOracle) {
           << "seed " << GetParam() << ": " << A->getName() << " -> "
           << B->getName();
     }
+  }
+}
+
+TEST_P(CFGSeeds, BlocksCreatedLaterAreOutsideTheAnalyses) {
+  auto M = randomCFG(GetParam() * 104729 + 5, 4 + GetParam() % 12);
+  Function &F = *M->getFunction("main");
+  DominatorTree DT(F), PDT(F, /*Post=*/true);
+  LoopInfo LI(F, DT);
+  unsigned Built = F.numBlockNumbers();
+  const BasicBlock *Late[] = {F.createBlock("late"),
+                              F.createBlockAfter(F.getEntryBlock(), "mid")};
+  for (const BasicBlock *New : Late) {
+    EXPECT_GE(New->getNumber(), Built);
+    for (const DominatorTree *T : {&DT, &PDT}) {
+      EXPECT_FALSE(T->contains(New));
+      EXPECT_EQ(T->getIDom(New), nullptr);
+      EXPECT_FALSE(T->dominates(New, New));
+      for (const BasicBlock *BB : F) {
+        EXPECT_FALSE(T->dominates(New, BB));
+        EXPECT_FALSE(T->dominates(BB, New));
+      }
+    }
+    EXPECT_EQ(LI.getLoopFor(New), nullptr);
+    EXPECT_EQ(LI.getLoopDepth(New), 0u);
+    for (const Loop *L : LI.loops()) {
+      EXPECT_FALSE(L->contains(New));
+      EXPECT_FALSE(LI.isBackEdge(New, L->getHeader()));
+    }
+    for (const BasicBlock *BB : F)
+      EXPECT_FALSE(LI.isBackEdge(BB, New));
   }
 }
 

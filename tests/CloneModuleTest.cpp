@@ -78,6 +78,22 @@ void expectCloneInvariants(const Module &M) {
   // Textual identity covers names, ids, block order, operands.
   EXPECT_EQ(printModule(M), printModule(*C));
 
+  // Block numbers, which the CFG analyses index by, are copied too; they
+  // stay unique and below numBlockNumbers(), holes from erased blocks
+  // included.
+  ASSERT_EQ(M.functions().size(), C->functions().size());
+  for (size_t FI = 0; FI != M.functions().size(); ++FI) {
+    const Function &F = *M.functions()[FI], &CF = *C->functions()[FI];
+    EXPECT_EQ(F.numBlockNumbers(), CF.numBlockNumbers()) << F.getName();
+    std::vector<bool> Seen(CF.numBlockNumbers());
+    for (auto It = F.begin(), CIt = CF.begin(); CIt != CF.end(); ++It, ++CIt) {
+      EXPECT_EQ((*It)->getNumber(), (*CIt)->getNumber()) << F.getName();
+      ASSERT_LT((*CIt)->getNumber(), CF.numBlockNumbers()) << F.getName();
+      EXPECT_FALSE(Seen[(*CIt)->getNumber()]) << F.getName();
+      Seen[(*CIt)->getNumber()] = true;
+    }
+  }
+
   // Structural disjointness: the clone owns every one of its Values.
   std::set<const void *> Orig, Clone;
   collectOwned(M, Orig);

@@ -8,7 +8,10 @@
 
 #include "TestUtil.h"
 
+#include "analysis/Verifier.h"
 #include "ir/IRPrinter.h"
+#include "transforms/Inliner.h"
+#include "transforms/Utils.h"
 
 #include <gtest/gtest.h>
 
@@ -134,6 +137,59 @@ TEST(BasicBlockTest, SuccessorsAndPredecessors) {
   EXPECT_EQ(Loop->predecessors().size(), 2u);
   // Loop has two successors: itself and exit.
   EXPECT_EQ(Loop->successors().size(), 2u);
+}
+
+namespace {
+
+/// Every attached block's number is unique and below numBlockNumbers().
+void expectUniqueBlockNumbers(const Function &F, const char *Where) {
+  std::vector<bool> Seen(F.numBlockNumbers());
+  for (const BasicBlock *BB : F) {
+    ASSERT_LT(BB->getNumber(), F.numBlockNumbers()) << Where;
+    EXPECT_FALSE(Seen[BB->getNumber()]) << Where << ": " << BB->getName();
+    Seen[BB->getNumber()] = true;
+  }
+}
+
+} // namespace
+
+TEST(BasicBlockTest, NumbersStayUniqueThroughCFGEdits) {
+  auto M = buildSumLoopModule(4);
+  Function *Inc = M->createFunction("inc", 1, true);
+  IRBuilder IRB(M.get());
+  IRB.setInsertPoint(Inc->createBlock("entry"));
+  IRB.createRet(IRB.createAdd(Inc->getArg(0), IRB.getInt(1), "r"));
+
+  Function *Main = M->getFunction("main");
+  BasicBlock *Entry = Main->getEntryBlock();
+  BasicBlock *Loop = *std::next(Main->begin());
+  BasicBlock *Exit = *std::next(Main->begin(), 2);
+  EXPECT_EQ(Entry->getNumber(), 0u);
+  EXPECT_EQ(Loop->getNumber(), 1u);
+  EXPECT_EQ(Exit->getNumber(), 2u);
+  EXPECT_EQ(Main->numBlockNumbers(), 3u);
+  EXPECT_EQ(Inc->getEntryBlock()->getNumber(), 0u); // Per function.
+
+  BasicBlock *Tail = Main->createBlock("tail");
+  BasicBlock *Mid = Main->createBlockAfter(Entry, "mid");
+  EXPECT_EQ(Tail->getNumber(), 3u);
+  EXPECT_EQ(Mid->getNumber(), 4u);
+  expectUniqueBlockNumbers(*Main, "created");
+
+  // Erased blocks keep their numbers: the next block does not reuse one.
+  Main->eraseBlock(Mid);
+  Main->eraseBlock(Tail);
+  EXPECT_EQ(Main->numBlockNumbers(), 5u);
+  EXPECT_EQ(splitEdge(Loop, Exit)->getNumber(), 5u);
+  expectUniqueBlockNumbers(*Main, "split");
+
+  // Inlining splits the calling block and copies the callee's blocks.
+  IRB.setInsertPoint(Exit->getTerminator());
+  ASSERT_TRUE(inlineCall(IRB.createCall(Inc, {IRB.getInt(5)}, "c")));
+  EXPECT_GT(Main->numBlockNumbers(), 6u);
+  expectUniqueBlockNumbers(*Main, "inlined");
+  std::string Err;
+  EXPECT_TRUE(verifyModule(*M, &Err)) << Err;
 }
 
 TEST(BasicBlockTest, PhiQueries) {

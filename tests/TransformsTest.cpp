@@ -11,6 +11,8 @@
 #include "TestUtil.h"
 
 #include "analysis/Verifier.h"
+#include "driver/Pipeline.h"
+#include "frontend/Frontend.h"
 #include "ir/IRPrinter.h"
 #include "transforms/CheckpointInserter.h"
 #include "transforms/Expander.h"
@@ -777,6 +779,56 @@ TEST(LoopWriteClustererTest, SkipsLoopsWithCalls) {
 
   LoopWriteClustererStats S = runLoopWriteClusterer(*F, {});
   EXPECT_EQ(S.LoopsTransformed, 0u);
+}
+
+TEST(LoopWriteClustererTest, BreakEvenDropsFeedTheOvertakeCheck) {
+  // The load of a[i] depends on the five postponed stores to a[idx[k]]
+  // before it, so the break-even guard un-postpones those five. They
+  // become stationary, and the store to a[i + 1], which precedes them and
+  // may alias them, must then stay too: sinking it past them would flip
+  // the order of two writes to the same word.
+  const char *Src = R"(
+    unsigned int a[16]; unsigned int idx[8];
+    int main() {
+      unsigned int i; unsigned int s = 0;
+      for (i = 0; i < 16; i++) a[i] = i * 7 + 1;
+      idx[0] = 8; idx[1] = 5; idx[2] = 6; idx[3] = 9; idx[4] = 12;
+      for (i = 0; i < 8; i++) {
+        unsigned int t = a[i + 1];
+        a[i + 1] = t + 100;
+        a[idx[0]] = i; a[idx[1]] = i + 1; a[idx[2]] = i + 2;
+        a[idx[3]] = i + 3; a[idx[4]] = i + 4;
+        s = s + a[i];
+      }
+      for (i = 0; i < 16; i++) s = s * 31 + a[i];
+      return s;
+    }
+  )";
+  DiagnosticEngine Diags;
+  auto Plain = compileC(Src, "breakeven", Diags);
+  ASSERT_TRUE(Plain) << Diags.formatAll();
+  InterpResult Want = interpretModule(*Plain);
+  ASSERT_TRUE(Want.Ok) << Want.Error;
+  for (Environment Env :
+       {Environment::LoopWriteClustererOnly, Environment::WarioComplete})
+    for (unsigned N : {1u, 2u, 4u, 8u}) {
+      auto M = compileC(Src, "breakeven", Diags);
+      ASSERT_TRUE(M) << Diags.formatAll();
+      PipelineOptions PO;
+      PO.Env = Env;
+      PO.UnrollFactor = N;
+      PipelineStats S;
+      runFrontHalf(*M, S);
+      runMiddleEnd(*M, PO, S);
+      std::string Where =
+          std::string(environmentName(Env)) + ", N=" + std::to_string(N);
+      EXPECT_EQ(S.LoopClusterer.StoresPostponed, 0u) << Where;
+      std::string Err;
+      ASSERT_TRUE(verifyModule(*M, &Err)) << Where << "\n" << Err;
+      InterpResult Got = interpretModule(*M);
+      ASSERT_TRUE(Got.Ok) << Where << ": " << Got.Error;
+      EXPECT_EQ(Got.ReturnValue, Want.ReturnValue) << Where;
+    }
 }
 
 //===----------------------------------------------------------------------===//

@@ -22,9 +22,13 @@ order. For every end-to-end metric the report gives each side's median
 won, and whether the medians differ by more than the base's
 interquartile range (IQR); for each per-layer time of the traced runs
 (every BENCHMARK.json per_layer metric in seconds but the trace.*
-totals) it gives the median seconds per operation. One traced run per
-side is at the mercy of the host's noise; take several to compare
-layers. Pick seeds you did not use while developing the change. The
+totals) it gives the median seconds per operation, after both sides'
+median operation count and set-up repetitions. A layer that runs only
+in set-up (the oracle; the compiler on emulate_intermittent and
+crash_campaign) grows with the set-up repetitions but is divided by the
+operations, so its per-op time is not comparable across sides. One
+traced run per side is at the mercy of the host's noise; take several
+to compare layers. Pick seeds you did not use while developing the change. The
 JSON written to --out holds every run's values, all per-layer metrics
 included.
 
@@ -241,6 +245,7 @@ def main():
             ops = report.get("ops") or 0
             traces[side["name"]].append({
                 "ops": ops,
+                "setup_reps": len(report.get("setup_reps_s") or []),
                 "metrics": layers,
                 "self_s_per_op": {k: layers[k] / ops for k in layer_times
                                   if k in layers and ops},
@@ -291,8 +296,22 @@ def print_workload(workload, entry):
               f"  {'yes' if s['beyond_base_iqr'] else 'no'}")
     per_op = entry["trace"]["self_s_per_op"]
     if per_op:
+        traced = entry["trace"]["runs"]
+
+        def median_of(side, key):
+            xs = [r[key] for r in traced[side] if r]
+            return fmt(statistics.median(xs)) if xs else "-"
+
+        print("  traced runs, median operations / set-up repetitions: "
+              f"base {median_of('base', 'ops')} / "
+              f"{median_of('base', 'setup_reps')}, candidate "
+              f"{median_of('candidate', 'ops')} / "
+              f"{median_of('candidate', 'setup_reps')}")
+        print("  note: per-op times of layers that run only in set-up (the "
+              "oracle; the compiler on emulate_intermittent and "
+              "crash_campaign) are not comparable across sides")
         print("  traced layer time per operation (ms), median of "
-              f"{len(entry['trace']['runs']['base'])} run(s) per side:")
+              f"{len(traced['base'])} run(s) per side:")
         for name, t in per_op.items():
             if not t or not (t["base"]["median"] or t["candidate"]["median"]):
                 continue
