@@ -10,78 +10,64 @@ using namespace wario;
 using namespace wario::bench;
 
 //===----------------------------------------------------------------------===//
-// --timing accumulator
+// --timing
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Process-wide stage accounting: seconds actually spent computing each
-/// stage and how often each staged store answered from cache. Printed to
-/// stderr on exit when --timing was passed (stdout stays byte-identical).
-struct HarnessTiming {
+/// Seconds each stage actually took, summed over every request the
+/// harness made while --timing is on (serve::computedStages: a stage
+/// answered from cache adds nothing). The runs and hits columns are the
+/// global cache's own per-level misses and hits.
+struct StageSeconds {
   std::mutex M;
-  double Seconds[6] = {0, 0, 0, 0, 0, 0}; // frontend..emulate, clone.
-  unsigned Runs[6] = {0, 0, 0, 0, 0, 0};
-  unsigned Hits[4] = {0, 0, 0, 0}; // front, mid, compile, run stores.
+  PipelineStats Sum; ///< Only the *Seconds fields are summed.
   bool Enabled = false;
 };
 
-enum Stage { StFrontend, StFrontHalf, StMiddleEnd, StBackend, StEmulate,
-             StClone };
-enum Store { CaFront, CaMid, CaCompile, CaRun };
-
-HarnessTiming &timing() {
-  static HarnessTiming T;
+StageSeconds &stageSeconds() {
+  static StageSeconds T;
   return T;
 }
 
-void addStage(Stage S, double Seconds) {
-  HarnessTiming &T = timing();
-  std::lock_guard<std::mutex> Lock(T.M);
-  T.Seconds[S] += Seconds;
-  T.Runs[S] += 1;
-}
-
-void addHits(Store S, unsigned N) {
-  if (!N)
+void addComputed(const PipelineStats &S, serve::Provenance P) {
+  StageSeconds &T = stageSeconds();
+  if (!T.Enabled)
     return;
-  HarnessTiming &T = timing();
+  PipelineStats C = serve::computedStages(S, P);
   std::lock_guard<std::mutex> Lock(T.M);
-  T.Hits[S] += N;
-}
-
-Stage stageFor(serve::CacheStage S) {
-  switch (S) {
-  case serve::CacheStage::Frontend: return StFrontend;
-  case serve::CacheStage::FrontHalf: return StFrontHalf;
-  case serve::CacheStage::MiddleEnd: return StMiddleEnd;
-  case serve::CacheStage::Backend: return StBackend;
-  case serve::CacheStage::Emulate: return StEmulate;
-  case serve::CacheStage::Clone: return StClone;
-  }
-  return StFrontend;
+  T.Sum.FrontendSeconds += C.FrontendSeconds;
+  T.Sum.FrontHalfSeconds += C.FrontHalfSeconds;
+  T.Sum.MiddleEndSeconds += C.MiddleEndSeconds;
+  T.Sum.BackendSeconds += C.BackendSeconds;
+  T.Sum.EmulateSeconds += C.EmulateSeconds;
 }
 
 void printTimingSummary() {
-  HarnessTiming &T = timing();
+  serve::CacheCounters C = globalCache().counters();
+  StageSeconds &T = stageSeconds();
   std::lock_guard<std::mutex> Lock(T.M);
-  static const char *StageNames[6] = {"frontend",  "front half",
-                                      "middle end", "backend",
-                                      "emulate",    "clone"};
-  static const int HitStore[6] = {CaFront, CaFront, CaMid, CaCompile,
-                                  CaRun, -1};
+  const struct {
+    const char *Name;
+    serve::CacheLevel Level;
+    double Seconds;
+  } Rows[] = {
+      {"frontend", serve::LevelFront, T.Sum.FrontendSeconds},
+      {"front half", serve::LevelFront, T.Sum.FrontHalfSeconds},
+      {"middle end", serve::LevelMid, T.Sum.MiddleEndSeconds},
+      {"backend", serve::LevelCompile, T.Sum.BackendSeconds},
+      {"emulate", serve::LevelRun, T.Sum.EmulateSeconds},
+  };
   double Total = 0;
   std::fprintf(stderr, "\n-- wario --timing: per-stage wall clock "
                        "(computed once, reused from cache) --\n");
   std::fprintf(stderr, "%-12s %8s %8s %10s\n", "stage", "runs", "hits",
                "seconds");
-  for (int S = 0; S != 6; ++S) {
-    char Hits[16] = "-";
-    if (HitStore[S] >= 0)
-      std::snprintf(Hits, sizeof(Hits), "%u", T.Hits[HitStore[S]]);
-    std::fprintf(stderr, "%-12s %8u %8s %10.3f\n", StageNames[S],
-                 T.Runs[S], Hits, T.Seconds[S]);
-    Total += T.Seconds[S];
+  for (const auto &R : Rows) {
+    std::fprintf(stderr, "%-12s %8llu %8llu %10.3f\n", R.Name,
+                 (unsigned long long)C.Misses[R.Level],
+                 (unsigned long long)C.Hits[R.Level], R.Seconds);
+    Total += R.Seconds;
   }
   std::fprintf(stderr, "%-12s %8s %8s %10.3f\n", "total", "", "", Total);
 }
@@ -91,7 +77,11 @@ void printTimingSummary() {
 void wario::bench::initHarness(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--timing") == 0) {
-      timing().Enabled = true;
+      stageSeconds().Enabled = true;
+      // Construct the cache first so it outlives the exit-time summary
+      // (statics are destroyed before the atexit handlers registered
+      // ahead of their construction run).
+      globalCache();
       std::atexit(printTimingSummary);
     }
   }
@@ -153,20 +143,6 @@ void checkRunOrDie(const EmulatorResult &R, const std::string &Workload,
   }
 }
 
-/// The staged store's configuration: the byte budget plus the --timing
-/// stage and hit hooks.
-serve::CacheConfig harnessConfig(size_t ByteBudget) {
-  serve::CacheConfig C;
-  C.ByteBudget = ByteBudget;
-  C.OnStage = [](serve::CacheStage S, double Seconds) {
-    addStage(stageFor(S), Seconds);
-  };
-  C.OnHit = [](serve::CacheLevel L, uint64_t N) {
-    addHits(Store(L), unsigned(N));
-  };
-  return C;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -174,7 +150,7 @@ serve::CacheConfig harnessConfig(size_t ByteBudget) {
 //===----------------------------------------------------------------------===//
 
 ResultCache::ResultCache(size_t ByteBudget)
-    : Cache(harnessConfig(ByteBudget)) {}
+    : Cache(serve::CacheConfig{ByteBudget}) {}
 
 std::vector<std::shared_ptr<const RunResult>>
 ResultCache::runMatrix(const std::vector<MatrixCell> &Cells) {
@@ -187,8 +163,10 @@ ResultCache::runMatrix(const std::vector<MatrixCell> &Cells) {
 }
 
 std::shared_ptr<const RunResult> ResultCache::run(const MatrixCell &Cell) {
+  serve::Provenance Prov;
   std::shared_ptr<const RunResult> R =
-      Cache.run({/*Tenant=*/"", Cell.Workload, Cell.PO, Cell.EO});
+      Cache.run({/*Tenant=*/"", Cell.Workload, Cell.PO, Cell.EO}, &Prov);
+  addComputed(R->Pipeline, Prov);
   if (!R->Error.empty()) {
     std::fprintf(stderr, "%s\n", R->Error.c_str());
     std::exit(1);
@@ -200,8 +178,10 @@ std::shared_ptr<const RunResult> ResultCache::run(const MatrixCell &Cell) {
 std::shared_ptr<const CompileResult>
 ResultCache::compileCell(const std::string &Workload,
                          const PipelineOptions &PO) {
+  serve::Provenance Prov;
   std::shared_ptr<const CompileResult> R =
-      Cache.compileCell({/*Tenant=*/"", Workload, PO, {}});
+      Cache.compileCell({/*Tenant=*/"", Workload, PO, {}}, &Prov);
+  addComputed(R->Pipeline, Prov);
   if (!R->Error.empty()) {
     std::fprintf(stderr, "%s\n", R->Error.c_str());
     std::exit(1);

@@ -14,7 +14,9 @@
 ///
 ///  - a hard failure policy (regenerators have no use for partial data,
 ///    so any cached error aborts the process with a message),
-///  - the --timing stage/hit accounting (initHarness).
+///  - the --timing table (initHarness): the store's per-level misses and
+///    hits beside the seconds each request actually computed
+///    (serve::computedStages).
 ///
 /// Snapshot chains are not used here: a same-run A/B found that
 /// recording one per continuous-power cell, so that table3's
@@ -110,7 +112,7 @@ public:
   std::shared_ptr<const RunResult> run(const MatrixCell &Cell);
 
   /// Compile-level lookup-or-compute (no emulation); for code-size
-  /// measurements and the cold/warm-cache microbenchmarks.
+  /// measurements and crash campaigns.
   std::shared_ptr<const CompileResult>
   compileCell(const std::string &Workload, const PipelineOptions &PO);
 
@@ -136,8 +138,10 @@ std::shared_ptr<const RunResult> cachedRun(const std::string &Workload,
                                            Environment Env);
 
 /// Regenerator entry hook: parses harness flags. `--timing` prints a
-/// per-stage wall-clock and cache-hit summary to stderr when the process
-/// exits (stdout stays byte-identical either way).
+/// per-stage summary to stderr when the process exits: runs and hits are
+/// globalCache()'s per-level misses and hits, seconds the stages the
+/// harness's requests actually computed (stdout stays byte-identical
+/// either way).
 void initHarness(int argc, char **argv);
 
 /// Prints an aligned row: first column \p Width0 wide, then each value

@@ -59,11 +59,6 @@ int main(int argc, char **argv) {
     SumW += DW;
     SumWE += DWE;
     std::vector<std::string> Vals = {fmtPct(DW, true), fmtPct(DWE, true)};
-    // Raw executed-checkpoint counts on stderr for bench recordings
-    // (bench/emit_bench_json.sh); stdout stays the delta table.
-    if (!Strats.empty())
-      std::fprintf(stderr, "[table1-counts] %s ratchet=%.0f wario=%.0f",
-                   W.Name.c_str(), R, Wa);
     for (CheckpointStrategy S : Strats) {
       double C = double(globalCache()
                             .run(strategyCell(W.Name, S))
@@ -71,10 +66,7 @@ int main(int argc, char **argv) {
       double DS = 100.0 * (C - R) / R;
       SumS[S] += DS;
       Vals.push_back(fmtPct(DS, true));
-      std::fprintf(stderr, " %s=%.0f", strategyColName(S), C);
     }
-    if (!Strats.empty())
-      std::fprintf(stderr, "\n");
     Vals.push_back(Paper.at(W.Name));
     printRow(W.Name, Vals, 14, 16);
   }

@@ -8,27 +8,9 @@
 #include "transforms/Utils.h"
 #include "transforms/WriteClusterer.h"
 
-#include <chrono>
-
 using namespace wario;
 
 namespace {
-
-/// Adds the scope's wall-clock duration to a PipelineStats stage field.
-class StageTimer {
-public:
-  explicit StageTimer(double &Sink)
-      : Sink(Sink), Start(std::chrono::steady_clock::now()) {}
-  ~StageTimer() {
-    Sink += std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - Start)
-                .count();
-  }
-
-private:
-  double &Sink;
-  std::chrono::steady_clock::time_point Start;
-};
 
 /// Results of the function-local middle-end passes for one function.
 /// The parallel phases fill one slot per function; totals are reduced

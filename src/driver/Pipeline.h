@@ -24,6 +24,8 @@
 #include "transforms/Expander.h"
 #include "transforms/LoopWriteClusterer.h"
 
+#include <chrono>
+
 namespace wario {
 
 enum class Environment {
@@ -103,15 +105,34 @@ struct PipelineStats {
   CheckpointInserterStats MiddleEnd;
   BackendStats Backend;
 
-  /// Wall-clock seconds actually spent per stage (zero for stages served
-  /// from a cache). The pipeline fills the compile stages; the bench
-  /// harness fills FrontendSeconds/EmulateSeconds and accumulates all of
-  /// them for --timing.
+  /// Wall-clock seconds spent per stage by whichever request computed
+  /// it. The pipeline fills the compile stages; the staged cache
+  /// (src/serve/Cache.h) fills FrontendSeconds/EmulateSeconds, and its
+  /// computedStages() zeroes the stages a request was answered from
+  /// cache for.
   double FrontendSeconds = 0;
   double FrontHalfSeconds = 0;
   double MiddleEndSeconds = 0;
   double BackendSeconds = 0;
   double EmulateSeconds = 0;
+};
+
+/// Adds the scope's wall-clock duration to a PipelineStats stage field.
+class StageTimer {
+public:
+  explicit StageTimer(double &Sink)
+      : Sink(Sink), Start(std::chrono::steady_clock::now()) {}
+  ~StageTimer() {
+    Sink += std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - Start)
+                .count();
+  }
+  StageTimer(const StageTimer &) = delete;
+  StageTimer &operator=(const StageTimer &) = delete;
+
+private:
+  double &Sink;
+  std::chrono::steady_clock::time_point Start;
 };
 
 /// The knobs that actually feed the middle end, derived from an

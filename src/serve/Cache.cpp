@@ -3,8 +3,8 @@
 #include "workloads/Workloads.h"
 #include "ir/Cloning.h"
 
-#include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <list>
 #include <map>
 #include <mutex>
@@ -20,28 +20,24 @@ EmulatorOptions wario::serve::effectiveOptions(const PipelineOptions &PO,
   return EO;
 }
 
+PipelineStats wario::serve::computedStages(const PipelineStats &S,
+                                           Provenance P) {
+  bool Compiled = P.RunHit || P.CompileHit;
+  bool Mid = Compiled || P.MidHit;
+  bool Front = Mid || P.FrontHit;
+  PipelineStats C = S;
+  if (Front)
+    C.FrontendSeconds = C.FrontHalfSeconds = 0;
+  if (Mid)
+    C.MiddleEndSeconds = 0;
+  if (Compiled)
+    C.BackendSeconds = 0;
+  if (P.RunHit)
+    C.EmulateSeconds = 0;
+  return C;
+}
+
 namespace {
-
-/// Times a scope and reports it to the optional stage hook.
-class ScopeTimer {
-public:
-  ScopeTimer(CacheStage S, const std::function<void(CacheStage, double)> &Hook)
-      : S(S), Hook(Hook), Start(std::chrono::steady_clock::now()) {}
-  ~ScopeTimer() {
-    if (Hook)
-      Hook(S, seconds());
-  }
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         Start)
-        .count();
-  }
-
-private:
-  CacheStage S;
-  const std::function<void(CacheStage, double)> &Hook;
-  std::chrono::steady_clock::time_point Start;
-};
 
 //===----------------------------------------------------------------------===//
 // Artifacts and keys
@@ -190,32 +186,22 @@ struct StagedCache::Impl {
   template <typename MapT, typename KeyT>
   auto claim(MapT &Map, const KeyT &Key, unsigned Level, bool *HitFlag)
       -> std::pair<typename MapT::mapped_type, bool> {
-    typename MapT::mapped_type S;
-    bool Mine = false;
-    uint64_t Hit = 0;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      auto [It, Inserted] = Map.try_emplace(Key);
-      if (Inserted) {
-        using SlotT = typename MapT::mapped_type::element_type;
-        It->second = std::make_shared<SlotT>();
-        It->second->Level = Level;
-        It->second->EraseFromMap = [&Map, Key] { Map.erase(Key); };
-        ++Ctr.Misses[Level];
-        Mine = true;
-      } else {
-        ++Ctr.Hits[Level];
-        Hit = 1;
-        if (HitFlag)
-          *HitFlag = true;
-        if (It->second->InLru) // Unpublished slots are not in the LRU yet.
-          Lru.splice(Lru.begin(), Lru, It->second->LruIt);
-      }
-      S = It->second;
+    std::lock_guard<std::mutex> Lock(Mutex);
+    auto [It, Inserted] = Map.try_emplace(Key);
+    if (Inserted) {
+      using SlotT = typename MapT::mapped_type::element_type;
+      It->second = std::make_shared<SlotT>();
+      It->second->Level = Level;
+      It->second->EraseFromMap = [&Map, Key] { Map.erase(Key); };
+      ++Ctr.Misses[Level];
+    } else {
+      ++Ctr.Hits[Level];
+      if (HitFlag)
+        *HitFlag = true;
+      if (It->second->InLru) // Unpublished slots are not in the LRU yet.
+        Lru.splice(Lru.begin(), Lru, It->second->LruIt);
     }
-    if (Hit && Config.OnHit)
-      Config.OnHit(CacheLevel(Level), Hit);
-    return {std::move(S), Mine};
+    return {It->second, Inserted};
   }
 
   /// Books a freshly published entry into the LRU and the byte total,
@@ -250,7 +236,7 @@ struct StagedCache::Impl {
     if (Mine) {
       auto A = std::make_shared<FrontArtifact>();
       {
-        ScopeTimer T(CacheStage::Frontend, Config.OnStage);
+        StageTimer T(A->Stats.FrontendSeconds);
         if (const Workload *W = findWorkload(Name)) {
           DiagnosticEngine Diags;
           A->M = buildWorkloadIR(*W, Diags);
@@ -260,13 +246,9 @@ struct StagedCache::Impl {
         } else {
           A->Error = "unknown workload '" + Name + "'";
         }
-        A->Stats.FrontendSeconds = T.seconds();
       }
-      if (A->M) {
+      if (A->M)
         runFrontHalf(*A->M, A->Stats);
-        if (Config.OnStage)
-          Config.OnStage(CacheStage::FrontHalf, A->Stats.FrontHalfSeconds);
-      }
       size_t Bytes = moduleBytes(A->M.get()) + A->Error.size();
       S->publish(std::move(A));
       account(*S, Bytes);
@@ -286,14 +268,9 @@ struct StagedCache::Impl {
       auto A = std::make_shared<MidArtifact>();
       A->Error = F->Error;
       if (F->M) {
-        {
-          ScopeTimer T(CacheStage::Clone, Config.OnStage);
-          A->M = cloneModule(*F->M);
-        }
+        A->M = cloneModule(*F->M);
         A->Stats = F->Stats;
         runMiddleEnd(*A->M, R.PO, A->Stats);
-        if (Config.OnStage)
-          Config.OnStage(CacheStage::MiddleEnd, A->Stats.MiddleEndSeconds);
         // Warm the lazy CFG caches now: the back end reads this module
         // const, possibly from several threads at once, and
         // predecessors() would otherwise mutate under them.
@@ -318,8 +295,6 @@ struct StagedCache::Impl {
       if (M->M) {
         A->Pipeline = M->Stats;
         A->MM = runBackendStage(*M->M, R.PO, A->Pipeline);
-        if (Config.OnStage)
-          Config.OnStage(CacheStage::Backend, A->Pipeline.BackendSeconds);
         A->TextBytes = A->MM.textSizeBytes();
       }
       size_t Bytes = mmoduleBytes(A->MM) + A->Error.size();
@@ -340,9 +315,10 @@ struct StagedCache::Impl {
       Res->TextBytes = CR->TextBytes;
       Res->Error = CR->Error;
       if (Res->Error.empty()) {
-        ScopeTimer T(CacheStage::Emulate, Config.OnStage);
-        Res->Emu = emulate(CR->MM, effectiveOptions(R.PO, R.EO));
-        Res->Pipeline.EmulateSeconds = T.seconds();
+        {
+          StageTimer T(Res->Pipeline.EmulateSeconds);
+          Res->Emu = emulate(CR->MM, effectiveOptions(R.PO, R.EO));
+        }
         if (!Res->Emu.Ok)
           Res->Error = "emulation failure on " + R.Workload + " @ " +
                        environmentName(R.PO.Env) + ": " + Res->Emu.Error;

@@ -38,7 +38,8 @@
 /// Concurrency: a slot is filled exactly once by the thread that claimed
 /// it; concurrent requesters of the same key block on the slot and count
 /// as hits. Hit/miss/eviction counters per level are exposed through
-/// counters() and the daemon's `stats` request.
+/// counters(), the daemon's `stats` request and the harness's --timing
+/// table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +49,6 @@
 #include "driver/Pipeline.h"
 #include "emu/Emulator.h"
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -94,10 +94,6 @@ enum CacheLevel : unsigned {
   NumCacheLevels = 4,
 };
 
-/// Pipeline stages the cache times (hook granularity for --timing).
-enum class CacheStage { Frontend, FrontHalf, MiddleEnd, Backend, Emulate,
-                        Clone };
-
 /// Which levels answered from cache for one request. A level not
 /// consulted (e.g. the compile level under a run-level hit) stays false.
 struct Provenance {
@@ -118,6 +114,12 @@ struct Provenance {
   bool operator==(const Provenance &) const = default;
 };
 
+/// \p S with the seconds of every stage \p P says came from cache zeroed:
+/// what the request behind \p P actually spent. A hit at one level
+/// answers that level's stage and every stage below it (frontend and
+/// front half sit at the front level, emulate at the run level).
+PipelineStats computedStages(const PipelineStats &S, Provenance P);
+
 /// Snapshot of the cache's accounting, per level and in bytes.
 struct CacheCounters {
   uint64_t Hits[NumCacheLevels] = {};
@@ -133,13 +135,6 @@ struct CacheCounters {
 struct CacheConfig {
   /// Byte budget shared by all four levels; 0 = never evict.
   size_t ByteBudget = 0;
-
-  /// Optional instrumentation: seconds actually spent computing a stage
-  /// (cache-served stages never fire) and hits answered per level. Both
-  /// may be called from any worker thread and must not call back into
-  /// the cache.
-  std::function<void(CacheStage, double)> OnStage;
-  std::function<void(CacheLevel, uint64_t)> OnHit;
 };
 
 /// The emulator options a request actually runs under: PlainC builds

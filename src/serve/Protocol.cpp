@@ -80,16 +80,13 @@ RunReplyMsg wario::serve::makeRunReply(const RunResult &R, Provenance Prov) {
   M.RegionCount = R.Emu.RegionSizes.size();
   M.RegionHash = fnv1aU64s(R.Emu.RegionSizes);
   // R carries the seconds of whichever request computed each stage; the
-  // stages this request was answered from cache for cost it nothing. A
-  // hit at one level answers that level's stage and every stage below it.
-  bool Compiled = Prov.RunHit || Prov.CompileHit;
-  bool Mid = Compiled || Prov.MidHit;
-  bool Front = Mid || Prov.FrontHit;
-  M.FrontendSeconds = Front ? 0 : R.Pipeline.FrontendSeconds;
-  M.FrontHalfSeconds = Front ? 0 : R.Pipeline.FrontHalfSeconds;
-  M.MiddleEndSeconds = Mid ? 0 : R.Pipeline.MiddleEndSeconds;
-  M.BackendSeconds = Compiled ? 0 : R.Pipeline.BackendSeconds;
-  M.EmulateSeconds = Prov.RunHit ? 0 : R.Pipeline.EmulateSeconds;
+  // stages this request was answered from cache for cost it nothing.
+  PipelineStats Spent = computedStages(R.Pipeline, Prov);
+  M.FrontendSeconds = Spent.FrontendSeconds;
+  M.FrontHalfSeconds = Spent.FrontHalfSeconds;
+  M.MiddleEndSeconds = Spent.MiddleEndSeconds;
+  M.BackendSeconds = Spent.BackendSeconds;
+  M.EmulateSeconds = Spent.EmulateSeconds;
   M.ProvenanceBits = Prov.bits();
   return M;
 }

@@ -75,7 +75,7 @@ struct Server::Impl {
   std::atomic<uint64_t> ConnectionsAccepted{0};
 
   explicit Impl(ServerOptions O)
-      : Opts(std::move(O)), Cache(CacheConfig{Opts.CacheBytes, {}, {}}),
+      : Opts(std::move(O)), Cache(CacheConfig{Opts.CacheBytes}),
         Pool(Opts.Jobs), Inline(Pool.jobCount() <= 1) {}
 
   bool start(std::string *Error) {

@@ -20,13 +20,11 @@ struct Analyses {
   const Function &F;
   const AliasAnalysis &AA;
   DominatorTree DT;
-  DominatorTree PDT;
   LoopInfo LI;
   CFGReachability Reach;
 
   Analyses(Function &F, const AliasAnalysis &AA)
-      : F(F), AA(AA), DT(F), PDT(F, /*Post=*/true), LI(F, DT),
-        Reach(F, LI) {}
+      : F(F), AA(AA), DT(F), LI(F, DT), Reach(F, LI) {}
 
   /// The WARs with both accesses inside \p L.
   std::vector<MemDep> warsIn(const Loop &L) const {
@@ -37,7 +35,7 @@ struct Analyses {
 /// Paper Algorithm 1, IsCandidate: innermost, unique latch, call-free
 /// body, at least one WAR whose write the latch post-dominates — and the
 /// latch must post-dominate *every* WAR write, or the loop is rejected.
-bool isCandidate(Loop &L, const Analyses &A) {
+bool isCandidate(Loop &L, const Analyses &A, const DominatorTree &PDT) {
   if (!L.getSubLoops().empty())
     return false;
   BasicBlock *Latch = L.getLatch();
@@ -58,7 +56,7 @@ bool isCandidate(Loop &L, const Analyses &A) {
   if (Wars.empty())
     return false;
   for (const MemDep &D : Wars)
-    if (!A.PDT.dominates(Latch, D.Dst->getParent()))
+    if (!PDT.dominates(Latch, D.Dst->getParent()))
       return false;
   return true;
 }
@@ -416,10 +414,11 @@ wario::runLoopWriteClusterer(Function &F,
   while (Progress) {
     Progress = false;
     Analyses A(F, AA);
+    DominatorTree PDT(F, /*Post=*/true);
     for (Loop *L : A.LI.loops()) {
       if (DoneHeaders.count(L->getHeader()))
         continue;
-      if (!isCandidate(*L, A))
+      if (!isCandidate(*L, A, PDT))
         continue;
       DoneHeaders.insert(L->getHeader());
 

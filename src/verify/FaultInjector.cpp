@@ -14,6 +14,14 @@ using namespace wario::verify;
 
 namespace {
 
+/// Only the first MaxDivergences divergences of a campaign are bisected
+/// and get a golden window (all are still counted); each lists at most
+/// MaxReportedAddrs diverging NVM bytes. The window spans WindowRadius
+/// cycles either side of the minimal crash point.
+constexpr unsigned MaxDivergences = 4;
+constexpr unsigned MaxReportedAddrs = 8;
+constexpr uint64_t WindowRadius = 24;
+
 /// Deterministic xorshift32 for the stratified sampler (same generator
 /// family as the synthetic harvester traces; campaigns must be
 /// reproducible from the seed alone).
@@ -66,7 +74,6 @@ std::string hexAddr(uint32_t A) {
 std::optional<Divergence> compareRun(const EmulatorResult &Golden,
                                      const EmulatorResult &Crashed,
                                      uint64_t CrashCycle,
-                                     unsigned MaxReportedAddrs,
                                      bool NvmKnownEqual = false) {
   Divergence D;
   D.CrashCycle = D.MinimalCycle = CrashCycle;
@@ -287,7 +294,7 @@ wario::verify::runCrashCampaigns(const MModule &MM,
     ++Physical;
     if (!Snaps)
       return compareRun(Golden, E.run(EO, Opts.Entry, nullptr, St),
-                        CrashCycle, Opts.MaxReportedAddrs);
+                        CrashCycle);
     ReplayPlan Plan;
     Plan.Chain = &Chain;
     Plan.AllowTailSplice = true;
@@ -296,7 +303,7 @@ wario::verify::runCrashCampaigns(const MModule &MM,
     EmulatorResult Res = E.replay(EO, Plan, Opts.Entry, Scr, &Out, St);
     Resumed += Out.Resumed;
     Spliced += Out.Spliced;
-    return compareRun(Golden, Res, CrashCycle, Opts.MaxReportedAddrs,
+    return compareRun(Golden, Res, CrashCycle,
                       /*NvmKnownEqual=*/Out.Spliced);
   };
 
@@ -339,7 +346,7 @@ wario::verify::runCrashCampaigns(const MModule &MM,
       if (!Found)
         continue;
       Divergence D = *Found;
-      if (R.Divergences.size() < Opts.MaxDivergences) {
+      if (R.Divergences.size() < MaxDivergences) {
         if (Opts.Bisect) {
           // Find the earliest diverging budget at or below the injected
           // one. Budget 0 crashes before any instruction executes and a
@@ -376,10 +383,10 @@ wario::verify::runCrashCampaigns(const MModule &MM,
         // the run can change it).
         EmulatorOptions WinEO = GoldenEO;
         WinEO.CollectEventTrace = false;
-        WinEO.TraceWindowLo = D.MinimalCycle > Opts.WindowRadius
-                                  ? D.MinimalCycle - Opts.WindowRadius
+        WinEO.TraceWindowLo = D.MinimalCycle > WindowRadius
+                                  ? D.MinimalCycle - WindowRadius
                                   : 0;
-        WinEO.TraceWindowHi = D.MinimalCycle + Opts.WindowRadius;
+        WinEO.TraceWindowHi = D.MinimalCycle + WindowRadius;
         ++Physical;
         if (Snaps) {
           ReplayPlan WinPlan;

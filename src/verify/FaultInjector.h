@@ -68,12 +68,6 @@ struct FaultInjectorOptions {
   std::string Entry = "main";
   /// Bisect each divergence to the earliest diverging crash budget.
   bool Bisect = true;
-  /// Stop bisecting/reporting after this many divergences (all are still
-  /// counted; only the first few are minimized in detail).
-  unsigned MaxDivergences = 4;
-  unsigned MaxReportedAddrs = 8;
-  /// Golden instruction window radius (cycles) around the minimal point.
-  uint64_t WindowRadius = 24;
   /// Worker threads for the campaign fan-out (0 = WARIO_JOBS / cores).
   unsigned Jobs = 0;
   /// Use the emulator's snapshot/restore engine (src/emu/Snapshot.h):

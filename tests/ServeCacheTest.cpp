@@ -136,7 +136,7 @@ TEST(ServeCache, TenantsAreIsolatedNamespaces) {
 
 TEST(ServeCache, LruEvictionHonorsTheByteBudget) {
   const size_t Budget = 1 << 20; // Far below three environments' worth.
-  StagedCache Cache{CacheConfig{Budget, {}, {}}};
+  StagedCache Cache{CacheConfig{Budget}};
   for (Environment E : {Environment::PlainC, Environment::Ratchet,
                         Environment::WarioComplete}) {
     std::shared_ptr<const RunResult> R = Cache.run(req("t", "crc", E));
@@ -163,7 +163,7 @@ TEST(ServeCache, EvictionNeverStrandsALiveResult) {
   // Holders keep evicted artifacts alive through their shared_ptr; the
   // cache merely forgets them. A tiny budget forces every publish to
   // evict the predecessor while the caller still holds it.
-  StagedCache Cache{CacheConfig{1, {}, {}}}; // 1 byte: evict always.
+  StagedCache Cache{CacheConfig{1}}; // 1 byte: evict always.
   std::shared_ptr<const RunResult> First =
       Cache.run(req("t", "crc", Environment::PlainC));
   std::shared_ptr<const RunResult> Second =

@@ -136,6 +136,44 @@ TEST(ServeProtocol, RunReplyRoundTripsEveryField) {
   EXPECT_EQ(*Back, M);
 }
 
+/// A hit at one cache level answers that level's stage and every stage
+/// below it: over all 16 provenance patterns, computedStages zeroes
+/// exactly the stages at and below the highest hit level, and a reply
+/// reports the helper's seconds.
+TEST(ServeProtocol, ComputedStagesZeroExactlyTheStagesUpToTheTopHit) {
+  RunResult R;
+  R.Pipeline.FrontendSeconds = 1;
+  R.Pipeline.FrontHalfSeconds = 2;
+  R.Pipeline.MiddleEndSeconds = 3;
+  R.Pipeline.BackendSeconds = 4;
+  R.Pipeline.EmulateSeconds = 5;
+  R.Pipeline.RegionsBounded = 6; // Not a stage time: passes through.
+  const unsigned Level[5] = {LevelFront, LevelFront, LevelMid, LevelCompile,
+                             LevelRun};
+  for (unsigned Bits = 0; Bits != 16; ++Bits) {
+    Provenance P = Provenance::fromBits(uint8_t(Bits));
+    int Top = -1; // Highest hit level; bit L of the pattern is level L.
+    for (unsigned L = 0; L != NumCacheLevels; ++L)
+      if (Bits >> L & 1)
+        Top = int(L);
+    PipelineStats C = computedStages(R.Pipeline, P);
+    RunReplyMsg M = makeRunReply(R, P);
+    const double Spent[5] = {C.FrontendSeconds, C.FrontHalfSeconds,
+                             C.MiddleEndSeconds, C.BackendSeconds,
+                             C.EmulateSeconds};
+    const double Wire[5] = {M.FrontendSeconds, M.FrontHalfSeconds,
+                            M.MiddleEndSeconds, M.BackendSeconds,
+                            M.EmulateSeconds};
+    for (unsigned S = 0; S != 5; ++S) {
+      double Expected = int(Level[S]) <= Top ? 0.0 : double(S + 1);
+      EXPECT_EQ(Spent[S], Expected) << "bits " << Bits << ", stage " << S;
+      EXPECT_EQ(Wire[S], Spent[S]) << "bits " << Bits << ", stage " << S;
+    }
+    EXPECT_EQ(C.RegionsBounded, 6u);
+    EXPECT_EQ(M.ProvenanceBits, Bits);
+  }
+}
+
 /// fnv1a skips zero runs with one multiply each; it must agree with
 /// the textbook byte-serial loop on every input shape.
 TEST(ServeProtocol, Fnv1aMatchesTheBytewiseDefinition) {

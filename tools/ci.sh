@@ -28,15 +28,15 @@
 #      out-of-range access, bad shifts) fails the test that reached it;
 #   7. release-configuration pass: build -DCMAKE_BUILD_TYPE=Release and
 #      run the `asan`-, `engine`-, `placement`- and `strategy`-labeled
-#      subsets there, plus a one-workload microbenchmark smoke and the
-#      perfbench smoke (tools/perfbench_smoke.sh: every BENCHMARK.json
+#      subsets there, plus the perfbench smoke
+#      (tools/perfbench_smoke.sh: every BENCHMARK.json
 #      workload for one second and compile_matrix once traced, each run
 #      required to report "correct": true; the benchmark builds under
 #      <build-root>/perfbench). This is the benchmarks' configuration
 #      (-O3, NDEBUG); the pass catches bugs that show only there
 #      (assert-side-effects, codepaths that only assert-guard an
-#      invariant, such as the hitting set covering every WAR) and broken
-#      release benchmark binaries before a BENCH recording does;
+#      invariant, such as the hitting set covering every WAR) and a
+#      broken release benchmark before a BENCH recording does;
 #   8. re-run the docs lint standalone so a docs-only failure is
 #      reported even if a build step above broke first.
 #
@@ -100,14 +100,11 @@ cmake -B "$build/ubsan" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$build/ubsan" -j "$jobs"
 ctest --test-dir "$build/ubsan" --output-on-failure -j "$jobs" $label_excludes
 
-echo "==> release build + asan/engine/placement/strategy subsets + bench smokes"
+echo "==> release build + asan/engine/placement/strategy subsets + perfbench smoke"
 cmake -B "$build/release" -S "$root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build/release" -j "$jobs"
 ctest --test-dir "$build/release" --output-on-failure -j "$jobs" \
   -L 'asan|engine|placement|strategy'
-"$build/release/bench/micro_compiler" \
-  --benchmark_filter='BM_Arena|BM_ModuleTeardown|BM_StageCloneModule' \
-  --benchmark_min_time=0.05
 "$root/tools/perfbench_smoke.sh" "$build/perfbench"
 
 echo "==> docs lint"

@@ -13,8 +13,8 @@
 /// run is reproducible regardless of thread interleaving: workloads,
 /// environments, power schedules, and tenants all cycle on fixed
 /// strides. Repeated indices are cache hits by design — a serving
-/// daemon's steady state is mostly hits, and that is what the benchmark
-/// measures (bench/emit_bench_json.sh records the --json output).
+/// daemon's steady state is mostly hits, and that is what a run
+/// measures.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +47,6 @@ struct LoadgenOptions {
   std::vector<std::string> Workloads = {"crc", "sha", "dijkstra"};
   size_t CacheBytes = size_t(256) << 20; ///< --serve daemon's budget.
   unsigned Jobs = 0;                     ///< --serve daemon's pool width.
-  bool Json = false;
 };
 
 [[noreturn]] void usage(const char *Argv0) {
@@ -60,8 +59,7 @@ struct LoadgenOptions {
       "  --requests N       requests per connection (default 32)\n"
       "  --workloads A,B,C  workload mix (default crc,sha,dijkstra)\n"
       "  --cache-bytes N    --serve daemon cache budget (default 256 MiB)\n"
-      "  --jobs N           --serve daemon pool width (default hardware)\n"
-      "  --json             machine-readable one-line summary on stdout\n",
+      "  --jobs N           --serve daemon pool width (default hardware)\n",
       Argv0);
   std::exit(2);
 }
@@ -179,8 +177,6 @@ int main(int argc, char **argv) {
       Opts.CacheBytes = parseU64(argv[0], "--cache-bytes", Next());
     else if (Arg == "--jobs")
       Opts.Jobs = static_cast<unsigned>(parseU64(argv[0], "--jobs", Next()));
-    else if (Arg == "--json")
-      Opts.Json = true;
     else
       usage(argv[0]);
   }
@@ -254,26 +250,14 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (Opts.Json) {
-    std::printf("{\"loadgen\": {\"connections\": %u, \"requests\": %llu, "
-                "\"errors\": %llu, \"wall_s\": %.3f, \"rps\": %.1f, "
-                "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"cache_hits\": %llu, "
-                "\"cache_misses\": %llu, \"cache_evictions\": %llu}}\n",
-                Opts.Connections, static_cast<unsigned long long>(Done),
-                static_cast<unsigned long long>(Errors), WallS, Rps, P50, P99,
-                static_cast<unsigned long long>(Hits),
-                static_cast<unsigned long long>(Misses),
-                static_cast<unsigned long long>(Evictions));
-  } else {
-    std::printf("%llu requests over %u connections in %.2fs: %.1f req/s, "
-                "p50 %.3f ms, p99 %.3f ms\n",
-                static_cast<unsigned long long>(Done), Opts.Connections,
-                WallS, Rps, P50, P99);
-    std::printf("cache: %llu hits, %llu misses, %llu evictions\n",
-                static_cast<unsigned long long>(Hits),
-                static_cast<unsigned long long>(Misses),
-                static_cast<unsigned long long>(Evictions));
-  }
+  std::printf("%llu requests over %u connections in %.2fs: %.1f req/s, "
+              "p50 %.3f ms, p99 %.3f ms\n",
+              static_cast<unsigned long long>(Done), Opts.Connections,
+              WallS, Rps, P50, P99);
+  std::printf("cache: %llu hits, %llu misses, %llu evictions\n",
+              static_cast<unsigned long long>(Hits),
+              static_cast<unsigned long long>(Misses),
+              static_cast<unsigned long long>(Evictions));
   if (Errors) {
     std::fprintf(stderr, "wario_loadgen: %llu request(s) failed: %s\n",
                  static_cast<unsigned long long>(Errors), FirstError.c_str());
