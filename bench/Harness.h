@@ -7,9 +7,10 @@
 /// Fig/Table regenerator shares a single parallel sweep (runMatrix).
 ///
 /// The store itself is serve::StagedCache (src/serve/Cache.h) — the same
-/// four-level staged cache behind the wario-served daemon, promoted out
-/// of this harness; every cell emulates with plain emulate(), exactly as
-/// a daemon request does. This wrapper adds the pieces only regenerators
+/// staged cache behind the wario-served daemon (front, compile and run
+/// levels stored; middle-end runs counted, not stored), promoted out of
+/// this harness; every cell emulates with plain emulate(), exactly as a
+/// daemon request does. This wrapper adds the pieces only regenerators
 /// want:
 ///
 ///  - a hard failure policy (regenerators have no use for partial data,
@@ -98,9 +99,9 @@ const char *strategyColName(CheckpointStrategy S);
 /// caller holds them (shared ownership survives eviction).
 class ResultCache {
 public:
-  /// \p ByteBudget bounds the resident artifact footprint across all
-  /// four cache levels (0 = unbounded; evicted entries recompute on the
-  /// next request).
+  /// \p ByteBudget bounds the resident artifact footprint across the
+  /// three stored cache levels (0 = unbounded; evicted entries recompute
+  /// on the next request).
   explicit ResultCache(size_t ByteBudget = 0);
 
   /// Computes every not-yet-cached cell in parallel and returns the
@@ -140,8 +141,9 @@ std::shared_ptr<const RunResult> cachedRun(const std::string &Workload,
 /// Regenerator entry hook: parses harness flags. `--timing` prints a
 /// per-stage summary to stderr when the process exits: runs and hits are
 /// globalCache()'s per-level misses and hits, seconds the stages the
-/// harness's requests actually computed (stdout stays byte-identical
-/// either way).
+/// harness's requests actually computed summed over workers, and a last
+/// `wall` line the steady clock since this call (stdout stays
+/// byte-identical either way).
 void initHarness(int argc, char **argv);
 
 /// Prints an aligned row: first column \p Width0 wide, then each value

@@ -58,8 +58,6 @@ class AliasAnalysis {
 public:
   explicit AliasAnalysis(AliasPrecision P) : Precision(P) {}
 
-  AliasPrecision getPrecision() const { return Precision; }
-
   /// Decomposes the address \p Addr (as used by a load/store).
   MemLocation getLocation(const Value *Addr) const {
     return decompose(Addr, 0);

@@ -1,6 +1,8 @@
 #include "analysis/Dominators.h"
 
-#include <algorithm>
+#include "support/Dominance.h"
+
+#include <ranges>
 
 using namespace wario;
 
@@ -21,123 +23,47 @@ DominatorTree::DominatorTree(const Function &F, bool Post) : Post(Post) {
   if (F.isDeclaration())
     return;
   F.ensureCFG();
-  Nodes.resize(F.numBlockNumbers());
-  auto NodeOf = [&](const BasicBlock *BB) -> Node & {
-    return Nodes[BB->getNumber()];
-  };
+  unsigned N = F.numBlockNumbers();
+  Nodes.resize(N);
 
-  // Collect roots: the entry block, or every exit block in post mode.
-  std::vector<BasicBlock *> Roots;
-  std::vector<bool> IsRoot(Nodes.size());
-  if (!Post) {
-    Roots.push_back(F.getEntryBlock());
-  } else {
-    for (BasicBlock *BB : F)
-      if (BB->successors().empty())
-        Roots.push_back(BB);
+  // Roots: the entry block, or every exit block in post mode.
+  std::vector<BasicBlock *> Blocks(N);
+  std::vector<unsigned> Roots;
+  for (BasicBlock *BB : F) {
+    Blocks[BB->getNumber()] = BB;
+    if (Post && BB->successors().empty())
+      Roots.push_back(BB->getNumber());
   }
-  for (BasicBlock *R : Roots)
-    IsRoot[R->getNumber()] = true;
-
-  // Post-order DFS over the walk direction, then reverse.
-  std::vector<bool> Seen(Nodes.size());
-  auto DFS = [&](auto &Self, BasicBlock *BB) -> void {
-    Seen[BB->getNumber()] = true;
-    for (BasicBlock *S : nexts(BB, Post))
-      if (!Seen[S->getNumber()])
-        Self(Self, S);
-    RPO.push_back(BB);
+  if (!Post)
+    Roots.push_back(F.getEntryBlock()->getNumber());
+  auto Walk = [&](bool Reversed) {
+    return [&, Reversed](unsigned U) {
+      return std::views::transform(
+          nexts(Blocks[U], Reversed),
+          [](const BasicBlock *BB) { return BB->getNumber(); });
+    };
   };
-  for (BasicBlock *R : Roots)
-    if (!Seen[R->getNumber()])
-      DFS(DFS, R);
-  std::reverse(RPO.begin(), RPO.end());
-  for (unsigned I = 0; I != RPO.size(); ++I)
-    NodeOf(RPO[I]).RPONum = I;
+  Dominance D = computeDominance(N, Roots, Walk(Post), Walk(!Post));
 
-  // Cooper-Harvey-Kennedy iteration. Roots hang off a virtual super-root
-  // represented as nullptr, so climbing above a root yields nullptr and
-  // intersect() of nodes under different roots converges to the super-root.
-  std::vector<bool> Processed = IsRoot;
-
-  // Intersect two (possibly virtual) dominator-tree ancestors by climbing
-  // RPO numbers. nullptr is the virtual super-root and absorbs everything.
-  auto Intersect = [&](BasicBlock *A, BasicBlock *B) -> BasicBlock * {
-    while (A != B) {
-      if (!A || !B)
-        return nullptr;
-      while (A != B && NodeOf(A).RPONum > NodeOf(B).RPONum) {
-        A = NodeOf(A).IDom;
-        if (!A)
-          return nullptr;
-      }
-      while (A != B && NodeOf(B).RPONum > NodeOf(A).RPONum) {
-        B = NodeOf(B).IDom;
-        if (!B)
-          return nullptr;
-      }
-      if (A != B && NodeOf(A).RPONum == NodeOf(B).RPONum)
-        return nullptr; // Two distinct roots: meet at the super-root.
-    }
-    return A;
-  };
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (BasicBlock *BB : RPO) {
-      if (IsRoot[BB->getNumber()])
-        continue;
-      BasicBlock *NewIDom = nullptr;
-      bool HaveFirst = false;
-      bool VirtualRooted = false;
-      for (BasicBlock *P : nexts(BB, !Post)) {
-        if (!Processed[P->getNumber()])
-          continue;
-        if (!HaveFirst) {
-          NewIDom = P;
-          HaveFirst = true;
-          continue;
-        }
-        NewIDom = Intersect(NewIDom, P);
-        if (!NewIDom) {
-          VirtualRooted = true;
-          break;
-        }
-      }
-      if (!HaveFirst)
-        continue; // No processed predecessor yet; try next iteration.
-      BasicBlock *Final = VirtualRooted ? nullptr : NewIDom;
-      if (!Processed[BB->getNumber()] || NodeOf(BB).IDom != Final) {
-        NodeOf(BB).IDom = Final;
-        Processed[BB->getNumber()] = true;
-        Changed = true;
-      }
-    }
-  }
-
-  // Assign DFS in/out numbers over the dominator tree for O(1) queries,
-  // visiting roots and children in RPO. Nodes never processed
-  // (unreachable in walk direction) stay outside the tree.
-  std::vector<BasicBlock *> FirstChild(Nodes.size()), Next(Nodes.size());
-  BasicBlock *FirstRoot = nullptr;
-  for (auto It = RPO.rbegin(); It != RPO.rend(); ++It) {
-    if (!Processed[(*It)->getNumber()])
-      continue;
-    BasicBlock *IDom = NodeOf(*It).IDom;
-    BasicBlock *&Head = IDom ? FirstChild[IDom->getNumber()] : FirstRoot;
-    Next[(*It)->getNumber()] = Head;
-    Head = *It;
+  // Children lists in RPO, then DFS in/out numbers over the tree for
+  // O(1) queries. Roots, and in post mode blocks whose paths reach
+  // different exits, hang off the virtual root and get no IDom.
+  const unsigned Virtual = D.virtualRoot(), None = Dominance::None;
+  std::vector<unsigned> FirstChild(N + 1, None), Next(N, None);
+  for (unsigned I = unsigned(D.RPO.size()); I-- > 1;) {
+    unsigned U = D.RPO[I], Parent = D.IDom[U];
+    Nodes[U].IDom = Parent == Virtual ? nullptr : Blocks[Parent];
+    Next[U] = FirstChild[Parent];
+    FirstChild[Parent] = U;
   }
   unsigned Clock = 1;
-  auto Number = [&](auto &Self, BasicBlock *BB) -> void {
-    NodeOf(BB).In = Clock++;
-    for (BasicBlock *C = FirstChild[BB->getNumber()]; C;
-         C = Next[C->getNumber()])
+  auto Number = [&](auto &Self, unsigned U) -> void {
+    Nodes[U].In = Clock++;
+    for (unsigned C = FirstChild[U]; C != None; C = Next[C])
       Self(Self, C);
-    NodeOf(BB).Out = Clock++;
+    Nodes[U].Out = Clock++;
   };
-  for (BasicBlock *R = FirstRoot; R; R = Next[R->getNumber()])
+  for (unsigned R = FirstChild[Virtual]; R != None; R = Next[R])
     Number(Number, R);
 }
 

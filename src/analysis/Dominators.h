@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Dominator and post-dominator trees, via the Cooper-Harvey-Kennedy
-/// iterative algorithm.
+/// iterative algorithm (support/Dominance.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,16 +43,11 @@ public:
   /// can reach an exit).
   bool contains(const BasicBlock *BB) const { return node(BB) != nullptr; }
 
-  /// Blocks in reverse post-order of the (forward) CFG walk used to build
-  /// the tree. For post-dominators this is an RPO of the reversed CFG.
-  const std::vector<BasicBlock *> &getRPO() const { return RPO; }
-
   bool isPostDom() const { return Post; }
 
 private:
   struct Node {
     BasicBlock *IDom = nullptr;
-    unsigned RPONum = 0;
     // DFS-in/out numbering of the dominator tree for O(1) queries; In is
     // 0 for blocks outside the tree.
     unsigned In = 0, Out = 0;
@@ -64,7 +59,6 @@ private:
   }
 
   bool Post;
-  std::vector<BasicBlock *> RPO;
   std::vector<Node> Nodes; ///< By block number.
 };
 

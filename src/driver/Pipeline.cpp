@@ -40,33 +40,6 @@ const char *wario::environmentName(Environment E) {
   return "<bad environment>";
 }
 
-bool wario::environmentFromName(const std::string &Name, Environment &Out) {
-  static const struct {
-    const char *Alias;
-    Environment E;
-  } Table[] = {
-      {"plain-c", Environment::PlainC},
-      {"ratchet", Environment::Ratchet},
-      {"r-pdg", Environment::RPDG},
-      {"rpdg", Environment::RPDG},
-      {"epilog-optimizer", Environment::EpilogOnly},
-      {"epilog-opt", Environment::EpilogOnly},
-      {"write-clusterer", Environment::WriteClustererOnly},
-      {"write-cl", Environment::WriteClustererOnly},
-      {"loop-write-clusterer", Environment::LoopWriteClustererOnly},
-      {"loop-cl", Environment::LoopWriteClustererOnly},
-      {"wario", Environment::WarioComplete},
-      {"wario+expander", Environment::WarioExpander},
-      {"wario+exp", Environment::WarioExpander},
-  };
-  for (const auto &Row : Table)
-    if (Name == Row.Alias) {
-      Out = Row.E;
-      return true;
-    }
-  return false;
-}
-
 std::vector<Environment> wario::allEnvironments() {
   return {Environment::PlainC,
           Environment::Ratchet,
@@ -82,8 +55,6 @@ MiddleEndConfig wario::middleEndConfig(const PipelineOptions &Opts) {
   Environment E = Opts.Env;
   MiddleEndConfig C;
   C.Instrumented = E != Environment::PlainC;
-  if (!C.Instrumented)
-    return C; // All other knobs are never read for plain C.
   C.ConservativeAA =
       E == Environment::Ratchet || Opts.ForceConservativeAA;
   C.LoopCluster = E == Environment::LoopWriteClustererOnly ||
@@ -93,28 +64,18 @@ MiddleEndConfig wario::middleEndConfig(const PipelineOptions &Opts) {
   C.Cluster = E == Environment::WriteClustererOnly ||
               E == Environment::WarioComplete ||
               E == Environment::WarioExpander;
-  C.UnrollFactor = C.LoopCluster ? Opts.UnrollFactor : 0;
+  C.UnrollFactor = Opts.UnrollFactor;
+  C.HittingSet = Opts.MiddleEndHittingSet;
+  C.DepthWeightedCost = Opts.DepthWeightedCost;
+  C.ResolveWars = Opts.ResolveMiddleEndWars;
   C.Strat = Opts.Strat;
-  if (C.Strat == CheckpointStrategy::Idempotent) {
-    C.HittingSet = Opts.MiddleEndHittingSet;
-    C.DepthWeightedCost = Opts.DepthWeightedCost;
-    C.ResolveWars = Opts.ResolveMiddleEndWars;
-  } else {
-    // The placement machinery never runs for the rollback strategies;
-    // canonicalize its knobs so option sets differing only in unread
-    // placement flags share one middle-end artifact.
-    C.HittingSet = true;
-    C.DepthWeightedCost = true;
-    C.ResolveWars = true;
-  }
-  C.SpecLogWars =
-      C.Strat == CheckpointStrategy::Speculative ? Opts.SpecLogWars : true;
+  C.SpecLogWars = Opts.SpecLogWars;
   // The rollback strategies leave WAR loops checkpoint-free, so the
   // region bounder is their only in-loop forward-progress mechanism and
   // is forced on.
   C.BoundRegions =
       Opts.BoundRegions || C.Strat != CheckpointStrategy::Idempotent;
-  C.MaxRegionCycles = C.BoundRegions ? Opts.MaxRegionCycles : 0;
+  C.MaxRegionCycles = Opts.MaxRegionCycles;
   return C;
 }
 

@@ -41,12 +41,6 @@ enum class Environment {
 
 const char *environmentName(Environment E);
 
-/// Reverse lookup for CLI and wire use (wario-served requests and the
-/// load generator's --envs flag name environments as strings). Accepts
-/// the environmentName() form and the bench table short form ("wario",
-/// "r-pdg", "epilog-opt", ...). Returns false on unknown names.
-bool environmentFromName(const std::string &Name, Environment &Out);
-
 /// All evaluated environments, in the paper's presentation order.
 std::vector<Environment> allEnvironments();
 
@@ -135,35 +129,30 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
-/// The knobs that actually feed the middle end, derived from an
-/// environment + options. Two option sets with equal MiddleEndConfig
-/// produce identical post-middle-end IR from the same input module, which
-/// is what makes the middle-end stage cacheable (e.g. R-PDG and
-/// epilog-optimizer differ only in the back end).
+/// The knobs that feed the middle end, derived from an environment +
+/// options: which passes run (plain C runs only the unroller and
+/// cleanup) and what they are told. A knob is read only where its pass
+/// runs: UnrollFactor under LoopCluster, the placement knobs
+/// (HittingSet, DepthWeightedCost, ResolveWars) under the Idempotent
+/// strategy, SpecLogWars under Speculative, MaxRegionCycles under
+/// BoundRegions.
 struct MiddleEndConfig {
   bool Instrumented = false;
   bool ConservativeAA = false;
   bool LoopCluster = false;
   bool Expand = false;
   bool Cluster = false;
-  /// Loop Write Clusterer factor; canonically 0 when LoopCluster is off
-  /// (the option is never read then).
   unsigned UnrollFactor = 0;
   bool HittingSet = false;
   bool DepthWeightedCost = false;
   bool ResolveWars = false;
+  /// Forced on for the rollback strategies.
   bool BoundRegions = false;
   uint64_t MaxRegionCycles = 0;
-  /// Strategy mode for the checkpoint inserter / region bounder
-  /// (canonically Idempotent for plain C). The placement knobs above
-  /// (HittingSet, DepthWeightedCost, ResolveWars) are canonicalized to
-  /// their defaults for the rollback strategies — no placement runs.
   CheckpointStrategy Strat = CheckpointStrategy::Idempotent;
-  /// Canonically true except under Strat == Speculative (negative
-  /// control; only read there).
   bool SpecLogWars = true;
 
-  auto operator<=>(const MiddleEndConfig &) const = default;
+  bool operator==(const MiddleEndConfig &) const = default;
 };
 
 MiddleEndConfig middleEndConfig(const PipelineOptions &Opts);
@@ -173,8 +162,9 @@ MiddleEndConfig middleEndConfig(const PipelineOptions &Opts);
 BackendOptions backendConfig(const PipelineOptions &Opts);
 
 /// --- Staged compilation -----------------------------------------------------
-/// compile() is the composition of three stages so the experiment harness
-/// can cache each stage's artifact separately (see bench/Harness.h):
+/// compile() is the composition of three stages so the staged cache
+/// (src/serve/Cache.h) can keep the environment-independent front half
+/// once per workload and clone it for each configuration:
 ///
 ///   frontend (workloads)  ->  front half  ->  middle end  ->  back end
 ///        Module                 Module          Module         MModule
@@ -191,10 +181,7 @@ void runFrontHalf(Module &M, PipelineStats &S);
 /// in place. Expects \p M to be front-half output.
 void runMiddleEnd(Module &M, const PipelineOptions &Opts, PipelineStats &S);
 
-/// Lowers middle-end output through the back end. Read-only on \p M, so
-/// one cached middle-end module can feed several backend configurations
-/// (warm the CFG caches first when sharing across threads; see
-/// Module-level note in bench/Harness.cpp).
+/// Lowers middle-end output through the back end. Read-only on \p M.
 MModule runBackendStage(const Module &M, const PipelineOptions &Opts,
                         PipelineStats &S);
 

@@ -111,26 +111,6 @@ const char *wario::checkpointStrategyName(CheckpointStrategy S) {
   return "<bad strategy>";
 }
 
-bool wario::checkpointStrategyFromName(const std::string &Name,
-                                       CheckpointStrategy &Out) {
-  static const struct {
-    const char *Alias;
-    CheckpointStrategy S;
-  } Table[] = {
-      {"idempotent", CheckpointStrategy::Idempotent},
-      {"differential", CheckpointStrategy::Differential},
-      {"diff", CheckpointStrategy::Differential},
-      {"speculative", CheckpointStrategy::Speculative},
-      {"spec", CheckpointStrategy::Speculative},
-  };
-  for (const auto &Row : Table)
-    if (Name == Row.Alias) {
-      Out = Row.S;
-      return true;
-    }
-  return false;
-}
-
 const char *wario::predName(CmpPred P) {
   switch (P) {
   case CmpPred::EQ: return "eq";

@@ -20,8 +20,6 @@ class IRBuilder {
 public:
   explicit IRBuilder(Module *M) : M(M) {}
 
-  Module *getModule() const { return M; }
-
   /// Sets the insertion point to the end of \p BB.
   void setInsertPoint(BasicBlock *BB) {
     InsertBB = BB;

@@ -91,10 +91,6 @@ enum class CheckpointStrategy : uint8_t {
 /// "speculative").
 const char *checkpointStrategyName(CheckpointStrategy S);
 
-/// Reverse lookup for CLI and wire use. Returns false on unknown names.
-bool checkpointStrategyFromName(const std::string &Name,
-                                CheckpointStrategy &Out);
-
 /// Returns a printable mnemonic for \p Op.
 const char *opcodeName(Opcode Op);
 /// Returns a printable mnemonic for \p P.

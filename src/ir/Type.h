@@ -35,7 +35,6 @@ public:
 
   Kind getKind() const { return K; }
   bool isVoid() const { return K == Kind::Void; }
-  bool isI32() const { return K == Kind::I32; }
   bool isPtr() const { return K == Kind::Ptr; }
   bool isArray() const { return K == Kind::Array; }
 

@@ -145,8 +145,6 @@ public:
   }
 
   uint32_t getSizeBytes() const { return ValueTy->getArrayBytes(); }
-  /// The interned array type describing this global's storage.
-  const Type *getValueType() const { return ValueTy; }
   const ArenaVec<uint8_t> &getInit() const { return Init; }
 
   static bool classof(const Value *V) {

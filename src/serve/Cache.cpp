@@ -52,24 +52,9 @@ struct FrontArtifact {
   std::string Error;
 };
 
-/// Post-middle-end artifact: the module is read-only from here on — the
-/// back end takes it const — so configurations differing only in
-/// back-end flags share it directly.
-struct MidArtifact {
-  std::unique_ptr<Module> M;
-  PipelineStats Stats;
-  std::string Error;
-};
-
 struct FrontKey {
   std::string Tenant, Workload;
   auto operator<=>(const FrontKey &) const = default;
-};
-
-struct MidKey {
-  std::string Tenant, Workload;
-  MiddleEndConfig MC;
-  auto operator<=>(const MidKey &) const = default;
 };
 
 struct CompileKey {
@@ -166,11 +151,10 @@ template <typename V> struct Slot : EntryBase {
 struct StagedCache::Impl {
   const CacheConfig Config;
 
-  /// Guards the four maps, the LRU list, and the counters — not the
+  /// Guards the three maps, the LRU list, and the counters — not the
   /// slots' contents (each slot has its own mutex/CV).
   mutable std::mutex Mutex;
   std::map<FrontKey, std::shared_ptr<Slot<FrontArtifact>>> Front;
-  std::map<MidKey, std::shared_ptr<Slot<MidArtifact>>> Mid;
   std::map<CompileKey, std::shared_ptr<Slot<CompileResult>>> Compile;
   std::map<RunKey, std::shared_ptr<Slot<RunResult>>> Run;
   std::list<EntryBase *> Lru; ///< Front = most recently used.
@@ -256,45 +240,27 @@ struct StagedCache::Impl {
     return S->get();
   }
 
-  std::shared_ptr<const MidArtifact> midFor(const CacheRequest &R,
-                                            Provenance *Prov) {
-    auto [S, Mine] = claim(Mid,
-                           MidKey{R.Tenant, R.Workload,
-                                  middleEndConfig(R.PO)},
-                           LevelMid, Prov ? &Prov->MidHit : nullptr);
-    if (Mine) {
-      std::shared_ptr<const FrontArtifact> F =
-          frontFor(R.Tenant, R.Workload, Prov);
-      auto A = std::make_shared<MidArtifact>();
-      A->Error = F->Error;
-      if (F->M) {
-        A->M = cloneModule(*F->M);
-        A->Stats = F->Stats;
-        runMiddleEnd(*A->M, R.PO, A->Stats);
-        // Warm the lazy CFG caches now: the back end reads this module
-        // const, possibly from several threads at once, and
-        // predecessors() would otherwise mutate under them.
-        for (const auto &Fn : A->M->functions())
-          Fn->ensureCFG();
-      }
-      size_t Bytes = moduleBytes(A->M.get()) + A->Error.size();
-      S->publish(std::move(A));
-      account(*S, Bytes);
-    }
-    return S->get();
-  }
-
   std::shared_ptr<const CompileResult> compileFor(const CacheRequest &R,
                                                   Provenance *Prov) {
     auto [S, Mine] = claim(Compile, CompileKey{R.Tenant, R.Workload, R.PO},
                            LevelCompile, Prov ? &Prov->CompileHit : nullptr);
     if (Mine) {
-      std::shared_ptr<const MidArtifact> M = midFor(R, Prov);
+      std::shared_ptr<const FrontArtifact> F =
+          frontFor(R.Tenant, R.Workload, Prov);
       auto A = std::make_shared<CompileResult>();
-      A->Error = M->Error;
-      if (M->M) {
-        A->Pipeline = M->Stats;
-        A->MM = runBackendStage(*M->M, R.PO, A->Pipeline);
+      A->Error = F->Error;
+      if (F->M) {
+        // The middle end runs on a private clone that dies with this
+        // scope: no middle-end module is stored, so its level only
+        // counts runs (one miss each, never a hit).
+        {
+          std::lock_guard<std::mutex> Lock(Mutex);
+          ++Ctr.Misses[LevelMid];
+        }
+        std::unique_ptr<Module> M = cloneModule(*F->M);
+        A->Pipeline = F->Stats;
+        runMiddleEnd(*M, R.PO, A->Pipeline);
+        A->MM = runBackendStage(*M, R.PO, A->Pipeline);
         A->TextBytes = A->MM.textSizeBytes();
       }
       size_t Bytes = mmoduleBytes(A->MM) + A->Error.size();

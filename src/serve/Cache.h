@@ -8,13 +8,22 @@
 /// traffic — the DietCode serving-compiler shape: a store keyed by
 /// canonicalized compile configurations.
 ///
-/// Four levels, each keyed by the option values themselves (defaulted
-/// <=> over every field, so any option difference is a key difference):
+/// Three stored levels, each keyed by the option values themselves
+/// (defaulted <=> over every field, so any option difference is a key
+/// difference):
 ///
 ///   front    frontend + front half     per (tenant, workload)
-///   mid      middle-end IR             per (tenant, workload, MiddleEndConfig)
 ///   compile  machine module            per (tenant, workload, PipelineOptions)
 ///   run      emulation result          per (tenant, workload, PO, EmulatorOptions)
+///
+/// A compile-level miss clones the front-level module, runs the middle
+/// end and the back end on the clone and drops it. No middle-end module
+/// is stored: only environments sharing a middle end (R-PDG and the
+/// epilog optimizer) could reuse one, few request streams ask for both,
+/// and each would hold a whole module in the byte budget. The middle end
+/// keeps a counter level of its own (LevelMid), booked one miss per run
+/// and never a hit, so every consumer of the counters still sees how
+/// often it ran.
 ///
 /// A run-level miss is one plain emulate() of the compiled module, for
 /// the daemon and the harness alike: no snapshot chain is recorded or
@@ -25,7 +34,7 @@
 /// never observe each other's cache state (not even as a hit/miss timing
 /// difference).
 ///
-/// Eviction: entries across all four levels share one LRU list and one
+/// Eviction: entries across all three levels share one LRU list and one
 /// byte budget (0 = unbounded). Publishing an entry accounts its
 /// approximate footprint and evicts least-recently-used entries until
 /// the total fits the budget again; the most-recently-used entry is
@@ -84,8 +93,9 @@ struct CacheRequest {
   EmulatorOptions EO;
 };
 
-/// The four store levels, in dependency order (indexes into the counter
-/// arrays below).
+/// The counter levels, in dependency order (indexes into the counter
+/// arrays below). LevelMid stores nothing: it counts middle-end runs as
+/// misses and never hits.
 enum CacheLevel : unsigned {
   LevelFront = 0,
   LevelMid = 1,
@@ -96,6 +106,8 @@ enum CacheLevel : unsigned {
 
 /// Which levels answered from cache for one request. A level not
 /// consulted (e.g. the compile level under a run-level hit) stays false.
+/// MidHit is never set (no middle-end module is stored); it keeps its
+/// wire bit so the reply format does not change.
 struct Provenance {
   bool FrontHit = false;
   bool MidHit = false;
@@ -133,7 +145,7 @@ struct CacheCounters {
 };
 
 struct CacheConfig {
-  /// Byte budget shared by all four levels; 0 = never evict.
+  /// Byte budget shared by all three stored levels; 0 = never evict.
   size_t ByteBudget = 0;
 };
 
@@ -153,7 +165,7 @@ public:
   StagedCache(const StagedCache &) = delete;
   StagedCache &operator=(const StagedCache &) = delete;
 
-  /// Full lookup-or-compute through all four levels.
+  /// Full lookup-or-compute through all three stored levels.
   std::shared_ptr<const RunResult> run(const CacheRequest &R,
                                        Provenance *Prov = nullptr);
 

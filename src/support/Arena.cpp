@@ -16,9 +16,13 @@ namespace {
 /// the system allocator.
 class SlabPool {
 public:
+  /// The pool is built on first use and never destroyed: arenas owned by
+  /// other statics (a process-lifetime cache's modules) release their
+  /// slabs during exit, after any function-local static built later than
+  /// them would already be gone.
   static SlabPool &get() {
-    static SlabPool Pool;
-    return Pool;
+    static SlabPool *Pool = new SlabPool;
+    return *Pool;
   }
 
   char *acquire(size_t Size) {
@@ -44,12 +48,6 @@ public:
   size_t freeBytes() const {
     std::lock_guard<std::mutex> Lock(Mutex);
     return FreeBytes;
-  }
-
-  ~SlabPool() {
-    for (auto &[Size, List] : Free)
-      for (char *Base : List)
-        ::operator delete(Base);
   }
 
 private:

@@ -31,10 +31,6 @@ public:
   /// \p BB. At most one per block (callers pass the last def per block).
   void addAvailableValue(BasicBlock *BB, Value *V);
 
-  bool hasValueFor(const BasicBlock *BB) const {
-    return AtExit.count(BB) != 0;
-  }
-
   /// The variable's value on entry to \p BB (inserting phis as needed).
   Value *getValueAtEntry(BasicBlock *BB);
 

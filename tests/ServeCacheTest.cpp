@@ -37,7 +37,8 @@ uint64_t total(const uint64_t (&A)[NumCacheLevels]) {
 TEST(ServeCache, CountersMatchAHandComputedTrace) {
   StagedCache Cache{CacheConfig{}};
 
-  // A1: cold run — misses at all four levels, one entry published each.
+  // A1: cold run — misses at all four levels (the middle end's is its
+  // one run), one entry published at each of the three stored levels.
   Provenance P;
   std::shared_ptr<const RunResult> A1 =
       Cache.run(req("a", "crc", Environment::RPDG), &P);
@@ -48,7 +49,7 @@ TEST(ServeCache, CountersMatchAHandComputedTrace) {
     EXPECT_EQ(C.Misses[L], 1u) << "level " << L;
     EXPECT_EQ(C.Hits[L], 0u) << "level " << L;
   }
-  EXPECT_EQ(C.Entries, 4u);
+  EXPECT_EQ(C.Entries, 3u);
 
   // A2: identical request — answered at the run level alone.
   std::shared_ptr<const RunResult> A2 =
@@ -59,7 +60,7 @@ TEST(ServeCache, CountersMatchAHandComputedTrace) {
   EXPECT_EQ(C.Hits[LevelRun], 1u);
   EXPECT_EQ(C.Hits[LevelCompile], 0u);
   EXPECT_EQ(C.Misses[LevelRun], 1u);
-  EXPECT_EQ(C.Entries, 4u);
+  EXPECT_EQ(C.Entries, 3u);
 
   // A3: same pipeline, different emulator options — run-level miss
   // served from the compile-level artifact.
@@ -72,20 +73,22 @@ TEST(ServeCache, CountersMatchAHandComputedTrace) {
   EXPECT_EQ(C.Misses[LevelRun], 2u);
   EXPECT_EQ(C.Hits[LevelCompile], 1u);
   EXPECT_EQ(C.Misses[LevelCompile], 1u);
-  EXPECT_EQ(C.Entries, 5u);
+  EXPECT_EQ(C.Entries, 4u);
 
   // A4: an environment sharing R-PDG's middle-end configuration but not
-  // its back end — compile-level miss served from the mid-level module.
+  // its back end — compile-level miss that runs the middle end again on
+  // a clone of the front-level module (no middle-end module is stored).
   ASSERT_TRUE(
       Cache.run(req("a", "crc", Environment::EpilogOnly), &P)->Error.empty());
-  EXPECT_TRUE(P.MidHit);
+  EXPECT_TRUE(P.FrontHit);
+  EXPECT_FALSE(P.MidHit);
   EXPECT_FALSE(P.CompileHit);
   C = Cache.counters();
   EXPECT_EQ(C.Misses[LevelRun], 3u);
   EXPECT_EQ(C.Misses[LevelCompile], 2u);
-  EXPECT_EQ(C.Hits[LevelMid], 1u);
-  EXPECT_EQ(C.Misses[LevelMid], 1u);
-  EXPECT_EQ(C.Entries, 7u);
+  EXPECT_EQ(C.Hits[LevelMid], 0u);
+  EXPECT_EQ(C.Misses[LevelMid], 2u);
+  EXPECT_EQ(C.Entries, 6u);
 
   // A5: the same request under another tenant — misses every level (a
   // tenant namespace shares nothing, not even the frontend parse).
@@ -94,14 +97,14 @@ TEST(ServeCache, CountersMatchAHandComputedTrace) {
   EXPECT_EQ(P.bits(), 0u) << "no cross-tenant hits at any level";
   C = Cache.counters();
   EXPECT_EQ(C.Misses[LevelFront], 2u);
-  EXPECT_EQ(C.Misses[LevelMid], 2u);
+  EXPECT_EQ(C.Misses[LevelMid], 3u);
   EXPECT_EQ(C.Misses[LevelCompile], 3u);
   EXPECT_EQ(C.Misses[LevelRun], 4u);
-  EXPECT_EQ(C.Hits[LevelFront], 0u);
-  EXPECT_EQ(C.Hits[LevelMid], 1u);
+  EXPECT_EQ(C.Hits[LevelFront], 1u);
+  EXPECT_EQ(C.Hits[LevelMid], 0u);
   EXPECT_EQ(C.Hits[LevelCompile], 1u);
   EXPECT_EQ(C.Hits[LevelRun], 1u);
-  EXPECT_EQ(C.Entries, 11u);
+  EXPECT_EQ(C.Entries, 9u);
   EXPECT_EQ(total(C.Evictions), 0u) << "unbounded cache must never evict";
   EXPECT_EQ(C.BytesEvicted, 0u);
   EXPECT_GT(C.BytesUsed, 0u);
@@ -126,7 +129,7 @@ TEST(ServeCache, TenantsAreIsolatedNamespaces) {
 
   CacheCounters C = Cache.counters();
   EXPECT_EQ(total(C.Hits), 0u);
-  EXPECT_EQ(C.Entries, 8u) << "every level is duplicated per tenant";
+  EXPECT_EQ(C.Entries, 6u) << "every stored level is duplicated per tenant";
 
   // Within a tenant the entries behave normally.
   Provenance P;
