@@ -20,12 +20,14 @@ namespace {
 /// harness made while --timing is on (serve::computedStages: a stage
 /// answered from cache adds nothing), so over all workers at once. The
 /// runs and hits columns are the global cache's own per-level misses and
-/// hits. Work outside the staged cache (the crash campaigns' emulation)
-/// shows only in the wall line: the steady clock from initHarness to the
-/// summary.
+/// hits. Crash campaigns emulate outside the staged cache; timedCampaign
+/// books each call and its wall seconds. The wall line is the steady
+/// clock from initHarness to the summary.
 struct StageSeconds {
   std::mutex M;
   PipelineStats Sum; ///< Only the *Seconds fields are summed.
+  unsigned long long Campaigns = 0;
+  double CampaignSeconds = 0;
   bool Enabled = false;
   std::chrono::steady_clock::time_point Start;
 };
@@ -65,8 +67,8 @@ void printTimingSummary() {
   };
   double Total = 0;
   std::fprintf(stderr, "\n-- wario --timing: staged-cache stages, seconds "
-                       "summed over workers (work outside the cache shows "
-                       "only in wall) --\n");
+                       "summed over workers; crash campaigns, wall seconds "
+                       "per call --\n");
   std::fprintf(stderr, "%-12s %8s %8s %10s\n", "stage", "runs", "hits",
                "seconds");
   for (const auto &R : Rows) {
@@ -75,6 +77,9 @@ void printTimingSummary() {
                  (unsigned long long)C.Hits[R.Level], R.Seconds);
     Total += R.Seconds;
   }
+  std::fprintf(stderr, "%-12s %8llu %8s %10.3f\n", "campaigns", T.Campaigns,
+               "", T.CampaignSeconds);
+  Total += T.CampaignSeconds;
   std::fprintf(stderr, "%-12s %8s %8s %10.3f\n", "total", "", "", Total);
   std::fprintf(stderr, "%-12s %8s %8s %10.3f\n", "wall", "", "",
                std::chrono::duration<double>(
@@ -96,6 +101,18 @@ void wario::bench::initHarness(int argc, char **argv) {
       std::atexit(printTimingSummary);
     }
   }
+}
+
+void wario::bench::timedCampaign(const std::function<void()> &Campaign) {
+  double Seconds = 0;
+  {
+    StageTimer Timer(Seconds);
+    Campaign();
+  }
+  StageSeconds &T = stageSeconds();
+  std::lock_guard<std::mutex> Lock(T.M);
+  ++T.Campaigns;
+  T.CampaignSeconds += Seconds;
 }
 
 //===----------------------------------------------------------------------===//

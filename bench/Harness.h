@@ -47,6 +47,7 @@
 #include "workloads/Workloads.h"
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,10 +142,15 @@ std::shared_ptr<const RunResult> cachedRun(const std::string &Workload,
 /// Regenerator entry hook: parses harness flags. `--timing` prints a
 /// per-stage summary to stderr when the process exits: runs and hits are
 /// globalCache()'s per-level misses and hits, seconds the stages the
-/// harness's requests actually computed summed over workers, and a last
+/// harness's requests actually computed summed over workers, then a
+/// `campaigns` row (timedCampaign's calls and wall seconds), and a last
 /// `wall` line the steady clock since this call (stdout stays
 /// byte-identical either way).
 void initHarness(int argc, char **argv);
+
+/// Runs \p Campaign, work the staged cache never sees (a crash campaign),
+/// and books it in --timing's `campaigns` row: one run, its wall seconds.
+void timedCampaign(const std::function<void()> &Campaign);
 
 /// Prints an aligned row: first column \p Width0 wide, then each value
 /// right-aligned to \p Width.

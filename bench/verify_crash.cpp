@@ -61,7 +61,9 @@ std::vector<CrashReport> campaigns(const std::string &Workload,
     FI.Config = PO.DiffFullRollback && PO.SpecLogWars
                     ? strategyColName(PO.Strat)
                     : std::string(strategyColName(PO.Strat)) + "-weakened";
-  return runCrashCampaigns(CR->MM, FI, Modes);
+  std::vector<CrashReport> Reports;
+  timedCampaign([&] { Reports = runCrashCampaigns(CR->MM, FI, Modes); });
+  return Reports;
 }
 
 /// Engine statistics go to stderr so the report stream (stdout) stays

@@ -166,14 +166,20 @@ MemLocation AliasAnalysis::decompose(const Value *Addr,
   return Loc; // Loads, calls, arithmetic results: unknown.
 }
 
-AliasResult AliasAnalysis::alias(const Value *AddrA, uint8_t SizeA,
-                                 const Value *AddrB, uint8_t SizeB,
+MemAccess AliasAnalysis::access(const Instruction *I) const {
+  assert(I->isMemoryAccess() && "alias query on a non-memory instruction");
+  return access(I->getAddressOperand(), I->getAccessSize());
+}
+
+AliasResult AliasAnalysis::alias(const MemAccess &X, const MemAccess &Y,
                                  bool CrossIteration) const {
-  if (AddrA == AddrB && !CrossIteration)
+  uint8_t SizeA = X.Size, SizeB = Y.Size;
+  // Equal address values denote one address within an iteration, whether
+  // or not its base was identified.
+  if (X.Addr == Y.Addr && !CrossIteration)
     return SizeA == SizeB ? AliasResult::MustAlias : AliasResult::MayAlias;
 
-  MemLocation A = getLocation(AddrA);
-  MemLocation B = getLocation(AddrB);
+  const MemLocation &A = X.Loc, &B = Y.Loc;
 
   if (A.isIdentified() && B.isIdentified()) {
     if (A.Base != B.Base)
@@ -232,14 +238,4 @@ AliasResult AliasAnalysis::alias(const Value *AddrA, uint8_t SizeA,
     }
   }
   return AliasResult::MayAlias;
-}
-
-AliasResult AliasAnalysis::alias(const Instruction *A,
-                                 const Instruction *B,
-                                 bool CrossIteration) const {
-  assert(A->isMemoryAccess() && B->isMemoryAccess() &&
-         "alias query on non-memory instructions");
-  return alias(A->getAddressOperand(), A->getAccessSize(),
-               B->getAddressOperand(), B->getAccessSize(),
-               CrossIteration);
 }

@@ -48,23 +48,34 @@ struct MemLocation {
   bool isIdentified() const { return Base != nullptr; }
 };
 
+/// A memory access decomposed once: its address value, that address's
+/// location, and its size in bytes. Callers that query one access
+/// against many (findWars) keep these instead of re-decomposing per pair.
+struct MemAccess {
+  const Value *Addr = nullptr;
+  MemLocation Loc;
+  uint8_t Size = 0;
+};
+
 /// Per-function alias queries at a configurable precision.
 ///
-/// The analysis holds nothing but its precision: getLocation() decomposes
-/// the address and alias() computes the verdict on every call. Queries
-/// are pure functions of the IR, so an instance stays valid across IR
+/// The analysis holds nothing but its precision: access() decomposes an
+/// address and alias() computes the verdict on every call. Queries are
+/// pure functions of the IR, so an instance stays valid across IR
 /// mutation and may be shared between threads.
 class AliasAnalysis {
 public:
   explicit AliasAnalysis(AliasPrecision P) : Precision(P) {}
 
-  /// Decomposes the address \p Addr (as used by a load/store).
-  MemLocation getLocation(const Value *Addr) const {
-    return decompose(Addr, 0);
+  /// Decomposes an access of \p Size bytes at \p Addr.
+  MemAccess access(const Value *Addr, uint8_t Size) const {
+    return {Addr, decompose(Addr, 0), Size};
   }
+  /// Decomposes the load or store \p I.
+  MemAccess access(const Instruction *I) const;
 
-  /// May/must/no-alias verdict for two accesses of \p SizeA and \p SizeB
-  /// bytes at the given addresses. Symmetric in the two accesses.
+  /// May/must/no-alias verdict for two decomposed accesses. Symmetric in
+  /// the two accesses.
   ///
   /// \p CrossIteration matters when address expressions involve loop-
   /// variant values: with it set, the two accesses may execute in
@@ -72,12 +83,21 @@ public:
   /// different runtime values. Equal symbolic addresses then only
   /// MayAlias, and constant-offset disjointness weakens to a
   /// residue-class argument (a[2i] vs a[2i'+1] still cannot collide).
+  AliasResult alias(const MemAccess &A, const MemAccess &B,
+                    bool CrossIteration = false) const;
+
+  /// Convenience: decomposes accesses of \p SizeA and \p SizeB bytes at
+  /// the given addresses, then the verdict above.
   AliasResult alias(const Value *AddrA, uint8_t SizeA, const Value *AddrB,
-                    uint8_t SizeB, bool CrossIteration = false) const;
+                    uint8_t SizeB, bool CrossIteration = false) const {
+    return alias(access(AddrA, SizeA), access(AddrB, SizeB), CrossIteration);
+  }
 
   /// Convenience: verdict for two memory-access instructions.
   AliasResult alias(const Instruction *A, const Instruction *B,
-                    bool CrossIteration = false) const;
+                    bool CrossIteration = false) const {
+    return alias(access(A), access(B), CrossIteration);
+  }
 
 private:
   MemLocation decompose(const Value *Addr, unsigned Depth) const;

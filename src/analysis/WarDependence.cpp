@@ -46,11 +46,13 @@ std::vector<MemDep> wario::findWars(const Function &F, const AliasAnalysis &AA,
                                     const LoopInfo &LI,
                                     const CFGReachability &Reach,
                                     const Loop *Scope) {
-  // Loads and stores in program order, with their block numbers and
-  // positions. Two blocks share a loop iff they share their outermost
-  // loop, because natural loops are either nested or disjoint.
+  // Loads and stores in program order, each decomposed once, with their
+  // block numbers and positions. Two blocks share a loop iff they share
+  // their outermost loop, because natural loops are either nested or
+  // disjoint.
   struct Access {
     Instruction *I;
+    MemAccess M;
     unsigned Block, Pos;
   };
   std::vector<Access> Loads, Stores;
@@ -65,7 +67,7 @@ std::vector<MemDep> wario::findWars(const Function &F, const AliasAnalysis &AA,
       for (Instruction *I : *BB) {
         if (I->isMemoryAccess())
           (I->getOpcode() == Opcode::Load ? Loads : Stores)
-              .push_back({I, B, Pos});
+              .push_back({I, AA.access(I), B, Pos});
         ++Pos;
       }
   }
@@ -75,12 +77,9 @@ std::vector<MemDep> wario::findWars(const Function &F, const AliasAnalysis &AA,
   // known base meets only the stores of that base and those of unknown
   // base (nullptr), merged back into program order; a load of unknown
   // base meets every store.
-  auto BaseOf = [&](const Access &A) {
-    return AA.getLocation(A.I->getAddressOperand()).Base;
-  };
   std::unordered_map<const Value *, std::vector<unsigned>> ByBase, Merged;
   for (unsigned S = 0; S != Stores.size(); ++S) {
-    ByBase[BaseOf(Stores[S])].push_back(S);
+    ByBase[Stores[S].M.Loc.Base].push_back(S);
     Merged[nullptr].push_back(S);
   }
 
@@ -91,7 +90,7 @@ std::vector<MemDep> wario::findWars(const Function &F, const AliasAnalysis &AA,
   // but a real carried WAR three iterations later.
   std::vector<MemDep> Wars;
   for (const Access &R : Loads) {
-    const Value *Base = BaseOf(R);
+    const Value *Base = R.M.Loc.Base;
     auto [Candidates, Fresh] = Merged.try_emplace(Base);
     if (Fresh)
       std::merge(ByBase[Base].begin(), ByBase[Base].end(),
@@ -115,7 +114,7 @@ std::vector<MemDep> wario::findWars(const Function &F, const AliasAnalysis &AA,
       for (bool Cross : {false, true}) {
         if (!(Cross ? Carried : Direct))
           continue;
-        AliasResult AR = AA.alias(R.I, W.I, /*CrossIteration=*/Cross);
+        AliasResult AR = AA.alias(R.M, W.M, /*CrossIteration=*/Cross);
         if (AR != AliasResult::NoAlias)
           Wars.push_back({R.I, W.I, /*LoopCarried=*/Cross, AR});
       }

@@ -1,6 +1,5 @@
 #include "driver/Pipeline.h"
 
-#include "support/ThreadPool.h"
 #include "transforms/Inliner.h"
 #include "transforms/LoopUnroller.h"
 #include "transforms/Mem2Reg.h"
@@ -9,22 +8,6 @@
 #include "transforms/WriteClusterer.h"
 
 using namespace wario;
-
-namespace {
-
-/// Results of the function-local middle-end passes for one function.
-/// The parallel phases fill one slot per function; totals are reduced
-/// sequentially in function order afterwards, so stats are identical
-/// for every WARIO_JOBS value.
-struct PerFunctionStats {
-  LoopWriteClustererStats LWC;
-  unsigned AllocasPromoted = 0;
-  unsigned StoresSunk = 0;
-  CheckpointInserterStats Checkpoints;
-  unsigned RegionsBounded = 0;
-};
-
-} // namespace
 
 const char *wario::environmentName(Environment E) {
   switch (E) {
@@ -102,18 +85,12 @@ BackendOptions wario::backendConfig(const PipelineOptions &Opts) {
 void wario::runFrontHalf(Module &M, PipelineStats &S) {
   // Shared "-O3" front half: basic inlining (the opt -always-inline
   // -inline prepass of Section 4.6), scalar promotion, and cleanup.
-  // Inlining rewrites bodies across function boundaries and must stay
-  // sequential; promotion and cleanup are function-local and fan out.
   StageTimer T(S.FrontHalfSeconds);
   S.InlinedPrepass = inlineSmallFunctions(M, /*MaxCalleeSize=*/24);
-  const auto &Fns = M.functions();
-  std::vector<unsigned> Promoted(Fns.size(), 0);
-  parallelFor(Fns.size(), [&](size_t I) {
-    Promoted[I] = promoteAllocasToSSA(*Fns[I]);
-    cleanup(*Fns[I]);
-  });
-  for (unsigned N : Promoted)
-    S.AllocasPromoted += N;
+  for (Function *F : M.functions()) {
+    S.AllocasPromoted += promoteAllocasToSSA(*F);
+    cleanup(*F);
+  }
 }
 
 void wario::runMiddleEnd(Module &M, const PipelineOptions &Opts,
@@ -122,52 +99,46 @@ void wario::runMiddleEnd(Module &M, const PipelineOptions &Opts,
   MiddleEndConfig C = middleEndConfig(Opts);
   const auto &Fns = M.functions();
 
-  // Every middle-end pass except the Expander is function-local, and
-  // each function allocates from its own arena, interns constants/types
-  // through the context's value-keyed maps, and assigns ids from its own
-  // counter — so per-function work commutes and the fan-out below is
-  // byte-identical for every WARIO_JOBS value. The Expander rewrites
-  // call sites across function boundaries; it stays sequential and acts
-  // as the barrier between the two parallel phases.
-
   if (!C.Instrumented) {
-    parallelFor(Fns.size(), [&](size_t I) {
-      unrollStandardLoops(*Fns[I], /*Factor=*/4, /*MaxBodyInsts=*/40);
-      cleanup(*Fns[I]);
-    });
+    for (Function *F : Fns) {
+      unrollStandardLoops(*F, /*Factor=*/4, /*MaxBodyInsts=*/40);
+      cleanup(*F);
+    }
     return;
   }
   AliasPrecision Precision = C.ConservativeAA
                                  ? AliasPrecision::Conservative
                                  : AliasPrecision::Precise;
-  std::vector<PerFunctionStats> FS(Fns.size());
 
-  // Phase A (Figure 2 order): Loop Write Clusterer, then the
-  // user-specified optimization level (-O3's unroller, Section 4.6).
-  parallelFor(Fns.size(), [&](size_t I) {
-    Function &F = *Fns[I];
+  // Figure 2 order: Loop Write Clusterer, then the user-specified
+  // optimization level (-O3's unroller, Section 4.6).
+  for (Function *F : Fns) {
     if (C.LoopCluster) {
       LoopWriteClustererOptions LWC;
       LWC.UnrollFactor = C.UnrollFactor;
       LWC.Precision = Precision;
-      FS[I].LWC = runLoopWriteClusterer(F, LWC);
-      cleanup(F);
+      LoopWriteClustererStats L = runLoopWriteClusterer(*F, LWC);
+      S.LoopClusterer.LoopsTransformed += L.LoopsTransformed;
+      S.LoopClusterer.StoresPostponed += L.StoresPostponed;
+      S.LoopClusterer.ExitCopies += L.ExitCopies;
+      S.LoopClusterer.RuntimeChecks += L.RuntimeChecks;
+      cleanup(*F);
     }
-    unrollStandardLoops(F, /*Factor=*/4, /*MaxBodyInsts=*/40);
-    cleanup(F);
-  });
-
-  // Module-level barrier: the Expander clones callee bodies into
-  // callers, then the new allocas are promoted function-locally.
-  if (C.Expand) {
-    S.Expander = runExpander(M);
-    parallelFor(Fns.size(), [&](size_t I) {
-      FS[I].AllocasPromoted = promoteAllocasToSSA(*Fns[I]);
-      cleanup(*Fns[I]);
-    });
+    unrollStandardLoops(*F, /*Factor=*/4, /*MaxBodyInsts=*/40);
+    cleanup(*F);
   }
 
-  // Phase B: Write Clusterer, PDG Checkpoint Inserter, region bounding.
+  // The Expander clones callee bodies into callers, then the new allocas
+  // are promoted.
+  if (C.Expand) {
+    S.Expander = runExpander(M);
+    for (Function *F : Fns) {
+      S.AllocasPromoted += promoteAllocasToSSA(*F);
+      cleanup(*F);
+    }
+  }
+
+  // Write Clusterer, PDG Checkpoint Inserter, region bounding.
   CheckpointInserterOptions CI;
   CI.Precision = Precision;
   CI.Strategy = C.HittingSet ? PlacementStrategy::HittingSet
@@ -179,30 +150,17 @@ void wario::runMiddleEnd(Module &M, const PipelineOptions &Opts,
   RegionBounderOptions RB;
   RB.MaxRegionCycles = C.MaxRegionCycles;
   RB.Strat = C.Strat;
-  parallelFor(Fns.size(), [&](size_t I) {
-    Function &F = *Fns[I];
-    if (C.Cluster) {
-      AliasAnalysis AA(Precision);
-      FS[I].StoresSunk = runWriteClusterer(F, AA);
-    }
-    FS[I].Checkpoints = insertCheckpoints(F, CI);
+  AliasAnalysis AA(Precision);
+  for (Function *F : Fns) {
+    if (C.Cluster)
+      S.StoresSunk += runWriteClusterer(*F, AA);
+    CheckpointInserterStats CS = insertCheckpoints(*F, CI);
+    S.MiddleEnd.WarsFound += CS.WarsFound;
+    S.MiddleEnd.WarsAlreadyCut += CS.WarsAlreadyCut;
+    S.MiddleEnd.Inserted += CS.Inserted;
+    S.MiddleEnd.StoresMarked += CS.StoresMarked;
     if (C.BoundRegions)
-      FS[I].RegionsBounded = boundRegions(F, RB).LoopsBounded;
-  });
-
-  // Sequential reduction in function order.
-  for (const PerFunctionStats &P : FS) {
-    S.LoopClusterer.LoopsTransformed += P.LWC.LoopsTransformed;
-    S.LoopClusterer.StoresPostponed += P.LWC.StoresPostponed;
-    S.LoopClusterer.ExitCopies += P.LWC.ExitCopies;
-    S.LoopClusterer.RuntimeChecks += P.LWC.RuntimeChecks;
-    S.AllocasPromoted += P.AllocasPromoted;
-    S.StoresSunk += P.StoresSunk;
-    S.MiddleEnd.WarsFound += P.Checkpoints.WarsFound;
-    S.MiddleEnd.WarsAlreadyCut += P.Checkpoints.WarsAlreadyCut;
-    S.MiddleEnd.Inserted += P.Checkpoints.Inserted;
-    S.MiddleEnd.StoresMarked += P.Checkpoints.StoresMarked;
-    S.RegionsBounded += P.RegionsBounded;
+      S.RegionsBounded += boundRegions(*F, RB).LoopsBounded;
   }
 }
 

@@ -14,6 +14,13 @@
 ///  - WarioComplete: all WARio transformations except the Expander.
 ///  - WarioExpander: WARio + Expander.
 ///
+/// A compile runs on the calling thread: every stage walks the module's
+/// functions one after another, in function order, and only that thread
+/// touches the module while it compiles. Callers that want parallelism
+/// compile several modules at once (the harness's matrix cells, the
+/// daemon's worker pool); a module shared between threads is only read,
+/// by cloneModule.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WARIO_DRIVER_PIPELINE_H

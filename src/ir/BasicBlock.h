@@ -25,10 +25,10 @@ namespace wario {
 
 class Function;
 
-/// A basic block. Instructions are owned by the parent Function's arena;
-/// the block holds an ordered list of attached instructions. Instructions
-/// may only branch at the terminator, so any path leaving the block passes
-/// through every instruction after a given point — a property the WAR
+/// A basic block. Instructions are owned by the module arena; the block
+/// holds an ordered list of attached instructions. Instructions may only
+/// branch at the terminator, so any path leaving the block passes through
+/// every instruction after a given point — a property the WAR
 /// resolution-set computation relies on.
 class BasicBlock {
 public:

@@ -3,7 +3,7 @@
 /// \file
 /// IR cloning. cloneInstruction is a conventional per-node copy used by
 /// the unroller and inliner. cloneModule is a bulk arena copy: every node
-/// of a module lives in its IRContext's arenas, so the clone memcpys the
+/// of a module lives in its IRContext's arena, so the clone memcpys the
 /// slabs wholesale and then rewrites each interior pointer through a
 /// sorted slab-remap table. Ids, list orders, user-list orders, and the
 /// per-function id counters are copied *bytewise*, so the clone is
@@ -101,24 +101,18 @@ struct ModuleCloner {
            Size});
   }
 
-  /// Copies every arena of Src's context into Dst's (empty) context and
+  /// Copies the arena of Src's context into Dst's (empty) context and
   /// records the address ranges.
-  void copyArenas() {
+  void copyArena() {
     IRContext &SC = Src.getContext();
     IRContext &DC = Dst.getContext();
 
-    auto CopyOne = [&](const Arena &From, Arena &To) {
-      To.adoptCopyOf(From);
-      const auto &FS = From.slabs();
-      const auto &TS = To.slabs();
-      assert(FS.size() == TS.size());
-      for (size_t I = 0; I != FS.size(); ++I)
-        addRange(FS[I].Base, TS[I].Base, FS[I].Used);
-    };
-
-    CopyOne(SC.ModArena, DC.ModArena);
-    for (const Arena &FA : SC.FnArenas)
-      CopyOne(FA, DC.newFunctionArena());
+    DC.ModArena.adoptCopyOf(SC.ModArena);
+    const auto &FS = SC.ModArena.slabs();
+    const auto &TS = DC.ModArena.slabs();
+    assert(FS.size() == TS.size());
+    for (size_t I = 0; I != FS.size(); ++I)
+      addRange(FS[I].Base, TS[I].Base, FS[I].Used);
 
     // The singleton types live inline in the context object, not in an
     // arena; map them as three one-object ranges.
@@ -205,8 +199,7 @@ struct ModuleCloner {
 
   void fixFunction(Function *NF, const Function &F) const {
     NF->Parent = &Dst;
-    // NF->A is fixed separately (fixArenaPointers): arenas live in the
-    // context's deque, not in any copied byte range.
+    NF->A = &Dst.getContext().moduleArena();
     fixVec(NF->Args, F.Args);
     NF->BFirst = remap(F.BFirst);
     NF->BLast = remap(F.BLast);
@@ -227,24 +220,8 @@ struct ModuleCloner {
       fixInstruction(NF->AllInsts.Data[I], *F.AllInsts.Data[I]);
   }
 
-  /// Remap the Arena::A pointers: function arenas live in the context's
-  /// deque (heap), so they are not covered by byte ranges. Resolved by
-  /// index instead.
-  void fixArenaPointers() const {
-    IRContext &SC = Src.getContext();
-    IRContext &DC = Dst.getContext();
-    assert(SC.FnArenas.size() == DC.FnArenas.size());
-    for (size_t I = 0, E = SC.FnArenas.size(); I != E; ++I) {
-      const Arena *From = &SC.FnArenas[I];
-      Arena *To = &DC.FnArenas[I];
-      for (Function *SF : Src.Functions)
-        if (SF->A == From)
-          remap(SF)->A = To;
-    }
-  }
-
   void run() {
-    copyArenas();
+    copyArena();
 
     IRContext &SC = Src.getContext();
     IRContext &DC = Dst.getContext();
@@ -270,7 +247,6 @@ struct ModuleCloner {
       fixFunction(NF, *F);
       Dst.Functions.push_back(NF);
     }
-    fixArenaPointers();
   }
 };
 

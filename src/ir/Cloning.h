@@ -40,14 +40,14 @@ private:
   std::unordered_map<const Value *, Value *> Table;
 };
 
-/// Creates a detached copy of \p I (same opcode, payload, and name) inside
-/// \p F's arena, with operands remapped through \p VM. Block operands are
+/// Creates a detached copy of \p I (same opcode, payload, and name) in
+/// \p F's module arena, with operands remapped through \p VM. Block operands are
 /// copied verbatim; the caller retargets them.
 Instruction *cloneInstruction(const Instruction *I, Function &F,
                               const ValueMapper &VM);
 
 /// Copies \p M wholesale: every node of a module lives in its IRContext's
-/// bump arenas, so the clone memcpys the arena slabs and rewrites each
+/// bump arena, so the clone memcpys the arena slabs and rewrites each
 /// interior pointer through a slab remap table. The clone shares no
 /// Value, BasicBlock, or Function pointer with the source.
 ///

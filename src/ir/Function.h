@@ -1,14 +1,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Function: a CFG of basic blocks plus the per-function bump arena owning
-/// every block and instruction.
+/// Function: a CFG of basic blocks whose nodes live in the module arena.
 ///
-/// Each function has its own arena so parallel per-function passes can
-/// create instructions lock-free; all enumeration lists (AllBlocks,
-/// AllInsts) are function-local too. The function object itself lives in
-/// its arena, which keeps the whole ownership graph inside IRContext's
-/// slab set — that is what cloneModule bulk-copies.
+/// The function object, its blocks and its instructions are all
+/// bump-allocated in its module's arena, which keeps the whole ownership
+/// graph inside IRContext's slab set — that is what cloneModule
+/// bulk-copies. The enumeration lists (AllBlocks, AllInsts) are
+/// per-function.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +26,9 @@ class Module;
 
 /// A function definition (or declaration, when it has no blocks).
 ///
-/// Blocks and instructions are arena-owned by the function: detaching an
-/// instruction from a block does not destroy it, which lets passes move
-/// instructions around freely (the write-clustering passes depend on this).
+/// Blocks and instructions are arena-owned: detaching an instruction from
+/// a block does not destroy it, which lets passes move instructions
+/// around freely (the write-clustering passes depend on this).
 class Function {
 public:
   Function(Module *Parent, Arena *A, std::string Name, unsigned NumParams,
@@ -49,9 +48,8 @@ public:
 
   bool isDeclaration() const { return NumBlocks == 0; }
 
-  /// The arena every node of this function lives in. Per-function so
-  /// parallel passes allocate without locks.
-  Arena &localArena() const { return *A; }
+  /// The module arena every node of this function lives in.
+  Arena &arena() const { return *A; }
 
   // -- Blocks ----------------------------------------------------------------
   /// Bidirectional iterator over the intrusive block list; `*it` is the
@@ -116,7 +114,7 @@ public:
   unsigned numBlockNumbers() const { return unsigned(AllBlocks.size()); }
 
   // -- Instructions -----------------------------------------------------------
-  /// Bump-allocates a detached instruction in this function's arena,
+  /// Bump-allocates a detached instruction in the module arena,
   /// assigns the next per-function id, and attaches the operands. The
   /// caller inserts it into a block.
   Instruction *createInstruction(Opcode Op,

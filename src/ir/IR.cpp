@@ -149,7 +149,7 @@ Instruction::Instruction(Function *F, Opcode Op)
             typeForOpcode(F->getParent()->getContext(), Op)),
       Op(Op), Func(F) {}
 
-Arena &Instruction::arena() const { return Func->localArena(); }
+Arena &Instruction::arena() const { return Func->arena(); }
 
 void Instruction::setOperand(unsigned I, Value *V) {
   assert(I < Operands.size() && "operand index out of range");
@@ -439,9 +439,9 @@ unsigned Function::countInstructions() const {
 Function *Module::createFunction(std::string FnName, unsigned NumParams,
                                  bool ReturnsVal) {
   assert(!getFunction(FnName) && "duplicate function name");
-  Arena &FA = Ctx->newFunctionArena();
+  Arena &MA = Ctx->moduleArena();
   Function *F =
-      FA.create<Function>(this, &FA, std::move(FnName), NumParams, ReturnsVal);
+      MA.create<Function>(this, &MA, std::move(FnName), NumParams, ReturnsVal);
   Functions.push_back(F);
   return F;
 }
@@ -480,7 +480,6 @@ GlobalVariable *Module::getGlobal(const std::string &GlobalName) const {
 //===----------------------------------------------------------------------===//
 
 const Type *IRContext::getArrayType(uint32_t Bytes) {
-  std::lock_guard<std::mutex> Lock(InternMutex);
   auto It = ArrayTypes.find(Bytes);
   if (It != ArrayTypes.end())
     return It->second;
@@ -491,7 +490,6 @@ const Type *IRContext::getArrayType(uint32_t Bytes) {
 }
 
 Constant *IRContext::getConstant(int32_t V) {
-  std::lock_guard<std::mutex> Lock(InternMutex);
   auto It = Constants.find(V);
   if (It != Constants.end())
     return It->second;

@@ -1,21 +1,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// IRContext: per-module home of the arenas and the interning tables.
+/// IRContext: per-module home of the arena and the interning tables.
 ///
-/// One IRContext backs one Module. It owns the module arena (globals,
-/// constants, array types, global initializers) and one arena per
-/// function (blocks, instructions, operand/user lists). Node allocation
-/// is pointer-bump; dropping the module releases whole slabs back to the
-/// global pool; and because every owning pointer leads into these arenas,
-/// cloneModule can duplicate the module by memcpying slabs and fixing
-/// pointers up.
+/// One IRContext backs one Module. Its single arena holds every node of
+/// the module: globals, constants, array types, global initializers, and
+/// each function with its blocks, instructions and operand/user lists.
+/// Node allocation is pointer-bump; dropping the module releases whole
+/// slabs back to the global pool; and because every owning pointer leads
+/// into that arena, cloneModule can duplicate the module by memcpying
+/// slabs and fixing pointers up.
 ///
-/// Interning tables (integer constants, array types) are mutex-guarded:
-/// parallel per-function passes may request constants concurrently. Both
-/// tables are ordered by *value*, so the iteration order observable by
-/// printing or cloning is independent of creation order — one of the
-/// invariants behind byte-identical results at any WARIO_JOBS.
+/// Nothing here is synchronized: only the thread compiling a module
+/// mutates its context (driver/Pipeline.h). The interning tables
+/// (integer constants, array types) are ordered by *value*, so the
+/// iteration order observable by printing or cloning is independent of
+/// creation order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +26,7 @@
 #include "ir/Value.h"
 #include "support/Arena.h"
 
-#include <deque>
 #include <map>
-#include <mutex>
 
 namespace wario {
 
@@ -38,12 +36,9 @@ public:
   IRContext(const IRContext &) = delete;
   IRContext &operator=(const IRContext &) = delete;
 
-  // -- Arenas -----------------------------------------------------------------
-  /// The arena for module-scoped nodes: globals, constants, array types.
+  // -- Arena ------------------------------------------------------------------
+  /// The arena every node of the module lives in.
   Arena &moduleArena() { return ModArena; }
-  /// Creates the arena for a new function. Arenas live in a deque so their
-  /// addresses are stable.
-  Arena &newFunctionArena() { return FnArenas.emplace_back(); }
 
   // -- Types (interned; equal types are pointer-equal) ------------------------
   const Type *getVoidType() const { return &VoidTy; }
@@ -52,20 +47,13 @@ public:
   /// The interned array-of-\p Bytes type (storage shape of a global).
   const Type *getArrayType(uint32_t Bytes);
 
-  /// Total bytes bump-allocated across the module arena and every
-  /// function arena. An upper bound on the live IR footprint (abandoned
-  /// ArenaVec blocks count too), which is exactly what a byte-budgeted
-  /// artifact cache wants to account.
-  size_t bytesUsed() const {
-    size_t N = ModArena.bytesUsed();
-    for (const Arena &A : FnArenas)
-      N += A.bytesUsed();
-    return N;
-  }
+  /// Total bytes bump-allocated in the module arena. An upper bound on
+  /// the live IR footprint (abandoned ArenaVec blocks count too), which
+  /// is exactly what a byte-budgeted artifact cache wants to account.
+  size_t bytesUsed() const { return ModArena.bytesUsed(); }
 
   // -- Constants (interned) ---------------------------------------------------
-  /// Returns the interned Constant for \p V. Thread-safe: parallel
-  /// per-function passes may materialize constants concurrently.
+  /// Returns the interned Constant for \p V.
   Constant *getConstant(int32_t V);
   /// All interned constants, ordered by value (printing and cloning walk
   /// these, so the order must not depend on creation order).
@@ -75,7 +63,6 @@ private:
   friend struct ModuleCloner;
 
   Arena ModArena;
-  std::deque<Arena> FnArenas;
 
   // The three singleton types live inline (not in the arena): they are
   // plain data, and the clone fixup maps them as three tiny ranges.
@@ -84,7 +71,6 @@ private:
   Type PtrTy{Type::Kind::Ptr};
   std::map<uint32_t, Type *> ArrayTypes;
   std::map<int32_t, Constant *> Constants;
-  std::mutex InternMutex;
 };
 
 } // namespace wario

@@ -9,7 +9,7 @@
 /// control-flow targets and phi incoming blocks are kept in a separate
 /// block-operand list.
 ///
-/// Instructions are bump-allocated in their function's arena and linked
+/// Instructions are bump-allocated in their module's arena and linked
 /// into blocks through intrusive prev/next pointers, so the whole node is
 /// trivially copyable for cloneModule's bulk copy.
 ///
@@ -96,7 +96,7 @@ const char *opcodeName(Opcode Op);
 /// Returns a printable mnemonic for \p P.
 const char *predName(CmpPred P);
 
-/// One IR instruction. Owned by its parent Function's arena; linked into a
+/// One IR instruction. Owned by its module's arena; linked into a
 /// BasicBlock's instruction list while attached.
 class Instruction : public Value {
 public:
@@ -253,7 +253,7 @@ public:
 
   // -- Placement -------------------------------------------------------------
   /// Unlinks this instruction from its parent block (ownership stays with
-  /// the function arena).
+  /// the module arena).
   void removeFromParent();
   /// Moves this instruction immediately before \p Other (possibly in a
   /// different block of the same function).
@@ -272,7 +272,7 @@ private:
   friend class Value; // addUser/removeUser need the arena.
   friend struct ModuleCloner;
 
-  /// The owning function's arena — where operand/user lists grow.
+  /// The module arena — where operand/user lists grow.
   Arena &arena() const;
 
   Opcode Op;

@@ -20,8 +20,8 @@
 namespace wario {
 
 /// Owns all functions, global variables, and interned integer constants of
-/// one program — physically, everything lives in the IRContext's arenas,
-/// and dropping the Module releases those arenas wholesale (no per-node
+/// one program — physically, everything lives in the IRContext's arena,
+/// and dropping the Module releases that arena wholesale (no per-node
 /// destruction).
 class Module {
 public:

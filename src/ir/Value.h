@@ -54,9 +54,10 @@ public:
   void setName(std::string N) { Name = &internedName(std::move(N)); }
 
   /// Whether this value maintains a user list. Function-local values
-  /// (instructions, arguments) do; constants and globals are shared across
-  /// functions and do not — parallel per-function passes would race on the
-  /// list, and no transformation needs it.
+  /// (instructions, arguments) do; constants and globals do not: they are
+  /// shared by every function of the module, so their lists would grow
+  /// with each use anywhere (and be copied by every clone), and no
+  /// transformation reads them.
   bool tracksUsers() const {
     return Kind == ValueKind::Instruction || Kind == ValueKind::Argument;
   }

@@ -34,10 +34,11 @@ namespace wario {
 
 struct ModuleCloner;
 
-/// A bump-pointer allocator over pooled slabs. Not thread-safe: each IR
-/// function gets its own arena precisely so parallel per-function passes
-/// can allocate without synchronization (the shared SlabPool underneath is
-/// mutex-guarded).
+/// A bump-pointer allocator over pooled slabs. Not thread-safe: one arena
+/// backs one IR module, and only the thread compiling that module
+/// allocates from it. The SlabPool underneath is shared by every arena
+/// and mutex-guarded, because modules on different threads take and
+/// return slabs.
 class Arena {
 public:
   /// Slab quantum. Every slab is a multiple of this, so the global pool's

@@ -247,11 +247,3 @@ unsigned wario::unrollStandardLoops(Function &F, unsigned Factor,
   }
   return Unrolled;
 }
-
-unsigned wario::unrollStandardLoops(Module &M, unsigned Factor,
-                                    unsigned MaxBodyInsts) {
-  unsigned N = 0;
-  for (auto &F : M.functions())
-    N += unrollStandardLoops(*F, Factor, MaxBodyInsts);
-  return N;
-}

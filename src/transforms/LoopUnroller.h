@@ -55,8 +55,6 @@ std::vector<BasicBlock *> loopBodyRPO(Loop &L);
 /// Returns the number of loops unrolled.
 unsigned unrollStandardLoops(Function &F, unsigned Factor,
                              unsigned MaxBodyInsts);
-unsigned unrollStandardLoops(Module &M, unsigned Factor = 4,
-                             unsigned MaxBodyInsts = 40);
 
 } // namespace wario
 

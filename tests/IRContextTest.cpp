@@ -4,8 +4,9 @@
 /// Tests for the arena-backed IR core's interning and lifetime behavior:
 /// types, integer constants, and names must be pointer-unique within a
 /// module (types/constants) or process-wide (names); modules must not
-/// share interned objects; and dropping a module must return its arena
-/// slabs to the pool for the next module to reuse.
+/// share interned objects; every function must allocate from its
+/// module's one arena; and dropping a module must return its arena slabs
+/// to the pool for the next module to reuse.
 ///
 /// The lifetime tests run clone/mutate/drop loops and carry the `asan`
 /// CTest label: under a WARIO_SANITIZE=address build they are where a
@@ -92,6 +93,24 @@ TEST(IRContextTest, DroppedModuleSlabsAreReused) {
     EXPECT_LT(Arena::pooledBytes(), PoolAfterFirstDrop);
   }
   EXPECT_EQ(Arena::pooledBytes(), PoolAfterFirstDrop);
+}
+
+TEST(IRContextTest, FunctionsShareTheModuleArena) {
+  // Every function allocates from its module's arena, so a module of 32
+  // one-instruction functions holds one small arena's slabs, not one
+  // mostly empty slab per function.
+  auto M = std::make_unique<Module>("m");
+  IRBuilder IRB(M.get());
+  for (int I = 0; I != 32; ++I) {
+    Function *F = M->createFunction("f" + std::to_string(I), 0, true);
+    IRB.setInsertPoint(F->createBlock("entry"));
+    IRB.createRet(M->getConstant(I));
+  }
+  size_t PooledWhileAlive = Arena::pooledBytes();
+  M.reset();
+  size_t HeldBytes = Arena::pooledBytes() - PooledWhileAlive;
+  EXPECT_GT(HeldBytes, 0u);
+  EXPECT_LE(HeldBytes, 2 * Arena::SlabQuantum);
 }
 
 /// Clone/mutate/drop loop: the clone must stay fully usable after its

@@ -29,8 +29,8 @@ TEST(ValueTest, ConstantsAreUniqued) {
 TEST(ValueTest, UseListsTrackOperands) {
   auto M = buildFigure1Module();
   // Globals (and constants) are shared across functions and intentionally
-  // do not track users: parallel per-function passes would race on the
-  // list, and no transformation consumes it.
+  // do not track users: their lists would grow with every use in the
+  // module, and no transformation consumes them.
   GlobalVariable *A = M->getGlobal("a");
   ASSERT_NE(A, nullptr);
   EXPECT_FALSE(A->tracksUsers());

@@ -92,8 +92,10 @@ RunReplyMsg coldReply(const RunRequestMsg &Msg) {
 }
 
 void soak(unsigned ServerJobs) {
-  // WARIO_JOBS steers the pipeline-internal parallelism (per-function
-  // middle end); the server's own pool width is ServerOptions::Jobs.
+  // Each compile runs on the daemon worker that took its request
+  // (driver/Pipeline.h), so the concurrency under test is the server's
+  // own pool, ServerOptions::Jobs; WARIO_JOBS is pinned to the same
+  // width for anything that sizes itself by defaultJobs().
   setenv("WARIO_JOBS", std::to_string(ServerJobs).c_str(), 1);
 
   const unsigned Clients = fastMode() ? 2 : 4;

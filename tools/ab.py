@@ -19,14 +19,21 @@ alternating which side runs first, and then --traced-pairs pairs of
 traced runs (default one) on the first of those seeds, in the same
 order. For every end-to-end metric the report gives each side's median
 [Q1, Q3], the candidate/base ratio of medians, the pairs the candidate
-won, and whether the medians differ by more than the base's
-interquartile range (IQR); for each per-layer time of the traced runs
-(every BENCHMARK.json per_layer metric in seconds but the trace.*
-totals) it gives the median seconds per operation, after both sides'
-median operation count and set-up repetitions. A layer that runs only
-in set-up (the oracle; the compiler on emulate_intermittent and
-crash_campaign) grows with the set-up repetitions but is divided by the
-operations, so its per-op time is not comparable across sides. One
+won, whether the medians differ by more than the base's interquartile
+range (IQR), and a verdict against the metric's BENCHMARK.json bound:
+`worse` when the candidate median is worse than the base median by more
+than the bound (relative, in the metric's `better` direction),
+`unresolved` when the base IQR is wider than the bound times the base
+median and not every candidate run beats every base run (the runs are
+too spread to tell), `ok` otherwise. The report ends with one line
+naming every `worse` and `unresolved` metric. For each per-layer time
+of the traced runs (every BENCHMARK.json per_layer metric in seconds
+but the trace.* totals) it gives the median seconds per operation,
+after both sides' median operation count and set-up repetitions. A
+layer that runs only in set-up (the oracle; the compiler on
+emulate_intermittent and crash_campaign) grows with the set-up
+repetitions but is divided by the operations, so its per-op time is not
+comparable across sides. One
 traced run per side is at the mercy of the host's noise; take several
 to compare layers. Pick seeds you did not use while developing the change. The
 JSON written to --out holds every run's values, all per-layer metrics
@@ -128,6 +135,23 @@ def summarize(metric, base, cand):
     }
 
 
+def verdict(metric, s):
+    """`worse`, `unresolved` or `ok` for one end-to-end metric's summary,
+    judged against the metric's relative bound (module docstring)."""
+    bound = metric["bound"]
+    higher = metric["better"] == "higher"
+    b, c = s["base"], s["candidate"]
+    if (c["median"] < b["median"] * (1 - bound) if higher
+            else c["median"] > b["median"] * (1 + bound)):
+        return "worse"
+    bs = [v for v in b["runs"] if v is not None]
+    cs = [v for v in c["runs"] if v is not None]
+    dominates = min(cs) > max(bs) if higher else max(cs) < min(bs)
+    if b["q3"] - b["q1"] > bound * abs(b["median"]) and not dominates:
+        return "unresolved"
+    return "ok"
+
+
 def fmt(v):
     if v is None:
         return "-"
@@ -204,6 +228,7 @@ def main():
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
+    flagged = {"worse": [], "unresolved": []}
     for workload in workloads:
         values = {"base": [], "candidate": []}
         counts = {s["name"]: {"attempted": 0, "failed": 0} for s in sides}
@@ -228,7 +253,11 @@ def main():
             s = summarize(metric, [r.get(name) for r in values["base"]],
                           [r.get(name) for r in values["candidate"]])
             if s:
+                s["bound"] = metric["bound"]
+                s["verdict"] = verdict(metric, s)
                 entry["end_to_end"][name] = s
+                if s["verdict"] != "ok":
+                    flagged[s["verdict"]].append(f"{workload}/{name}")
 
         # Layer times are compared per operation: the faster side fits
         # more operations into the same run length.
@@ -265,6 +294,9 @@ def main():
         out["workloads"][workload] = entry
         print_workload(workload, entry)
 
+    out["verdicts"] = flagged
+    print("\nworse than bound: " + (", ".join(flagged["worse"]) or "none")
+          + "; unresolved: " + (", ".join(flagged["unresolved"]) or "none"))
     if args.out:
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
         print(f"ab: wrote {args.out}", file=sys.stderr)
@@ -286,14 +318,15 @@ def print_workload(workload, entry):
           f"{runs['base']['attempted']}, candidate "
           f"{runs['candidate']['failed']}/{runs['candidate']['attempted']}")
     print(f"  {'metric':<24}{'base median [Q1, Q3]':<34}"
-          f"{'candidate median [Q1, Q3]':<34}{'ratio':>7}{'wins':>7}  >IQR")
+          f"{'candidate median [Q1, Q3]':<34}{'ratio':>7}{'wins':>7}  >IQR"
+          "  verdict")
     for name, s in entry["end_to_end"].items():
         b, c = s["base"], s["candidate"]
         print(f"  {name:<24}"
               f"{fmt(b['median']) + ' [' + fmt(b['q1']) + ', ' + fmt(b['q3']) + ']':<34}"
               f"{fmt(c['median']) + ' [' + fmt(c['q1']) + ', ' + fmt(c['q3']) + ']':<34}"
               f"{fmt(s['ratio']):>7}{str(s['wins']) + '/' + str(s['pairs']):>7}"
-              f"  {'yes' if s['beyond_base_iqr'] else 'no'}")
+              f"  {'yes' if s['beyond_base_iqr'] else 'no':<5}{s['verdict']}")
     per_op = entry["trace"]["self_s_per_op"]
     if per_op:
         traced = entry["trace"]["runs"]
