@@ -1,6 +1,6 @@
 #include "Harness.h"
 
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <chrono>
 #include <cstdlib>

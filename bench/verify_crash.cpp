@@ -66,9 +66,10 @@ std::vector<CrashReport> campaigns(const std::string &Workload,
   return Reports;
 }
 
-/// Engine statistics go to stderr so the report stream (stdout) stays
-/// byte-comparable across engine generations.
-void logEngineStats(const CrashReport &R) {
+/// Campaign statistics (what the snapshot/replay engine executed) go to
+/// stderr so the report stream (stdout) stays byte-comparable across
+/// engine generations.
+void logCampaignStats(const CrashReport &R) {
   std::fprintf(stderr,
                "[verify_crash] %s/%s: %u mode points collapsed into %u "
                "distinct (%u shared); %u physical runs, %u resumed, %u "
@@ -77,14 +78,6 @@ void logEngineStats(const CrashReport &R) {
                R.UnionPoints + R.SharedPoints, R.UnionPoints, R.SharedPoints,
                R.PhysicalRuns, R.ResumedRuns, R.SplicedRuns, R.Snapshots,
                double(R.SnapshotBytes) / (1024.0 * 1024.0));
-  std::fprintf(stderr,
-               "[verify_crash] %s/%s: engine=%s, %llu dispatches (%llu "
-               "fused groups retiring %llu insts), %llu threaded insts\n",
-               R.Workload.c_str(), R.Config.c_str(), R.Engine.c_str(),
-               (unsigned long long)R.Dispatch.Dispatches,
-               (unsigned long long)R.Dispatch.FusedDispatches,
-               (unsigned long long)R.Dispatch.FusedInstructions,
-               (unsigned long long)R.Dispatch.ThreadedInstructions);
 }
 
 std::string cellText(const CrashReport &R) {
@@ -120,7 +113,7 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "%s", R.format().c_str());
       }
     }
-    logEngineStats(Rs.front());
+    logCampaignStats(Rs.front());
     printRow(W.Name, Cells);
   }
 
@@ -131,7 +124,7 @@ int main(int argc, char **argv) {
   CrashReport Neg = campaigns("crc", Weak, {CampaignMode::Adversarial},
                               /*MaxPoints=*/192, /*WarFatal=*/false)
                         .front();
-  logEngineStats(Neg);
+  logCampaignStats(Neg);
   if (!Neg.Ok || Neg.Divergences.empty()) {
     std::fprintf(stderr, "negative control NOT detected — the injector has "
                          "no teeth\n%s",
@@ -170,7 +163,7 @@ int main(int argc, char **argv) {
             std::fprintf(stderr, "%s", R.format().c_str());
           }
         }
-        logEngineStats(Rs.front());
+        logCampaignStats(Rs.front());
         printRow(W.Name, Cells);
       }
 
@@ -195,7 +188,7 @@ int main(int argc, char **argv) {
                     /*MaxPoints=*/192, /*WarFatal=*/false,
                     /*MaxCycles=*/40'000'000)
               .front();
-      logEngineStats(SNeg);
+      logCampaignStats(SNeg);
       if (!SNeg.Ok || SNeg.Divergences.empty()) {
         std::fprintf(stderr, "negative control NOT detected — the injector "
                              "has no teeth\n%s",

@@ -18,8 +18,8 @@
 /// functions one after another, in function order, and only that thread
 /// touches the module while it compiles. Callers that want parallelism
 /// compile several modules at once (the harness's matrix cells, the
-/// daemon's worker pool); a module shared between threads is only read,
-/// by cloneModule.
+/// daemon's concurrent requests); a module shared between threads is
+/// only read, by cloneModule.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -17,8 +17,9 @@
 /// an oversized length is a protocol error, not an allocation request.
 ///
 /// Request ids are chosen by the client and echoed verbatim in the
-/// response, so clients may pipeline requests over one connection; the
-/// server replies in completion order, not arrival order.
+/// response, so each reply pairs with its request. The server answers a
+/// connection's requests one at a time, in arrival order; a client that
+/// wants several requests computing at once opens several connections.
 ///
 /// Error handling contract: a frame that decodes as a valid header but
 /// an undecodable body earns an ErrorReply with the echoed id and the

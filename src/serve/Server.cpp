@@ -1,13 +1,15 @@
 #include "serve/Server.h"
 
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
 #include <list>
 #include <mutex>
+#include <semaphore>
 #include <thread>
 
 #include <sys/socket.h>
@@ -19,35 +21,15 @@ using namespace wario::serve;
 
 namespace {
 
-/// One accepted connection. The reader thread owns Fd's read side; any
-/// thread may reply, serialized by WriteMutex (replies are written
-/// atomically per frame, so pipelined responses never interleave).
-/// Pending counts pool-scheduled requests not yet replied to; the reader
-/// drains it to zero before closing the fd, so no task ever writes to a
-/// closed (and possibly reused) descriptor.
+/// One accepted connection. The reader thread owns Fd: it reads each
+/// request, computes it and writes the reply, so a connection's requests
+/// are answered one at a time in arrival order. WriteMutex orders those
+/// writes and the reader's final close against stop()'s shutdown, so
+/// stop() never shuts down a closed (and possibly reused) descriptor.
 struct Connection {
   int Fd = -1;
   std::mutex WriteMutex;
   std::thread Reader;
-  std::mutex PendingMutex;
-  std::condition_variable PendingCV;
-  unsigned Pending = 0;
-
-  void beginRequest() {
-    std::lock_guard<std::mutex> Lock(PendingMutex);
-    ++Pending;
-  }
-  void endRequest() {
-    {
-      std::lock_guard<std::mutex> Lock(PendingMutex);
-      --Pending;
-    }
-    PendingCV.notify_all();
-  }
-  void drainRequests() {
-    std::unique_lock<std::mutex> Lock(PendingMutex);
-    PendingCV.wait(Lock, [this] { return Pending == 0; });
-  }
 };
 
 } // namespace
@@ -55,8 +37,10 @@ struct Connection {
 struct Server::Impl {
   const ServerOptions Opts;
   StagedCache Cache;
-  ThreadPool Pool;
-  const bool Inline; ///< One-job pools run tasks only at wait(): go inline.
+  /// One permit per request allowed to compute at once, across every
+  /// connection (Opts.Jobs; 0 = defaultJobs()). Clamped to the
+  /// semaphore's maximum, which no real connection count reaches.
+  std::counting_semaphore<> Permits;
 
   int ListenFd = -1;
   std::thread Acceptor;
@@ -76,7 +60,8 @@ struct Server::Impl {
 
   explicit Impl(ServerOptions O)
       : Opts(std::move(O)), Cache(CacheConfig{Opts.CacheBytes}),
-        Pool(Opts.Jobs), Inline(Pool.jobCount() <= 1) {}
+        Permits(std::min<ptrdiff_t>(Opts.Jobs ? Opts.Jobs : defaultJobs(),
+                                    std::counting_semaphore<>::max())) {}
 
   bool start(std::string *Error) {
     auto Fail = [&](const std::string &Msg) {
@@ -152,8 +137,12 @@ struct Server::Impl {
   void handleRun(const std::shared_ptr<Connection> &C, uint64_t Id,
                  const RunRequestMsg &M) {
     Provenance Prov;
+    // The permit covers the compute only: it is back before the reply is
+    // written, so a client slow to read never holds one.
+    Permits.acquire();
     std::shared_ptr<const RunResult> R =
         Cache.run({M.Tenant, M.Workload, M.PO, M.EO}, &Prov);
+    Permits.release();
     // Count before replying: a client that has our reply in hand must
     // see itself reflected in an immediately-following stats request.
     RequestsServed.fetch_add(1);
@@ -182,17 +171,7 @@ struct Server::Impl {
         reply(C, encodeErrorReply(F.Id, "undecodable RunRequest body"));
         return;
       }
-      // The compile+emulate runs on the shared pool so one connection's
-      // heavy misses don't block its own (or anyone's) later cache hits.
-      if (Inline) {
-        handleRun(C, F.Id, *M);
-      } else {
-        C->beginRequest();
-        Pool.submit([this, C, Id = F.Id, Msg = std::move(*M)] {
-          handleRun(C, Id, Msg);
-          C->endRequest();
-        });
-      }
+      handleRun(C, F.Id, *M);
       return;
     }
     default:
@@ -220,11 +199,9 @@ struct Server::Impl {
       }
       break; // Eof / Truncated / IoError: peer is gone.
     }
-    // Wait for this connection's scheduled requests to finish replying,
-    // then retire: close the fd (under the write mutex, so stop() never
+    // Retire: close the fd (under the write mutex, so stop() never
     // shutdowns a recycled descriptor) and move the thread handle to the
     // graveyard (a thread cannot join itself).
-    C->drainRequests();
     {
       std::lock_guard<std::mutex> Lock(C->WriteMutex);
       ::close(C->Fd);
@@ -252,10 +229,11 @@ struct Server::Impl {
     ::close(ListenFd);
     if (Acceptor.joinable())
       Acceptor.join();
-    // Sever every live connection's socket so its reader drains out and
-    // retires itself; then wait for the list to empty and reap the
-    // handles. Joining via C->Reader directly would race the reader
-    // moving its own handle into the graveyard.
+    // Sever every live connection's socket so its reader finishes the
+    // request in hand, fails its next read and retires itself; then wait
+    // for the list to empty and reap the handles. Joining via C->Reader
+    // directly would race the reader moving its own handle into the
+    // graveyard.
     {
       std::lock_guard<std::mutex> Lock(ConnMutex);
       for (const std::shared_ptr<Connection> &C : Conns) {
@@ -272,7 +250,6 @@ struct Server::Impl {
     }
     for (std::thread &T : Dead)
       T.join();
-    Pool.wait(); // Belt: readers already drained their own requests.
     ::unlink(Opts.SocketPath.c_str());
     Started = false;
   }

@@ -5,18 +5,17 @@
 /// framed requests (src/serve/Protocol.h) over a Unix-domain socket,
 /// serving every connection from one shared multi-tenant StagedCache.
 ///
-/// Threading model: one reader thread per connection parses frames;
-/// run requests are scheduled on a shared ThreadPool, so heavy compiles
-/// from one client cannot starve another's cache hits, and replies go
-/// out in completion order (the request id lets clients pipeline). With
-/// a one-job pool no worker threads exist (ThreadPool runs tasks only at
-/// wait()), so requests execute inline on the reader thread — still
-/// correct, just serialized per connection.
+/// Threading model: one reader thread per connection parses each frame,
+/// computes a run request itself and writes the reply, so a connection's
+/// requests are answered one at a time, in arrival order. A single cap of
+/// ServerOptions::Jobs permits, shared by every connection, bounds how
+/// many requests compute at once; a request waiting for a permit holds no
+/// other resource, and a permit is returned before the reply is written.
 ///
 /// The cache is the tenancy boundary: requests carry a tenant namespace,
 /// and identical options under two tenants occupy two entries. The cache
-/// byte budget (ServerOptions::CacheBytes) is the only resource cap —
-/// artifacts evict LRU-first; see src/serve/Cache.h.
+/// byte budget (ServerOptions::CacheBytes) caps its memory — artifacts
+/// evict LRU-first; see src/serve/Cache.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +34,8 @@ struct ServerOptions {
   std::string SocketPath;
   /// Cache byte budget (0 = unbounded).
   size_t CacheBytes = 0;
-  /// Worker pool width (0 = defaultJobs(); 1 = inline execution).
+  /// At most this many requests compute at once, across all connections
+  /// (0 = defaultJobs()). Starts no threads: readers compute.
   unsigned Jobs = 0;
 };
 

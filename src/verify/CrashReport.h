@@ -11,8 +11,6 @@
 #ifndef WARIO_VERIFY_CRASHREPORT_H
 #define WARIO_VERIFY_CRASHREPORT_H
 
-#include "emu/ThreadedEngine.h"
-
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -84,13 +82,6 @@ struct CrashReport {
   unsigned SplicedRuns = 0;  ///< Runs that adopted the golden tail.
   unsigned Snapshots = 0;    ///< Snapshots the golden recording took.
   size_t SnapshotBytes = 0;  ///< Chain footprint (journal + final copy).
-  /// Execution engine the campaign's emulations selected (resolved
-  /// against WARIO_ENGINE at campaign start) and its dispatch counters,
-  /// summed over every emulation including golden and probes. Like the
-  /// fields above these stay out of format(): reports are byte-identical
-  /// across engines, the stats only say which engine did the work.
-  std::string Engine;
-  EngineStats Dispatch;
 
   bool clean() const { return Ok && Divergences.empty(); }
 

@@ -1,7 +1,7 @@
 #include "verify/FaultInjector.h"
 
 #include "emu/Snapshot.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <atomic>
@@ -202,11 +202,6 @@ std::vector<uint64_t> modePoints(CampaignMode Mode,
 
 } // namespace
 
-CrashReport wario::verify::runCrashCampaign(const MModule &MM,
-                                            const FaultInjectorOptions &Opts) {
-  return runCrashCampaigns(MM, Opts, {Opts.Mode}).front();
-}
-
 std::vector<CrashReport>
 wario::verify::runCrashCampaigns(const MModule &MM,
                                  const FaultInjectorOptions &Opts,
@@ -223,13 +218,6 @@ wario::verify::runCrashCampaigns(const MModule &MM,
   const bool Snaps = Opts.UseSnapshots;
   Emulator E(MM);
 
-  // Resolve the execution engine once for the stat line; the emulations
-  // themselves resolve per run (same answer — the environment does not
-  // change mid-campaign). Stats sum over every emulation of the campaign
-  // and are all-zero under the interpreter.
-  const char *EngName = engineName(resolveEngine(Opts.BaseEO.Engine));
-  EngineStats Dispatch;
-
   // 1. Golden run: continuous power, event trace on. With snapshots
   // enabled this same run doubles as the recording run — record() is
   // result-identical to run(), so the reports cannot tell the difference.
@@ -239,17 +227,13 @@ wario::verify::runCrashCampaigns(const MModule &MM,
   GoldenEO.CollectRegionSizes = false;
   GoldenEO.TraceWindowLo = GoldenEO.TraceWindowHi = 0;
   SnapshotChain Chain;
-  EmulatorResult Golden =
-      Snaps ? E.record(GoldenEO, Chain, Opts.Entry, nullptr, &Dispatch)
-            : E.run(GoldenEO, Opts.Entry, nullptr, &Dispatch);
+  EmulatorResult Golden = Snaps ? E.record(GoldenEO, Chain, Opts.Entry)
+                                : E.run(GoldenEO, Opts.Entry);
   for (CrashReport &R : Reports)
     ++R.EmulationsRun;
   if (!Golden.Ok) {
-    for (CrashReport &R : Reports) {
+    for (CrashReport &R : Reports)
       R.Error = "golden run failed: " + Golden.Error;
-      R.Engine = EngName;
-      R.Dispatch = Dispatch;
-    }
     return Reports;
   }
   for (CrashReport &R : Reports) {
@@ -287,39 +271,33 @@ wario::verify::runCrashCampaigns(const MModule &MM,
   RunEO.TraceWindowLo = RunEO.TraceWindowHi = 0;
   std::atomic<unsigned> Physical{1}; // The golden run.
   std::atomic<unsigned> Resumed{0}, Spliced{0};
-  auto RunPoint = [&](uint64_t CrashCycle, EmulatorScratch *Scr,
-                      EngineStats *St) -> std::optional<Divergence> {
+  auto RunPoint = [&](uint64_t CrashCycle,
+                      EmulatorScratch *Scr) -> std::optional<Divergence> {
     EmulatorOptions EO = RunEO;
     EO.Power = singleCrash(CrashCycle);
     ++Physical;
     if (!Snaps)
-      return compareRun(Golden, E.run(EO, Opts.Entry, nullptr, St),
-                        CrashCycle);
+      return compareRun(Golden, E.run(EO, Opts.Entry), CrashCycle);
     ReplayPlan Plan;
     Plan.Chain = &Chain;
     Plan.AllowTailSplice = true;
     Plan.OmitFinalMemoryOnSplice = true;
     ReplayOutcome Out;
-    EmulatorResult Res = E.replay(EO, Plan, Opts.Entry, Scr, &Out, St);
+    EmulatorResult Res = E.replay(EO, Plan, Opts.Entry, Scr, &Out);
     Resumed += Out.Resumed;
     Spliced += Out.Spliced;
     return compareRun(Golden, Res, CrashCycle,
                       /*NvmKnownEqual=*/Out.Spliced);
   };
 
-  // Per-slot stats, summed after the barrier: the sum is order-stable
-  // without any cross-worker synchronization.
   std::vector<std::optional<Divergence>> UnionFound(Union.size());
-  std::vector<EngineStats> UnionStats(Union.size());
   parallelFor(
       Union.size(),
       [&](size_t J) {
         thread_local EmulatorScratch Scr;
-        UnionFound[J] = RunPoint(Union[J], &Scr, &UnionStats[J]);
+        UnionFound[J] = RunPoint(Union[J], &Scr);
       },
       Opts.Jobs);
-  for (const EngineStats &S : UnionStats)
-    Dispatch += S;
 
   // Probe memo: the union results seed it; bisection probes (often shared
   // between modes hitting the same divergence) extend it sequentially.
@@ -330,7 +308,7 @@ wario::verify::runCrashCampaigns(const MModule &MM,
   auto ProbeAt = [&](uint64_t C) -> const std::optional<Divergence> & {
     auto It = Memo.find(C);
     if (It == Memo.end())
-      It = Memo.emplace(C, RunPoint(C, &SeqScr, &Dispatch)).first;
+      It = Memo.emplace(C, RunPoint(C, &SeqScr)).first;
     return It->second;
   };
 
@@ -392,11 +370,9 @@ wario::verify::runCrashCampaigns(const MModule &MM,
           ReplayPlan WinPlan;
           WinPlan.Chain = &Chain;
           WinPlan.StopAtActiveCycle = WinEO.TraceWindowHi + 1;
-          D.Window = E.replay(WinEO, WinPlan, Opts.Entry, &SeqScr, nullptr,
-                              &Dispatch)
-                         .Window;
+          D.Window = E.replay(WinEO, WinPlan, Opts.Entry, &SeqScr).Window;
         } else {
-          D.Window = E.run(WinEO, Opts.Entry, nullptr, &Dispatch).Window;
+          D.Window = E.run(WinEO, Opts.Entry).Window;
         }
         ++R.EmulationsRun;
       }
@@ -412,8 +388,6 @@ wario::verify::runCrashCampaigns(const MModule &MM,
     R.SplicedRuns = Spliced.load();
     R.Snapshots = unsigned(Chain.size());
     R.SnapshotBytes = Chain.bytes();
-    R.Engine = EngName;
-    R.Dispatch = Dispatch;
   }
   return Reports;
 }

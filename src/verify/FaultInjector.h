@@ -13,16 +13,18 @@
 ///  1. run the module once under continuous power with the event trace
 ///     enabled — the *golden* run (end state, output, return value, and
 ///     the cycle stamps of every checkpoint commit and NVM store);
-///  2. pick crash points (active-cycle budgets) per campaign mode:
+///  2. pick crash points (active-cycle budgets) per campaign mode, then
+///     deduplicate them across the requested modes:
 ///       - RegionBoundaries: immediately before and immediately after
 ///         every checkpoint commit (exhaustive over region boundaries);
 ///       - Stratified: N seeded, deterministic samples, one per equal
 ///         stratum of the golden cycle range;
 ///       - Adversarial: immediately before every commit and immediately
 ///         after every NVM store (where a WAR write has just landed);
-///  3. re-run once per point with a power schedule that fails exactly
-///     there and then stays up, fanning out over the src/support
-///     ThreadPool (WARIO_JOBS honored);
+///  3. re-run once per distinct point with a power schedule that fails
+///     exactly there and then stays up, fanned out with parallelFor
+///     (src/support/Parallel.h; FaultInjectorOptions::Jobs, WARIO_JOBS
+///     honored);
 ///  4. differentially compare each run against the golden run — final
 ///     NVM image (minus the ckpt scratch range), return value, and
 ///     output (golden must be a subsequence of the crash run's output:
@@ -51,7 +53,6 @@ enum class CampaignMode {
 const char *campaignModeName(CampaignMode M);
 
 struct FaultInjectorOptions {
-  CampaignMode Mode = CampaignMode::RegionBoundaries;
   /// Stratified mode: number of strata (= samples over the cycle range).
   unsigned Samples = 64;
   /// Stratified mode: RNG seed; equal seeds give identical crash points.
@@ -81,19 +82,15 @@ struct FaultInjectorOptions {
   std::string Config;
 };
 
-/// Runs a fault-injection campaign over \p MM. Deterministic: equal
-/// modules and options produce byte-identical reports regardless of Jobs.
-CrashReport runCrashCampaign(const MModule &MM,
-                             const FaultInjectorOptions &Opts);
-
-/// Runs one campaign per entry of \p Modes over a single shared golden
-/// run, deduplicating crash points across modes before the fan-out
-/// (adversarial pre-commit/post-store points frequently coincide with
-/// exhaustive region-boundary points; each distinct point is injected
-/// once). Every returned report is byte-identical to what a standalone
-/// runCrashCampaign() of that mode would produce — the dedup savings
-/// appear only in the engine statistics (UnionPoints/SharedPoints/
-/// PhysicalRuns). Opts.Mode is ignored.
+/// Runs one fault-injection campaign over \p MM per entry of \p Modes,
+/// all over a single shared golden run, deduplicating crash points
+/// across modes before the fan-out (adversarial pre-commit/post-store
+/// points frequently coincide with exhaustive region-boundary points;
+/// each distinct point is injected once). Deterministic: equal modules
+/// and options produce byte-identical reports regardless of Jobs, and
+/// each returned report is byte-identical to the one a call with that
+/// mode alone returns — the dedup savings appear only in the campaign
+/// statistics (UnionPoints/SharedPoints/PhysicalRuns).
 std::vector<CrashReport> runCrashCampaigns(const MModule &MM,
                                            const FaultInjectorOptions &Opts,
                                            const std::vector<CampaignMode> &Modes);

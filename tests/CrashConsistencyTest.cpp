@@ -52,12 +52,11 @@ MModule buildWorkload(const char *Name, const PipelineOptions &PO) {
 void expectClean(const MModule &MM, CampaignMode Mode, unsigned MaxPoints,
                  const char *What) {
   FaultInjectorOptions FI;
-  FI.Mode = Mode;
   FI.MaxPoints = MaxPoints;
   FI.BaseEO.CollectRegionSizes = false;
   FI.Workload = What;
   FI.Config = "wario";
-  CrashReport R = runCrashCampaign(MM, FI);
+  CrashReport R = runCrashCampaigns(MM, FI, {Mode}).front();
   ASSERT_TRUE(R.Ok) << What << ": " << R.Error;
   EXPECT_TRUE(R.clean()) << R.format();
   EXPECT_GT(R.PointsTested, 0u) << What;
@@ -171,12 +170,12 @@ TEST(CrashConsistencyTest, MiniProgramsRatchetBoundaries) {
 TEST(CrashConsistencyTest, CrcExhaustiveRegionBoundaries) {
   MModule MM = buildWorkload("crc", PipelineOptions{});
   FaultInjectorOptions FI;
-  FI.Mode = CampaignMode::RegionBoundaries;
   FI.MaxPoints = 0; // exhaustive: test every candidate
   FI.BaseEO.CollectRegionSizes = false;
   FI.Workload = "crc";
   FI.Config = "wario";
-  CrashReport R = runCrashCampaign(MM, FI);
+  CrashReport R =
+      runCrashCampaigns(MM, FI, {CampaignMode::RegionBoundaries}).front();
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_TRUE(R.clean()) << R.format();
   // Exhaustive means exhaustive: every candidate point was injected.
@@ -197,12 +196,12 @@ TEST(CrashConsistencyTest, SampledWorkloadsStratified) {
        {"coremark", "sha", "aes", "dijkstra", "picojpeg"}) {
     MModule MM = buildWorkload(Name, PipelineOptions{});
     FaultInjectorOptions FI;
-    FI.Mode = CampaignMode::Stratified;
     FI.Samples = 16;
     FI.BaseEO.CollectRegionSizes = false;
     FI.Workload = Name;
     FI.Config = "wario";
-    CrashReport R = runCrashCampaign(MM, FI);
+    CrashReport R =
+        runCrashCampaigns(MM, FI, {CampaignMode::Stratified}).front();
     ASSERT_TRUE(R.Ok) << Name << ": " << R.Error;
     EXPECT_TRUE(R.clean()) << R.format();
     EXPECT_EQ(R.PointsTested, 16u) << Name;
@@ -220,13 +219,13 @@ TEST(CrashConsistencyTest, WeakenedPipelineIsDetected) {
   Weak.ResolveMiddleEndWars = false;
   MModule MM = buildWorkload("crc", Weak);
   FaultInjectorOptions FI;
-  FI.Mode = CampaignMode::Adversarial;
   FI.MaxPoints = 192;
   FI.BaseEO.CollectRegionSizes = false;
   FI.BaseEO.WarIsFatal = false; // count WARs, observe the corruption
   FI.Workload = "crc";
   FI.Config = "wario-weakened";
-  CrashReport R = runCrashCampaign(MM, FI);
+  CrashReport R =
+      runCrashCampaigns(MM, FI, {CampaignMode::Adversarial}).front();
   ASSERT_TRUE(R.Ok) << R.Error;
   ASSERT_FALSE(R.clean())
       << "the weakened build must diverge somewhere:\n"

@@ -5,10 +5,10 @@
 /// in-process Server with a deterministic mix of workloads, pipeline
 /// options, and power schedules, and every response must be
 /// byte-identical to a cold single-threaded compile()+emulate() oracle
-/// computed before the daemon starts. Runs with a one-job pool (inline
-/// execution on reader threads) and an eight-job pool; carries the
-/// `serve` and `tsan` labels so a WARIO_SANITIZE=thread build races the
-/// shared cache, the per-connection write path, and the LRU under load.
+/// computed before the daemon starts. Runs with one request computing at
+/// once (ServerOptions::Jobs = 1) and with eight; carries the `serve` and
+/// `tsan` labels so a WARIO_SANITIZE=thread build races the shared cache,
+/// the per-connection write path, and the LRU under load.
 /// WARIO_CI_FAST=1 trims clients and request counts.
 ///
 //===----------------------------------------------------------------------===//
@@ -92,12 +92,9 @@ RunReplyMsg coldReply(const RunRequestMsg &Msg) {
 }
 
 void soak(unsigned ServerJobs) {
-  // Each compile runs on the daemon worker that took its request
-  // (driver/Pipeline.h), so the concurrency under test is the server's
-  // own pool, ServerOptions::Jobs; WARIO_JOBS is pinned to the same
-  // width for anything that sizes itself by defaultJobs().
-  setenv("WARIO_JOBS", std::to_string(ServerJobs).c_str(), 1);
-
+  // Each connection's reader computes its own requests, one thread per
+  // compile (driver/Pipeline.h), so the concurrency under test is how
+  // many requests ServerOptions::Jobs lets compute at once.
   const unsigned Clients = fastMode() ? 2 : 4;
   const unsigned PerClient = fastMode() ? 12 : 36;
 
@@ -162,7 +159,6 @@ void soak(unsigned ServerJobs) {
   EXPECT_GT(Hits, 0u) << "the mix repeats configurations; some must hit";
 
   S.stop();
-  unsetenv("WARIO_JOBS");
 }
 
 TEST(ServeSoak, ConcurrentClientsMatchColdOracleOneJob) { soak(1); }
@@ -174,8 +170,8 @@ TEST(ServeSoak, ChurningConnectionsLeakNothing) {
   // reclaimed (the reader retires itself) and the daemon must keep
   // serving. A leak shows up as accept/connect failures well before
   // RLIMIT_NOFILE on most systems; under TSan the reader-retirement
-  // handoff (graveyard + pending-drain) is the actual subject.
-  setenv("WARIO_JOBS", "2", 1);
+  // handoff (the fd close under the write mutex + the graveyard) is the
+  // actual subject.
   const std::string Path =
       "/tmp/wario_churn_" + std::to_string(::getpid()) + ".sock";
   Server S(ServerOptions{Path, 0, 2});
@@ -200,7 +196,6 @@ TEST(ServeSoak, ChurningConnectionsLeakNothing) {
   EXPECT_EQ(Stats.ConnectionsAccepted, Rounds);
   EXPECT_EQ(Stats.RequestsServed, Rounds);
   S.stop();
-  unsetenv("WARIO_JOBS");
 }
 
 } // namespace

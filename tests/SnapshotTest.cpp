@@ -311,9 +311,7 @@ TEST(SnapshotTest, CombinedCampaignReportsMatchStandalone) {
   ASSERT_EQ(Combined.size(), Modes.size());
   unsigned TotalModePoints = 0;
   for (size_t I = 0; I != Modes.size(); ++I) {
-    FaultInjectorOptions One = FI;
-    One.Mode = Modes[I];
-    CrashReport Standalone = runCrashCampaign(MM, One);
+    CrashReport Standalone = runCrashCampaigns(MM, FI, {Modes[I]}).front();
     EXPECT_EQ(Combined[I].format(), Standalone.format()) << Combined[I].Mode;
     EXPECT_TRUE(Combined[I].clean()) << Combined[I].format();
     TotalModePoints += Combined[I].PointsTested;

@@ -106,7 +106,6 @@ TEST_P(StrategyTest, WeakenedRollbackIsCaught) {
   std::shared_ptr<const CompileResult> CR = build("coremark", Weak);
   ASSERT_TRUE(CR->Error.empty()) << CR->Error;
   FaultInjectorOptions FI;
-  FI.Mode = CampaignMode::Adversarial;
   FI.MaxPoints = 192;
   FI.BaseEO.CollectRegionSizes = false;
   FI.BaseEO.WarIsFatal = false;
@@ -114,7 +113,8 @@ TEST_P(StrategyTest, WeakenedRollbackIsCaught) {
   FI.BaseEO.MaxCycles = 40'000'000;
   FI.Workload = "coremark";
   FI.Config = std::string(strategyColName(S)) + "-weakened";
-  CrashReport R = runCrashCampaign(CR->MM, FI);
+  CrashReport R =
+      runCrashCampaigns(CR->MM, FI, {CampaignMode::Adversarial}).front();
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_FALSE(R.Divergences.empty())
       << "weakened " << strategyColName(S)
@@ -207,15 +207,16 @@ TEST_P(StrategyTest, SnapshotReplayMatchesColdCampaigns) {
   std::shared_ptr<const CompileResult> CR = build("crc", strategyPO(S));
   ASSERT_TRUE(CR->Error.empty()) << CR->Error;
   FaultInjectorOptions FI;
-  FI.Mode = CampaignMode::Stratified;
   FI.Samples = 24;
   FI.MaxPoints = 48;
   FI.BaseEO.CollectRegionSizes = false;
   FI.Workload = "crc";
   FI.Config = strategyColName(S);
-  CrashReport Snap = runCrashCampaign(CR->MM, FI);
+  CrashReport Snap =
+      runCrashCampaigns(CR->MM, FI, {CampaignMode::Stratified}).front();
   FI.UseSnapshots = false;
-  CrashReport Cold = runCrashCampaign(CR->MM, FI);
+  CrashReport Cold =
+      runCrashCampaigns(CR->MM, FI, {CampaignMode::Stratified}).front();
   ASSERT_TRUE(Snap.Ok) << Snap.Error;
   ASSERT_TRUE(Cold.Ok) << Cold.Error;
   EXPECT_EQ(Snap.format(), Cold.format());

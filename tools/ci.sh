@@ -19,7 +19,8 @@
 #            loadgen smoke against an in-process daemon;
 #   tsan     rebuild under ThreadSanitizer and run the `tsan`- and
 #            `serve`-labeled tests (the bench harness's parallel matrix
-#            driver, the daemon's soak);
+#            driver, parallelFor's contract in ParallelForTest, the
+#            daemon's soak);
 #   asan     rebuild under AddressSanitizer and run the `asan`-labeled
 #            tests (module cloning, cache keying, snapshot page journal,
 #            a regenerator under an evicting cache);

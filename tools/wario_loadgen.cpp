@@ -46,7 +46,8 @@ struct LoadgenOptions {
   unsigned RequestsPerConnection = 32;
   std::vector<std::string> Workloads = {"crc", "sha", "dijkstra"};
   size_t CacheBytes = size_t(256) << 20; ///< --serve daemon's budget.
-  unsigned Jobs = 0;                     ///< --serve daemon's pool width.
+  /// --serve daemon's cap on requests computing at once.
+  unsigned Jobs = 0;
 };
 
 [[noreturn]] void usage(const char *Argv0) {
@@ -59,7 +60,8 @@ struct LoadgenOptions {
       "  --requests N       requests per connection (default 32)\n"
       "  --workloads A,B,C  workload mix (default crc,sha,dijkstra)\n"
       "  --cache-bytes N    --serve daemon cache budget (default 256 MiB)\n"
-      "  --jobs N           --serve daemon pool width (default hardware)\n",
+      "  --jobs N           requests computing at once "
+      "(0 = hardware default)\n",
       Argv0);
   std::exit(2);
 }

@@ -26,7 +26,8 @@ namespace {
                "usage: %s --socket PATH [--cache-bytes N] [--jobs N]\n"
                "  --socket PATH     Unix-domain socket path to bind\n"
                "  --cache-bytes N   shared cache byte budget (0 = unbounded)\n"
-               "  --jobs N          worker pool width (0 = hardware default)\n",
+               "  --jobs N          requests computing at once "
+               "(0 = hardware default)\n",
                Argv0);
   std::exit(2);
 }
