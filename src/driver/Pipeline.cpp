@@ -1,5 +1,6 @@
 #include "driver/Pipeline.h"
 
+#include "analysis/Verifier.h"
 #include "transforms/Inliner.h"
 #include "transforms/LoopUnroller.h"
 #include "transforms/Mem2Reg.h"
@@ -7,7 +8,28 @@
 #include "transforms/Utils.h"
 #include "transforms/WriteClusterer.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 using namespace wario;
+
+namespace {
+
+/// In builds without NDEBUG, aborts with the verifier's report when \p M
+/// is malformed after \p Stage. NDEBUG builds compile the check out.
+void verifyAfter([[maybe_unused]] const Module &M,
+                 [[maybe_unused]] const char *Stage) {
+#ifndef NDEBUG
+  std::string Errors;
+  if (!verifyModule(M, &Errors)) {
+    std::fprintf(stderr, "IR verifier failed after the %s:\n%s", Stage,
+                 Errors.c_str());
+    std::abort();
+  }
+#endif
+}
+
+} // namespace
 
 const char *wario::environmentName(Environment E) {
   switch (E) {
@@ -91,6 +113,7 @@ void wario::runFrontHalf(Module &M, PipelineStats &S) {
     S.AllocasPromoted += promoteAllocasToSSA(*F);
     cleanup(*F);
   }
+  verifyAfter(M, "front half");
 }
 
 void wario::runMiddleEnd(Module &M, const PipelineOptions &Opts,
@@ -104,6 +127,7 @@ void wario::runMiddleEnd(Module &M, const PipelineOptions &Opts,
       unrollStandardLoops(*F, /*Factor=*/4, /*MaxBodyInsts=*/40);
       cleanup(*F);
     }
+    verifyAfter(M, "middle end");
     return;
   }
   AliasPrecision Precision = C.ConservativeAA
@@ -162,6 +186,7 @@ void wario::runMiddleEnd(Module &M, const PipelineOptions &Opts,
     if (C.BoundRegions)
       S.RegionsBounded += boundRegions(*F, RB).LoopsBounded;
   }
+  verifyAfter(M, "middle end");
 }
 
 MModule wario::runBackendStage(const Module &M, const PipelineOptions &Opts,

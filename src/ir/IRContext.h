@@ -6,10 +6,10 @@
 /// One IRContext backs one Module. Its single arena holds every node of
 /// the module: globals, constants, array types, global initializers, and
 /// each function with its blocks, instructions and operand/user lists.
-/// Node allocation is pointer-bump; dropping the module releases whole
-/// slabs back to the global pool; and because every owning pointer leads
-/// into that arena, cloneModule can duplicate the module by memcpying
-/// slabs and fixing pointers up.
+/// Node allocation is pointer-bump; dropping the module frees whole
+/// slabs; and because every owning pointer leads into that arena,
+/// cloneModule can duplicate the module by memcpying slabs and fixing
+/// pointers up.
 ///
 /// Nothing here is synchronized: only the thread compiling a module
 /// mutates its context (driver/Pipeline.h). The interning tables

@@ -1,6 +1,6 @@
 #include "support/Arena.h"
 
-#include <map>
+#include <algorithm>
 #include <mutex>
 #include <new>
 #include <shared_mutex>
@@ -8,64 +8,9 @@
 
 using namespace wario;
 
-namespace {
-
-/// Process-wide recycling pool of arena slabs, keyed by (quantized) size.
-/// Module lifetimes in the experiment harness are short and bursty —
-/// clone, mutate, measure, drop — so slabs cycle through here instead of
-/// the system allocator.
-class SlabPool {
-public:
-  /// The pool is built on first use and never destroyed: arenas owned by
-  /// other statics (a process-lifetime cache's modules) release their
-  /// slabs during exit, after any function-local static built later than
-  /// them would already be gone.
-  static SlabPool &get() {
-    static SlabPool *Pool = new SlabPool;
-    return *Pool;
-  }
-
-  char *acquire(size_t Size) {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      auto It = Free.find(Size);
-      if (It != Free.end() && !It->second.empty()) {
-        char *Base = It->second.back();
-        It->second.pop_back();
-        FreeBytes -= Size;
-        return Base;
-      }
-    }
-    return static_cast<char *>(::operator new(Size));
-  }
-
-  void release(char *Base, size_t Size) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Free[Size].push_back(Base);
-    FreeBytes += Size;
-  }
-
-  size_t freeBytes() const {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    return FreeBytes;
-  }
-
-private:
-  mutable std::mutex Mutex;
-  std::map<size_t, std::vector<char *>> Free;
-  size_t FreeBytes = 0;
-};
-
-size_t quantize(size_t Bytes) {
-  return (Bytes + Arena::SlabQuantum - 1) / Arena::SlabQuantum *
-         Arena::SlabQuantum;
-}
-
-} // namespace
-
 Arena::~Arena() {
   for (const Slab &S : Slabs)
-    SlabPool::get().release(S.Base, S.Size);
+    ::operator delete(S.Base);
 }
 
 void *Arena::allocate(size_t Bytes, size_t Align) {
@@ -79,8 +24,9 @@ void *Arena::allocate(size_t Bytes, size_t Align) {
       return S.Base + Aligned;
     }
   }
-  size_t SlabSize = quantize(Bytes);
-  Slabs.push_back({SlabPool::get().acquire(SlabSize), SlabSize, Bytes});
+  size_t SlabSize = std::max(Bytes, SlabQuantum);
+  Slabs.push_back(
+      {static_cast<char *>(::operator new(SlabSize)), SlabSize, Bytes});
   return Slabs.back().Base;
 }
 
@@ -95,13 +41,11 @@ void Arena::adoptCopyOf(const Arena &Src) {
   assert(Slabs.empty() && "adoptCopyOf target must be a fresh arena");
   Slabs.reserve(Src.Slabs.size());
   for (const Slab &S : Src.Slabs) {
-    char *Base = SlabPool::get().acquire(S.Size);
+    char *Base = static_cast<char *>(::operator new(S.Size));
     std::memcpy(Base, S.Base, S.Used);
     Slabs.push_back({Base, S.Size, S.Used});
   }
 }
-
-size_t Arena::pooledBytes() { return SlabPool::get().freeBytes(); }
 
 const std::string &wario::internedName(std::string S) {
   // std::unordered_set never moves elements, so the returned reference is

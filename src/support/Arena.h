@@ -4,13 +4,12 @@
 /// Bump-pointer arena allocation for the IR core, plus the process-wide
 /// string interner.
 ///
-/// An Arena hands out memory by bumping a cursor through fixed-quantum
-/// slabs; nothing is freed individually, and destroying the arena returns
-/// every slab to a global SlabPool for reuse by the next module. Because
-/// slab sizes are quantized, a recycled slab is byte-for-byte the same
-/// shape as a fresh one — which is what lets cloneModule duplicate an
-/// arena with plain memcpy (Arena::adoptCopyOf) and fix pointers up
-/// afterwards.
+/// An Arena hands out memory by bumping a cursor through slabs it takes
+/// from ::operator new; nothing is freed individually, and destroying the
+/// arena frees every slab. cloneModule duplicates an arena with plain
+/// memcpy (Arena::adoptCopyOf): the copy takes one slab of the same size
+/// per source slab, so every node keeps its offset within its slab and
+/// the pointers can be fixed up afterwards.
 ///
 /// ArenaVec is the growable-array companion: a trivially-copyable
 /// {data, size, capacity} triple whose storage lives in an arena. IR nodes
@@ -34,20 +33,17 @@ namespace wario {
 
 struct ModuleCloner;
 
-/// A bump-pointer allocator over pooled slabs. Not thread-safe: one arena
+/// A bump-pointer allocator over owned slabs. Not thread-safe: one arena
 /// backs one IR module, and only the thread compiling that module
-/// allocates from it. The SlabPool underneath is shared by every arena
-/// and mutex-guarded, because modules on different threads take and
-/// return slabs.
+/// allocates from it.
 class Arena {
 public:
-  /// Slab quantum. Every slab is a multiple of this, so the global pool's
-  /// size-keyed free lists actually get hits.
+  /// Minimum slab size; a larger request gets a slab of its own size.
   static constexpr size_t SlabQuantum = 1u << 16; // 64 KiB
 
   struct Slab {
     char *Base;
-    size_t Size; ///< Total capacity in bytes (multiple of SlabQuantum).
+    size_t Size; ///< Total capacity in bytes (at least SlabQuantum).
     size_t Used; ///< Bump cursor.
   };
 
@@ -78,11 +74,6 @@ public:
   /// contents. Interior pointers still point into \p Src — the caller
   /// (ModuleCloner) rewrites them.
   void adoptCopyOf(const Arena &Src);
-
-  /// Bytes currently parked in the global slab pool, available for reuse.
-  /// Exposed so tests can observe that dropping a module recycles its
-  /// memory instead of returning it to the OS.
-  static size_t pooledBytes();
 
 private:
   std::vector<Slab> Slabs;

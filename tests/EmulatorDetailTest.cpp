@@ -47,6 +47,12 @@ public:
     I.Imm = Imm;
     return *this;
   }
+  MBuilder &mov(int Dst, int Src) {
+    MInst &I = emit(MOp::Mov);
+    I.Dst = Dst;
+    I.Src[0] = Src;
+    return *this;
+  }
   MBuilder &add(int Dst, int A, int B) {
     MInst &I = emit(MOp::Add);
     I.Dst = Dst;
@@ -365,6 +371,66 @@ TEST(EmulatorDetailTest, CheckpointDoubleBufferLayout) {
           EXPECT_EQ(R.readWord(Buf1 + Off), 0u) << Tag << ": +" << Off;
       }
     }
+  }
+}
+
+TEST(EmulatorDetailTest, FusedGroupBailsMidGroupLikeTheInterpreter) {
+  // A fused group whose component k > 0 cannot complete retires its
+  // k-component prefix, charging those components' cycles, and hands the
+  // offender to step(). Each program below opens with a MovImm pair (one
+  // group of its own) ahead of the group under test; the threaded run
+  // must match the interpreter on every field, cycles included.
+  constexpr uint32_t OutOfBounds = memmap::MemSize + 0x100;
+  struct Case {
+    const char *Name;
+    MModule Program;
+    bool WarIsFatal;
+  };
+  std::vector<Case> Cases;
+  {
+    MBuilder B("main"); // Mov + Str to the OutPort: bails at component 1.
+    B.block("entry").movImm(R2, memmap::OutPort).movImm(R1, 42);
+    B.mov(R3, R1).str(R3, R2).movImm(R0, 0);
+    B.emit(MOp::Ret);
+    Cases.push_back({"Mov+Str to OutPort", B.module(), true});
+  }
+  {
+    MBuilder B("main"); // Mov + out-of-bounds Ldr: bails at component 1.
+    B.block("entry").movImm(R2, OutOfBounds).movImm(R1, 7);
+    B.mov(R3, R2).ldr(R0, R3);
+    B.emit(MOp::Ret);
+    Cases.push_back({"Mov+Ldr out of bounds", B.module(), true});
+  }
+  {
+    MBuilder B("main"); // Add + Mov + out-of-bounds Ldr: component 2.
+    B.block("entry").movImm(R1, OutOfBounds - 8).movImm(R2, 8);
+    B.add(R3, R1, R2).mov(R4, R3).ldr(R0, R4);
+    B.emit(MOp::Ret);
+    Cases.push_back({"Add+Mov+Ldr out of bounds", B.module(), true});
+  }
+  {
+    MBuilder B("main"); // Mov + Str completing a WAR: component 1.
+    B.block("entry").movImm(R2, DataWord).movImm(R1, 7);
+    B.ldr(R4, R2).mov(R3, R1).str(R3, R2).movImm(R0, 0);
+    B.emit(MOp::Ret);
+    Cases.push_back({"Mov+Str completing a WAR", B.module(), false});
+  }
+
+  for (const Case &C : Cases) {
+    EmulatorOptions EO;
+    EO.WarIsFatal = C.WarIsFatal;
+    EO.Engine = EngineKind::Interp;
+    const EmulatorResult Interp = emulate(C.Program, EO);
+    EO.Engine = EngineKind::Threaded;
+    const EmulatorResult Threaded = emulate(C.Program, EO);
+    EXPECT_EQ(Threaded.Ok, Interp.Ok) << C.Name;
+    EXPECT_EQ(Threaded.Error, Interp.Error) << C.Name;
+    EXPECT_EQ(Threaded.TotalCycles, Interp.TotalCycles) << C.Name;
+    EXPECT_EQ(Threaded.InstructionsExecuted, Interp.InstructionsExecuted)
+        << C.Name;
+    EXPECT_EQ(Threaded.Output, Interp.Output) << C.Name;
+    EXPECT_EQ(Threaded.WarViolations, Interp.WarViolations) << C.Name;
+    EXPECT_TRUE(Threaded == Interp) << C.Name;
   }
 }
 

@@ -4,9 +4,8 @@
 /// Tests for the arena-backed IR core's interning and lifetime behavior:
 /// types, integer constants, and names must be pointer-unique within a
 /// module (types/constants) or process-wide (names); modules must not
-/// share interned objects; every function must allocate from its
-/// module's one arena; and dropping a module must return its arena slabs
-/// to the pool for the next module to reuse.
+/// share interned objects; and every function must allocate from its
+/// module's one arena.
 ///
 /// The lifetime tests run clone/mutate/drop loops and carry the `asan`
 /// CTest label: under a WARIO_SANITIZE=address build they are where a
@@ -76,25 +75,6 @@ TEST(IRContextTest, NamesAreInternedProcessWide) {
   EXPECT_EQ(&IA->getName(), &IB->getName());
 }
 
-TEST(IRContextTest, DroppedModuleSlabsAreReused) {
-  // Warm the pool with one module's worth of slabs.
-  size_t PoolAfterFirstDrop;
-  {
-    auto M = buildSumLoopModule(16);
-    M.reset();
-    PoolAfterFirstDrop = Arena::pooledBytes();
-  }
-  EXPECT_GT(PoolAfterFirstDrop, 0u);
-
-  // An identical module must be served from the pool: building it takes
-  // slabs out, dropping it puts the same amount back.
-  {
-    auto M = buildSumLoopModule(16);
-    EXPECT_LT(Arena::pooledBytes(), PoolAfterFirstDrop);
-  }
-  EXPECT_EQ(Arena::pooledBytes(), PoolAfterFirstDrop);
-}
-
 TEST(IRContextTest, FunctionsShareTheModuleArena) {
   // Every function allocates from its module's arena, so a module of 32
   // one-instruction functions holds one small arena's slabs, not one
@@ -106,9 +86,12 @@ TEST(IRContextTest, FunctionsShareTheModuleArena) {
     IRB.setInsertPoint(F->createBlock("entry"));
     IRB.createRet(M->getConstant(I));
   }
-  size_t PooledWhileAlive = Arena::pooledBytes();
-  M.reset();
-  size_t HeldBytes = Arena::pooledBytes() - PooledWhileAlive;
+  Arena &ModArena = M->getContext().moduleArena();
+  for (Function *F : M->functions())
+    EXPECT_EQ(&F->arena(), &ModArena);
+  size_t HeldBytes = 0;
+  for (const Arena::Slab &S : ModArena.slabs())
+    HeldBytes += S.Size;
   EXPECT_GT(HeldBytes, 0u);
   EXPECT_LE(HeldBytes, 2 * Arena::SlabQuantum);
 }

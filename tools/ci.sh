@@ -29,7 +29,10 @@
 #            (RelWithDebInfo's default flags, Release, and the sanitizer
 #            trees built with them), so this is the only pass in which
 #            assert-only invariants — the hitting sets covering every
-#            WAR, the register allocator's retry — are checked;
+#            WAR, the register allocator's retry — are checked, and in
+#            which the IR verifier runs after the front half and after
+#            the middle end of every compile the suite makes
+#            (src/driver/Pipeline.cpp);
 #   ubsan    a RelWithDebInfo tree compiled and linked with
 #            -fsanitize=undefined -fno-sanitize-recover=undefined runs
 #            the full suite, so any undefined behaviour (signed overflow,

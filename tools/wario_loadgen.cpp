@@ -24,6 +24,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +41,11 @@ using namespace wario;
 using namespace wario::serve;
 
 namespace {
+
+/// Each connection costs one client thread here and one reader thread
+/// in the daemon, so --connections is capped well below what would
+/// exhaust either process.
+constexpr uint64_t MaxConnections = 256;
 
 struct LoadgenOptions {
   std::string SocketPath; ///< Empty with --serve: a temp path is chosen.
@@ -56,7 +64,8 @@ struct LoadgenOptions {
       "usage: %s (--socket PATH | --serve) [options]\n"
       "  --socket PATH      connect to a running wario_served\n"
       "  --serve            start an in-process daemon on a temp socket\n"
-      "  --connections N    concurrent client connections (default 4)\n"
+      "  --connections N    concurrent client connections (default 4, "
+      "at most 256)\n"
       "  --requests N       requests per connection (default 32)\n"
       "  --workloads A,B,C  workload mix (default crc,sha,dijkstra)\n"
       "  --cache-bytes N    --serve daemon cache budget (default 256 MiB)\n"
@@ -66,12 +75,17 @@ struct LoadgenOptions {
   std::exit(2);
 }
 
-uint64_t parseU64(const char *Argv0, const char *Flag, const char *Val) {
+/// Parses \p Val as a decimal count of at most \p Max. A sign, an
+/// overflow or a larger value exits with status 2, naming \p Flag.
+uint64_t parseU64(const char *Argv0, const char *Flag, const char *Val,
+                  uint64_t Max) {
   char *End = nullptr;
+  errno = 0;
   uint64_t N = std::strtoull(Val, &End, 10);
-  if (!*Val || *End) {
-    std::fprintf(stderr, "%s: %s wants a number, got '%s'\n", Argv0, Flag,
-                 Val);
+  if (!std::isdigit(static_cast<unsigned char>(*Val)) || *End ||
+      errno == ERANGE || N > Max) {
+    std::fprintf(stderr, "%s: %s wants a number from 0 to %llu, got '%s'\n",
+                 Argv0, Flag, static_cast<unsigned long long>(Max), Val);
     std::exit(2);
   }
   return N;
@@ -169,16 +183,16 @@ int main(int argc, char **argv) {
       Opts.Serve = true;
     else if (Arg == "--connections")
       Opts.Connections =
-          static_cast<unsigned>(parseU64(argv[0], "--connections", Next()));
+          unsigned(parseU64(argv[0], "--connections", Next(), MaxConnections));
     else if (Arg == "--requests")
       Opts.RequestsPerConnection =
-          static_cast<unsigned>(parseU64(argv[0], "--requests", Next()));
+          unsigned(parseU64(argv[0], "--requests", Next(), UINT32_MAX));
     else if (Arg == "--workloads")
       Opts.Workloads = splitCsv(Next());
     else if (Arg == "--cache-bytes")
-      Opts.CacheBytes = parseU64(argv[0], "--cache-bytes", Next());
+      Opts.CacheBytes = parseU64(argv[0], "--cache-bytes", Next(), SIZE_MAX);
     else if (Arg == "--jobs")
-      Opts.Jobs = static_cast<unsigned>(parseU64(argv[0], "--jobs", Next()));
+      Opts.Jobs = unsigned(parseU64(argv[0], "--jobs", Next(), UINT32_MAX));
     else
       usage(argv[0]);
   }

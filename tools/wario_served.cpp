@@ -11,7 +11,10 @@
 
 #include "serve/Server.h"
 
+#include <cctype>
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,12 +35,17 @@ namespace {
   std::exit(2);
 }
 
-uint64_t parseU64(const char *Argv0, const char *Flag, const char *Val) {
+/// Parses \p Val as a decimal count of at most \p Max. A sign, an
+/// overflow or a larger value exits with status 2, naming \p Flag.
+uint64_t parseU64(const char *Argv0, const char *Flag, const char *Val,
+                  uint64_t Max) {
   char *End = nullptr;
+  errno = 0;
   uint64_t N = std::strtoull(Val, &End, 10);
-  if (!*Val || *End) {
-    std::fprintf(stderr, "%s: %s wants a number, got '%s'\n", Argv0, Flag,
-                 Val);
+  if (!std::isdigit(static_cast<unsigned char>(*Val)) || *End ||
+      errno == ERANGE || N > Max) {
+    std::fprintf(stderr, "%s: %s wants a number from 0 to %llu, got '%s'\n",
+                 Argv0, Flag, static_cast<unsigned long long>(Max), Val);
     std::exit(2);
   }
   return N;
@@ -57,9 +65,9 @@ int main(int argc, char **argv) {
     if (Arg == "--socket")
       Opts.SocketPath = Next();
     else if (Arg == "--cache-bytes")
-      Opts.CacheBytes = parseU64(argv[0], "--cache-bytes", Next());
+      Opts.CacheBytes = parseU64(argv[0], "--cache-bytes", Next(), SIZE_MAX);
     else if (Arg == "--jobs")
-      Opts.Jobs = static_cast<unsigned>(parseU64(argv[0], "--jobs", Next()));
+      Opts.Jobs = unsigned(parseU64(argv[0], "--jobs", Next(), UINT32_MAX));
     else
       usage(argv[0]);
   }
