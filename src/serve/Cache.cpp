@@ -1,5 +1,7 @@
 #include "serve/Cache.h"
 
+#include "serve/Protocol.h"
+
 #include "workloads/Workloads.h"
 #include "ir/Cloning.h"
 
@@ -292,6 +294,11 @@ struct StagedCache::Impl {
         Res->Emu.Ok = false;
         Res->Emu.Error = Res->Error;
       }
+      // Every reply of this result carries the digest; hash once here,
+      // outside the emulate timer, rather than per reply.
+      Res->MemHash =
+          fnv1a(Res->Emu.FinalMemory.data(), Res->Emu.FinalMemory.size());
+      Res->RegionHash = fnv1aU64s(Res->Emu.RegionSizes);
       size_t Bytes = emuResultBytes(Res->Emu) + sizeof(RunResult);
       S->publish(std::move(Res));
       account(*S, Bytes);

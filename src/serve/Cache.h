@@ -28,6 +28,10 @@
 /// A run-level miss is one plain emulate() of the compiled module, for
 /// the daemon and the harness alike: no snapshot chain is recorded or
 /// replayed here (snapshots pay only in crash campaigns, DESIGN.md §7.6).
+/// It then hashes the result's final NVM image and region sizes into
+/// RunResult's reply digest, outside the emulate timer and before
+/// publishing, failures included, so a run-level hit costs a lookup and
+/// a copy, never a hash.
 ///
 /// Tenancy: every key carries the requesting tenant's namespace, so two
 /// tenants submitting identical options get distinct entries and can
@@ -73,6 +77,13 @@ struct RunResult {
   EmulatorResult Emu;
   unsigned TextBytes = 0;
   std::string Error;
+  /// The reply digest (serve/Protocol.h): fnv1a over Emu.FinalMemory and
+  /// fnv1aU64s over Emu.RegionSizes. The run level computes it once,
+  /// before it publishes the result, so a hit's reply copies it instead
+  /// of rehashing 1 MiB of image and every region size. A RunResult
+  /// built outside the cache must set it itself.
+  uint64_t MemHash = 0;
+  uint64_t RegionHash = 0;
 };
 
 /// A compiled cell before emulation: what the compile level stores.

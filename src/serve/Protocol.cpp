@@ -1,5 +1,7 @@
 #include "serve/Protocol.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -11,7 +13,18 @@ using namespace wario::serve;
 
 namespace {
 
+constexpr uint64_t FnvOffset = 1469598103934665603ull;
 constexpr uint64_t FnvPrime = 1099511628211ull;
+
+/// FnvPrime^K mod 2^64 for K = 0..8: fnv1aU64s's one multiply for a
+/// value's last significant byte and the zero bytes above it.
+constexpr std::array<uint64_t, 9> FnvPrimePows = [] {
+  std::array<uint64_t, 9> P{};
+  P[0] = 1;
+  for (size_t K = 1; K != P.size(); ++K)
+    P[K] = P[K - 1] * FnvPrime;
+  return P;
+}();
 
 /// FnvPrime^N mod 2^64.
 uint64_t fnvPrimePow(size_t N) {
@@ -22,14 +35,28 @@ uint64_t fnvPrimePow(size_t N) {
   return R;
 }
 
+/// True iff the N bytes at \p P are all zero (N a multiple of 8). The
+/// words are OR-ed, not tested one by one, so a 64-byte block is one
+/// branch.
+template <size_t N> bool allZero(const uint8_t *P) {
+  uint64_t Or = 0;
+  for (size_t I = 0; I != N; I += 8) {
+    uint64_t W;
+    std::memcpy(&W, P + I, 8);
+    Or |= W;
+  }
+  return Or == 0;
+}
+
 } // namespace
 
 uint64_t wario::serve::fnv1a(const uint8_t *Data, size_t Size) {
   // A zero byte leaves H ^ 0 == H, so FNV-1a over a run of N zeros is a
   // single multiply by FnvPrime^N. Final NVM images are a few KiB of
-  // data in 1 MiB of zeros, so skipping the runs a word at a time makes
-  // the hash cost the scan, not a multiply per byte.
-  uint64_t H = 1469598103934665603ull;
+  // data in 1 MiB of zeros, so skipping the runs 64 bytes at a time
+  // (then a word, then a byte at a time up to the run's end) makes the
+  // hash cost the scan, not a multiply per byte.
+  uint64_t H = FnvOffset;
   size_t I = 0;
   while (I != Size) {
     if (Data[I] != 0) {
@@ -38,11 +65,10 @@ uint64_t wario::serve::fnv1a(const uint8_t *Data, size_t Size) {
       continue;
     }
     size_t J = I + 1;
-    for (uint64_t W; J + 8 <= Size; J += 8) {
-      std::memcpy(&W, Data + J, 8);
-      if (W != 0)
-        break;
-    }
+    while (J + 64 <= Size && allZero<64>(Data + J))
+      J += 64;
+    while (J + 8 <= Size && allZero<8>(Data + J))
+      J += 8;
     while (J != Size && Data[J] == 0)
       ++J;
     H *= fnvPrimePow(J - I);
@@ -52,10 +78,19 @@ uint64_t wario::serve::fnv1a(const uint8_t *Data, size_t Size) {
 }
 
 uint64_t wario::serve::fnv1aU64s(const std::vector<uint64_t> &Vals) {
-  uint64_t H = 1469598103934665603ull;
-  for (uint64_t V : Vals)
-    for (int B = 0; B != 8; ++B)
-      H = (H ^ uint8_t(V >> (8 * B))) * 1099511628211ull;
+  // Each value hashes as its eight little-endian bytes, so its high zero
+  // bytes come last: after the first N - 1 of its N significant bytes
+  // (N >= 1; a zero value counts its low byte), the last one's multiply
+  // and the 8 - N zero bytes' fold into one multiply by
+  // FnvPrime^(9 - N). Region sizes almost all fit in one byte, so a
+  // value costs one multiply instead of eight.
+  uint64_t H = FnvOffset;
+  for (uint64_t V : Vals) {
+    const unsigned N = std::max(1u, (unsigned(std::bit_width(V)) + 7) / 8);
+    for (unsigned B = 0; B + 1 != N; ++B)
+      H = (H ^ uint8_t(V >> (8 * B))) * FnvPrime;
+    H = (H ^ uint8_t(V >> (8 * (N - 1)))) * FnvPrimePows[9 - N];
+  }
   return H;
 }
 
@@ -76,9 +111,9 @@ RunReplyMsg wario::serve::makeRunReply(const RunResult &R, Provenance Prov) {
   M.InterruptsTaken = R.Emu.InterruptsTaken;
   M.WarViolations = R.Emu.WarViolations;
   M.TextBytes = R.TextBytes;
-  M.MemHash = fnv1a(R.Emu.FinalMemory.data(), R.Emu.FinalMemory.size());
+  M.MemHash = R.MemHash;
   M.RegionCount = R.Emu.RegionSizes.size();
-  M.RegionHash = fnv1aU64s(R.Emu.RegionSizes);
+  M.RegionHash = R.RegionHash;
   // R carries the seconds of whichever request computed each stage; the
   // stages this request was answered from cache for cost it nothing.
   PipelineStats Spent = computedStages(R.Pipeline, Prov);

@@ -76,6 +76,8 @@ struct RunRequestMsg {
 /// Everything a RunRequest produces, flattened for the wire. Bulk fields
 /// (final memory image, per-region sizes) are summarized as FNV-1a
 /// hashes — byte-identity checks work, megabyte payloads don't travel.
+/// The hashes are the result's reply digest (RunResult::MemHash and
+/// RunResult::RegionHash), computed once when the run level published it.
 struct RunReplyMsg {
   bool Ok = false;        ///< False on any pipeline or emulation failure.
   std::string Error;      ///< Empty iff Ok.
@@ -92,9 +94,9 @@ struct RunReplyMsg {
   uint64_t InterruptsTaken = 0;
   uint64_t WarViolations = 0;
   uint32_t TextBytes = 0;
-  uint64_t MemHash = 0;      ///< FNV-1a over EmulatorResult::FinalMemory.
+  uint64_t MemHash = 0;      ///< fnv1a over FinalMemory (digest).
   uint64_t RegionCount = 0;  ///< Entries in RegionSizes.
-  uint64_t RegionHash = 0;   ///< FNV-1a over RegionSizes as LE u64 bytes.
+  uint64_t RegionHash = 0;   ///< fnv1aU64s over RegionSizes (digest).
   /// Wall-clock seconds this request actually spent computing each stage
   /// (zero for stages answered from cache).
   double FrontendSeconds = 0;
@@ -122,13 +124,23 @@ struct Frame {
   std::vector<uint8_t> Body;
 };
 
-/// FNV-1a 64-bit over a byte range (the hash behind MemHash/RegionHash;
-/// also what the soak test's cold oracle recomputes).
+/// FNV-1a 64-bit over a byte range: the hash behind MemHash, which the
+/// run level computes at publish and the soak test's cold oracle
+/// recomputes. A run of N zero bytes leaves the hash multiplied by
+/// FnvPrime^N, so zero runs are skipped 64 bytes at a time and cost one
+/// multiply each; the value is the textbook byte-serial loop's.
 uint64_t fnv1a(const uint8_t *Data, size_t Size);
+/// FNV-1a over each value's eight little-endian bytes: the hash behind
+/// RegionHash. A value's high zero bytes fold into the multiply of its
+/// last significant byte, so a value of N >= 1 significant bytes costs
+/// N multiplies, not eight; the value is the eight-bytes-per-value
+/// loop's.
 uint64_t fnv1aU64s(const std::vector<uint64_t> &Vals);
 
-/// Builds a RunReplyMsg from a cache result (hashing the bulk fields).
-/// Stage seconds read zero for the stages \p Prov says came from cache.
+/// Builds a RunReplyMsg from a cache result, copying the digest the run
+/// level computed (RunResult::MemHash/RegionHash) rather than hashing
+/// the bulk fields. Stage seconds read zero for the stages \p Prov says
+/// came from cache.
 RunReplyMsg makeRunReply(const RunResult &R, Provenance Prov);
 
 //===----------------------------------------------------------------------===//

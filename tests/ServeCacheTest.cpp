@@ -5,11 +5,13 @@
 /// (src/serve/Cache.h): LRU eviction honors the byte budget, tenants are
 /// fully isolated namespaces (same options under two tenants occupy two
 /// entries and never hit each other), and the hit/miss/eviction counters
-/// match a hand-computed trace of a scripted request sequence.
+/// match a hand-computed trace of a scripted request sequence, and every
+/// published run result carries the reply digest of its own image.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "serve/Cache.h"
+#include "serve/Protocol.h"
 
 #include <gtest/gtest.h>
 
@@ -193,6 +195,65 @@ TEST(ServeCache, ErrorsAreCachedAsData) {
       Cache.run(req("t", "no-such-workload", Environment::PlainC), &P);
   EXPECT_EQ(R.get(), R2.get()) << "failures replay from cache too";
   EXPECT_TRUE(P.RunHit);
+}
+
+TEST(ServeCache, PublishedResultsCarryTheirReplyDigest) {
+  // The run level hashes each result once, before publishing it; a hit
+  // must reply with the digest the miss computed, and the digest must be
+  // the kernels' value over the result's own image and region sizes.
+  auto ExpectDigest = [](const RunResult &R, const std::string &Tag) {
+    EXPECT_EQ(R.MemHash,
+              fnv1a(R.Emu.FinalMemory.data(), R.Emu.FinalMemory.size()))
+        << Tag;
+    EXPECT_EQ(R.RegionHash, fnv1aU64s(R.Emu.RegionSizes)) << Tag;
+  };
+  auto ExpectHitRepliesAsMiss = [](StagedCache &Cache, const CacheRequest &Q,
+                                   const RunResult &Missed, Provenance Miss,
+                                   const std::string &Tag) {
+    Provenance Hit;
+    std::shared_ptr<const RunResult> Again = Cache.run(Q, &Hit);
+    EXPECT_TRUE(Hit.RunHit) << Tag;
+    RunReplyMsg A = makeRunReply(Missed, Miss), B = makeRunReply(*Again, Hit);
+    EXPECT_EQ(B.MemHash, A.MemHash) << Tag;
+    EXPECT_EQ(B.RegionHash, A.RegionHash) << Tag;
+  };
+
+  StagedCache Cache{CacheConfig{}};
+  Provenance P;
+  const CacheRequest Good = req("t", "crc", Environment::WarioComplete);
+  std::shared_ptr<const RunResult> Ok = Cache.run(Good, &P);
+  ASSERT_TRUE(Ok->Error.empty()) << Ok->Error;
+  ASSERT_FALSE(P.RunHit);
+  ASSERT_FALSE(Ok->Emu.FinalMemory.empty());
+  ASSERT_FALSE(Ok->Emu.RegionSizes.empty());
+  ExpectDigest(*Ok, "ok");
+  ExpectHitRepliesAsMiss(Cache, Good, *Ok, P, "ok");
+
+  // A failure has no image: it hashes to the FNV offset basis, as a
+  // failed reply always has.
+  const CacheRequest Bad = req("t", "no-such-workload", Environment::PlainC);
+  std::shared_ptr<const RunResult> Failed = Cache.run(Bad, &P);
+  ASSERT_FALSE(Failed->Error.empty());
+  ASSERT_FALSE(P.RunHit);
+  ExpectDigest(*Failed, "unknown workload");
+  EXPECT_EQ(Failed->MemHash, 1469598103934665603ull);
+  ExpectHitRepliesAsMiss(Cache, Bad, *Failed, P, "unknown workload");
+
+  // A 1-byte budget evicts every result but the newest; the evicted
+  // configuration recomputes its digest to the same value.
+  StagedCache Tiny{CacheConfig{1}};
+  const CacheRequest Evicted = req("t", "crc", Environment::Ratchet);
+  std::shared_ptr<const RunResult> First = Tiny.run(Evicted);
+  Tiny.run(req("t", "crc", Environment::PlainC));
+  std::shared_ptr<const RunResult> Recomputed = Tiny.run(Evicted, &P);
+  ASSERT_TRUE(Recomputed->Error.empty()) << Recomputed->Error;
+  ASSERT_FALSE(P.RunHit) << "the 1-byte budget must have evicted it";
+  ASSERT_NE(Recomputed.get(), First.get());
+  ExpectDigest(*First, "evicted");
+  ExpectDigest(*Recomputed, "recomputed");
+  EXPECT_EQ(Recomputed->MemHash, First->MemHash);
+  EXPECT_EQ(Recomputed->RegionHash, First->RegionHash);
+  ExpectHitRepliesAsMiss(Tiny, Evicted, *Recomputed, P, "recomputed");
 }
 
 } // namespace

@@ -16,7 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <random>
+#include <sstream>
 #include <string>
 
 #include <sys/socket.h>
@@ -224,6 +228,83 @@ TEST(ServeProtocol, Fnv1aMatchesTheBytewiseDefinition) {
   Check({}, "empty");
   // An all-zero 1 MiB image (the never-written NVM).
   Check(std::vector<uint8_t>(1u << 20, 0), "all-zero 1 MiB");
+
+  // Zero runs just under, at and just over one and two 64-byte blocks,
+  // and a long one, starting 0, 1 and 63 bytes past a 64-byte boundary
+  // (of the address, and of the index wherever non-zero bytes precede
+  // the run), between non-zero bytes and at either end: the block
+  // scan's entry, its exit into the word and byte scans, and its tail.
+  std::vector<uint8_t> Backing(8192);
+  uint8_t *Aligned =
+      Backing.data() + (-reinterpret_cast<uintptr_t>(Backing.data()) & 63);
+  auto CheckAt = [&](const std::vector<uint8_t> &B, size_t Shift,
+                     const std::string &Tag) {
+    std::copy(B.begin(), B.end(), Aligned + Shift);
+    EXPECT_EQ(fnv1a(Aligned + Shift, B.size()), Reference(B)) << Tag;
+  };
+  for (size_t Run : {63u, 64u, 65u, 127u, 128u, 129u, 4096u}) {
+    for (size_t Off : {0u, 1u, 63u}) {
+      std::vector<uint8_t> Lead, Trail;
+      for (size_t I = 0; I != 64 + Off; ++I)
+        Lead.push_back(Byte());
+      for (size_t I = 0; I != 9; ++I)
+        Trail.push_back(Byte());
+      std::vector<uint8_t> Start(Run, 0), Mid = Lead, End = Lead;
+      Start.insert(Start.end(), Trail.begin(), Trail.end());
+      Mid.insert(Mid.end(), Run, 0);
+      Mid.insert(Mid.end(), Trail.begin(), Trail.end());
+      End.insert(End.end(), Run, 0);
+      const std::string Tag =
+          "run " + std::to_string(Run) + " at +" + std::to_string(Off);
+      CheckAt(Start, Off, "block start " + Tag);
+      CheckAt(Mid, 0, "block middle " + Tag);
+      CheckAt(End, 0, "block end " + Tag);
+    }
+  }
+  Check(std::vector<uint8_t>((1u << 20) + 7, 0), "all-zero 1 MiB + 7");
+}
+
+/// fnv1aU64s folds each value's high zero bytes into one multiply; it
+/// must agree with the textbook eight-bytes-per-value loop.
+TEST(ServeProtocol, Fnv1aU64sMatchesTheBytewiseDefinition) {
+  auto Reference = [](const std::vector<uint64_t> &Vals) {
+    uint64_t H = 1469598103934665603ull;
+    for (uint64_t V : Vals)
+      for (int B = 0; B != 8; ++B)
+        H = (H ^ uint8_t(V >> (8 * B))) * 1099511628211ull;
+    return H;
+  };
+  auto Check = [&](const std::vector<uint64_t> &Vals, const std::string &Tag) {
+    EXPECT_EQ(fnv1aU64s(Vals), Reference(Vals)) << Tag;
+  };
+  Check({}, "empty");
+  // One value of every significant-byte count 0-8, alone and between
+  // other values; then values with interior zero bytes, and all ones.
+  std::vector<uint64_t> Singles = {0};
+  for (unsigned N = 1; N <= 8; ++N) {
+    const uint64_t Top = 0xA5ull << (8 * (N - 1)); // N significant bytes.
+    Singles.push_back(Top);
+    Singles.push_back(Top | 0x5A);
+  }
+  for (uint64_t V : {uint64_t(0x100), uint64_t(0xFF0000FF), uint64_t(1) << 56,
+                     UINT64_MAX})
+    Singles.push_back(V);
+  for (uint64_t V : Singles) {
+    std::ostringstream Tag;
+    Tag << std::hex << "0x" << V;
+    Check({V}, "alone " + Tag.str());
+    Check({0x1234, V, 7}, "between " + Tag.str());
+  }
+  Check(Singles, "all of them");
+  // 100,000 seeded values: region-size-like numbers (up to 2^24) mixed
+  // with full-width ones.
+  std::mt19937_64 Rng(2707);
+  std::vector<uint64_t> Mixed(100000);
+  for (uint64_t &V : Mixed) {
+    const uint64_t R = Rng();
+    V = R % 4 ? R >> 40 : Rng();
+  }
+  Check(Mixed, "100,000 seeded values");
 }
 
 TEST(ServeProtocol, StatsReplyRoundTrips) {

@@ -77,6 +77,8 @@ RunReplyMsg canonical(RunReplyMsg M) {
 
 /// The oracle: a cold single-threaded compile + emulate, bypassing the
 /// serve cache entirely (fresh module, fresh machine code, no sharing).
+/// It hashes its own result into the reply digest with the FNV kernels
+/// directly, so a digest the cache got wrong cannot agree with it.
 RunReplyMsg coldReply(const RunRequestMsg &Msg) {
   const Workload *W = findWorkload(Msg.Workload);
   EXPECT_NE(W, nullptr) << Msg.Workload;
@@ -88,6 +90,8 @@ RunReplyMsg coldReply(const RunRequestMsg &Msg) {
   R.TextBytes = MM.textSizeBytes();
   R.Emu = emulate(MM, effectiveOptions(Msg.PO, Msg.EO));
   EXPECT_TRUE(R.Emu.Ok) << R.Emu.Error;
+  R.MemHash = fnv1a(R.Emu.FinalMemory.data(), R.Emu.FinalMemory.size());
+  R.RegionHash = fnv1aU64s(R.Emu.RegionSizes);
   return canonical(makeRunReply(R, Provenance{}));
 }
 

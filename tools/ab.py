@@ -26,10 +26,15 @@ than the bound (relative, in the metric's `better` direction),
 `unresolved` when the base IQR is wider than the bound times the base
 median and not every candidate run beats every base run (the runs are
 too spread to tell), `ok` otherwise. The report ends with one line
-naming every `worse` and `unresolved` metric. For each per-layer time
-of the traced runs (every BENCHMARK.json per_layer metric in seconds
-but the trace.* totals) it gives the median seconds per operation,
-after both sides' median operation count and set-up repetitions. A
+naming every `worse` and `unresolved` metric. Below the end-to-end
+table it gives each side's median [Q1, Q3] of every metric the timed
+runs' report lines carry under `named` (the workload's own metrics,
+such as serve_mixed's serve.hit_p50_ms and serve.miss_p50_ms) and the
+ratio of medians; these have no direction or bound in BENCHMARK.json.
+For each per-layer time of the traced runs (every BENCHMARK.json
+per_layer metric in seconds but the trace.* totals) it gives the median
+seconds per operation, after both sides' median operation count and
+set-up repetitions. A
 layer that runs only in set-up (the oracle; the compiler on
 emulate_intermittent and crash_campaign) grows with the set-up
 repetitions but is divided by the operations, so its per-op time is not
@@ -111,28 +116,37 @@ def quartiles(xs):
     return q1, med, q3
 
 
+def spread(unit, base, cand):
+    """Each side's median [Q1, Q3] of one metric, and the ratio of
+    medians; None unless both sides have a value."""
+    out = {"unit": unit}
+    for name, runs in (("base", base), ("candidate", cand)):
+        xs = [v for v in runs if v is not None]
+        if not xs:
+            return None
+        q1, med, q3 = quartiles(xs)
+        out[name] = {"median": med, "q1": q1, "q3": q3, "runs": runs}
+    bmed = out["base"]["median"]
+    out["ratio"] = out["candidate"]["median"] / bmed if bmed else None
+    return out
+
+
 def summarize(metric, base, cand):
     """Medians, quartiles, wins and the IQR test for one metric."""
-    higher = metric["better"] == "higher"
-    b = [v for v in base if v is not None]
-    c = [v for v in cand if v is not None]
-    if not b or not c:
+    s = spread(metric["unit"], base, cand)
+    if s is None:
         return None
-    bq1, bmed, bq3 = quartiles(b)
-    cq1, cmed, cq3 = quartiles(c)
+    higher = metric["better"] == "higher"
     pairs = [(x, y) for x, y in zip(base, cand)
              if x is not None and y is not None]
-    wins = sum(1 for x, y in pairs if (y > x if higher else y < x))
-    return {
+    b, c = s["base"], s["candidate"]
+    s.update({
         "better": metric["better"],
-        "unit": metric["unit"],
-        "base": {"median": bmed, "q1": bq1, "q3": bq3, "runs": base},
-        "candidate": {"median": cmed, "q1": cq1, "q3": cq3, "runs": cand},
-        "ratio": cmed / bmed if bmed else None,
-        "wins": wins,
+        "wins": sum(1 for x, y in pairs if (y > x if higher else y < x)),
         "pairs": len(pairs),
-        "beyond_base_iqr": abs(cmed - bmed) > bq3 - bq1,
-    }
+        "beyond_base_iqr": abs(c["median"] - b["median"]) > b["q3"] - b["q1"],
+    })
+    return s
 
 
 def verdict(metric, s):
@@ -231,6 +245,7 @@ def main():
     flagged = {"worse": [], "unresolved": []}
     for workload in workloads:
         values = {"base": [], "candidate": []}
+        named = {"base": [], "candidate": []}
         counts = {s["name"]: {"attempted": 0, "failed": 0} for s in sides}
         for i, seed, side in interleave(sides, seeds):
             print(f"ab: {workload} pair {i + 1}/{args.pairs} "
@@ -241,13 +256,15 @@ def main():
                 c["attempted"] += 1
                 c["failed"] += 1
                 values[side["name"]].append({})
+                named[side["name"]].append({})
                 continue
-            _, result = got
+            report, result = got
             c["attempted"] += result["attempted"]
             c["failed"] += result["failed"]
             values[side["name"]].append(
                 {k: v["value"] for k, v in result["metrics"].items()})
-        entry = {"runs": counts, "end_to_end": {}, "trace": {}}
+            named[side["name"]].append(report.get("named") or {})
+        entry = {"runs": counts, "end_to_end": {}, "named": {}, "trace": {}}
         for metric in bench["end_to_end"]:
             name = metric["name"]
             s = summarize(metric, [r.get(name) for r in values["base"]],
@@ -258,6 +275,13 @@ def main():
                 entry["end_to_end"][name] = s
                 if s["verdict"] != "ok":
                     flagged[s["verdict"]].append(f"{workload}/{name}")
+        units = {k: v["unit"] for r in named["base"] + named["candidate"]
+                 for k, v in r.items()}
+        for name, unit in sorted(units.items()):
+            runs = {side: [r[name]["value"] if name in r else None
+                           for r in named[side]] for side in named}
+            entry["named"][name] = spread(unit, runs["base"],
+                                          runs["candidate"])
 
         # Layer times are compared per operation: the faster side fits
         # more operations into the same run length.
@@ -327,6 +351,15 @@ def print_workload(workload, entry):
               f"{fmt(c['median']) + ' [' + fmt(c['q1']) + ', ' + fmt(c['q3']) + ']':<34}"
               f"{fmt(s['ratio']):>7}{str(s['wins']) + '/' + str(s['pairs']):>7}"
               f"  {'yes' if s['beyond_base_iqr'] else 'no':<5}{s['verdict']}")
+    shown = {k: s for k, s in entry["named"].items() if s}
+    if shown:
+        print("  report-line named metrics, median [Q1, Q3]:")
+    for name, s in shown.items():
+        b, c = s["base"], s["candidate"]
+        print(f"  {name:<24}"
+              f"{fmt(b['median']) + ' [' + fmt(b['q1']) + ', ' + fmt(b['q3']) + ']':<34}"
+              f"{fmt(c['median']) + ' [' + fmt(c['q1']) + ', ' + fmt(c['q3']) + ']':<34}"
+              f"{fmt(s['ratio']):>7}  {s['unit']}")
     per_op = entry["trace"]["self_s_per_op"]
     if per_op:
         traced = entry["trace"]["runs"]

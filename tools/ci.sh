@@ -39,8 +39,10 @@
 #            misaligned or out-of-range access, bad shifts) fails the
 #            test that reached it;
 #   release  build -DCMAKE_BUILD_TYPE=Release and run the `asan`-,
-#            `engine`-, `placement`- and `strategy`-labeled subsets
-#            there, plus the perfbench smoke (tools/perfbench_smoke.sh:
+#            `engine`-, `placement`-, `serve`- and `strategy`-labeled
+#            subsets there (`serve` so the FNV digest kernels and the
+#            cache-hit reply path are tested as the benchmark builds
+#            them), plus the perfbench smoke (tools/perfbench_smoke.sh:
 #            every BENCHMARK.json workload for one second and
 #            compile_matrix once traced, each run required to report
 #            "correct": true; the benchmark builds under
@@ -140,11 +142,11 @@ pass_ubsan() {
 }
 
 pass_release() {
-  echo "==> release build + asan/engine/placement/strategy subsets + perfbench smoke"
+  echo "==> release build + asan/engine/placement/serve/strategy subsets + perfbench smoke"
   cmake -B "$build/release" -S "$root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$build/release" -j "$jobs"
   ctest --test-dir "$build/release" --output-on-failure -j "$jobs" \
-    -L 'asan|engine|placement|strategy'
+    -L 'asan|engine|placement|serve|strategy'
   "$root/tools/perfbench_smoke.sh" "$build/perfbench"
 }
 
