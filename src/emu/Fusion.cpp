@@ -10,56 +10,71 @@
 
 #include "emu/Fusion.h"
 
-#include "emu/Emulator.h"
-
-#include <cassert>
+#include <array>
 
 using namespace wario;
 using namespace wario::emu_detail;
 
 namespace {
 
-/// Index of a fusable single-cycle binary ALU op in WARIO_EMU_ALU9
-/// order (Add Sub Mul And Orr Eor Lsl Lsr Asr), or -1.
-int aluIdx(MOp Op) {
-  switch (Op) {
-  case MOp::Add: return 0;
-  case MOp::Sub: return 1;
-  case MOp::Mul: return 2;
-  case MOp::And: return 3;
-  case MOp::Orr: return 4;
-  case MOp::Eor: return 5;
-  case MOp::Lsl: return 6;
-  case MOp::Lsr: return 7;
-  case MOp::Asr: return 8;
-  default: return -1;
-  }
-}
+/// One catalog pattern: its component ops in execution order.
+struct Pattern {
+  MOp Ops[3];
+  uint8_t Len;
+};
 
-// The family-base arithmetic below (FK_Fam_Add + aluIdx) requires the
-// enum expansion and aluIdx() to agree on the op order.
-static_assert(FK_MovImm_Alu_Asr == FK_MovImm_Alu_Add + 8);
-static_assert(FK_Alu_Mov_Asr == FK_Alu_Mov_Add + 8);
-static_assert(FK_Alu_MovImm_Asr == FK_Alu_MovImm_Add + 8);
-static_assert(FK_LdrSlot_Alu_Asr == FK_LdrSlot_Alu_Add + 8);
-static_assert(FK_Alu_StrSlot_Asr == FK_Alu_StrSlot_Add + 8);
-static_assert(FK_LdrSlot_Alu_StrSlot_Asr == FK_LdrSlot_Alu_StrSlot_Add + 8);
-static_assert(FK_MovImm_LdrSlot_Alu_Asr == FK_MovImm_LdrSlot_Alu_Add + 8);
+/// The catalog, indexed by kind - FK_FirstFused.
+constexpr Pattern Catalog[] = {
+#define WARIO_PATTERN_P(A, B) {{MOp::A, MOp::B, MOp::Nop}, 2},
+#define WARIO_PATTERN_T(A, B, C) {{MOp::A, MOp::B, MOp::C}, 3},
+    WARIO_EMU_FUSED_KINDS(WARIO_PATTERN_P, WARIO_PATTERN_T)
+#undef WARIO_PATTERN_P
+#undef WARIO_PATTERN_T
+};
+constexpr size_t NumPatterns = sizeof(Catalog) / sizeof(Catalog[0]);
+static_assert(FK_FirstFused + NumPatterns == FK_KindLimit);
 
-/// Cycle cost of one fusable component (mirrors Machine::step's spend).
-unsigned compCost(const DecodedInst &I) {
-  switch (I.Op) {
-  case MOp::MovImm: return I.MovCost;
-  case MOp::Mov: return 1;
-  case MOp::SetCond: return 2;
-  case MOp::Ldr: case MOp::Str:
-  case MOp::LdrSlot: case MOp::StrSlot: return 2;
-  case MOp::CBr: return 1 + unsigned(cycles::PipelineRefill);
-  default:
-    assert(aluIdx(I.Op) >= 0 && "unexpected fused component");
-    return 1;
-  }
+/// The longest match at a pc is unique only if no two patterns of one
+/// length share their ops.
+constexpr bool catalogIsUnambiguous() {
+  for (size_t A = 0; A != NumPatterns; ++A)
+    for (size_t B = A + 1; B != NumPatterns; ++B)
+      if (Catalog[A].Len == Catalog[B].Len &&
+          Catalog[A].Ops[0] == Catalog[B].Ops[0] &&
+          Catalog[A].Ops[1] == Catalog[B].Ops[1] &&
+          Catalog[A].Ops[2] == Catalog[B].Ops[2])
+        return false;
+  return true;
 }
+static_assert(catalogIsUnambiguous(), "two catalog patterns share their ops");
+
+/// Every group, at its dearest MovImm cost, must cost less than the
+/// engine's event margin.
+constexpr bool catalogFitsTheMargin() {
+  for (const Pattern &Pt : Catalog) {
+    unsigned Cost = 0;
+    for (unsigned K = 0; K != Pt.Len; ++K)
+      Cost += componentCost(Pt.Ops[K], 2);
+    if (Cost >= FusedCostLimit)
+      return false;
+  }
+  return true;
+}
+static_assert(catalogFitsTheMargin(), "a group's cost reaches FusedCostLimit");
+
+/// At [A][B]: the kind of the pair pattern (A, B), or 0, with
+/// TriplePrefix set when some triple starts with A, B (1369 bytes).
+constexpr uint8_t TriplePrefix = 0x80;
+static_assert(FK_KindLimit <= TriplePrefix, "a pair kind must fit 7 bits");
+constexpr auto PairTable = [] {
+  std::array<std::array<uint8_t, FK_FirstFused>, FK_FirstFused> T{};
+  for (size_t K = 0; K != NumPatterns; ++K) {
+    const Pattern &Pt = Catalog[K];
+    T[size_t(Pt.Ops[0])][size_t(Pt.Ops[1])] |=
+        Pt.Len == 3 ? TriplePrefix : uint8_t(FK_FirstFused + K);
+  }
+  return T;
+}();
 
 /// A speculative undo-logged store: never a group component (see
 /// AuxLogged in Fusion.h).
@@ -78,12 +93,11 @@ struct FusedInst {
 /// identity group when nothing matches.
 FusedInst matchAt(const DecodedInst *Prog, size_t pc, size_t N) {
   const DecodedInst &I0 = Prog[pc];
-  auto make = [&](uint16_t Kind, unsigned Len) {
+  auto make = [&](size_t Kind, unsigned Len) {
     unsigned Cost = 0;
     for (unsigned K = 0; K != Len; ++K)
-      Cost += compCost(Prog[pc + K]);
-    assert(Cost < FusedCostLimit && "group cost exceeds the event margin");
-    return FusedInst{Kind, uint8_t(Len), uint8_t(Cost)};
+      Cost += componentCost(Prog[pc + K].Op, Prog[pc + K].MovCost);
+    return FusedInst{uint16_t(Kind), uint8_t(Len), uint8_t(Cost)};
   };
 
   // Components never span functions: groups stay within the region a
@@ -95,74 +109,20 @@ FusedInst matchAt(const DecodedInst *Prog, size_t pc, size_t N) {
          Prog[pc + R].F == I0.F && !isLoggedStore(Prog[pc + R]))
     ++R;
 
-  MOp Op0 = I0.Op;
-  int A0 = aluIdx(Op0);
   if (R >= 2) {
-    const DecodedInst &I1 = Prog[pc + 1];
-    MOp Op1 = I1.Op;
-    int A1 = aluIdx(Op1);
-    if (R >= 3) {
-      const DecodedInst &I2 = Prog[pc + 2];
-      MOp Op2 = I2.Op;
-      int A2 = aluIdx(Op2);
-      if (Op0 == MOp::LdrSlot && A1 >= 0 && Op2 == MOp::StrSlot)
-        return make(uint16_t(FK_LdrSlot_Alu_StrSlot_Add + A1), 3);
-      if (Op0 == MOp::MovImm && Op1 == MOp::LdrSlot && A2 >= 0)
-        return make(uint16_t(FK_MovImm_LdrSlot_Alu_Add + A2), 3);
-      if (Op0 == MOp::MovImm && Op1 == MOp::SetCond && Op2 == MOp::CBr)
-        return make(FK_MovImm_SetCond_CBr, 3);
-      if (Op0 == MOp::Lsl && Op1 == MOp::Lsr && Op2 == MOp::StrSlot)
-        return make(FK_Lsl_Lsr_StrSlot, 3);
-      if (Op0 == MOp::Add && Op1 == MOp::Mov && Op2 == MOp::Ldr)
-        return make(FK_Add_Mov_Ldr, 3);
-    }
-    // ALU-parameterized pairs.
-    if (Op0 == MOp::MovImm && A1 >= 0)
-      return make(uint16_t(FK_MovImm_Alu_Add + A1), 2);
-    if (A0 >= 0 && Op1 == MOp::Mov)
-      return make(uint16_t(FK_Alu_Mov_Add + A0), 2);
-    if (A0 >= 0 && Op1 == MOp::MovImm)
-      return make(uint16_t(FK_Alu_MovImm_Add + A0), 2);
-    if (Op0 == MOp::LdrSlot && A1 >= 0)
-      return make(uint16_t(FK_LdrSlot_Alu_Add + A1), 2);
-    if (A0 >= 0 && Op1 == MOp::StrSlot)
-      return make(uint16_t(FK_Alu_StrSlot_Add + A0), 2);
-    // Fixed ALU-ALU pairs.
-    if (A0 >= 0 && A1 >= 0) {
-      if (Op0 == MOp::Lsl && Op1 == MOp::Lsr) return make(FK_Lsl_Lsr, 2);
-      if (Op0 == MOp::Lsr && Op1 == MOp::Lsl) return make(FK_Lsr_Lsl, 2);
-      if (Op0 == MOp::Lsl && Op1 == MOp::Add) return make(FK_Lsl_Add, 2);
-      if (Op0 == MOp::Mul && Op1 == MOp::Add) return make(FK_Mul_Add, 2);
-      if (Op0 == MOp::Eor && Op1 == MOp::Lsl) return make(FK_Eor_Lsl, 2);
-      if (Op0 == MOp::Add && Op1 == MOp::Add) return make(FK_Add_Add, 2);
-    }
-    // Fixed pairs.
-    static const struct { MOp A, B; FusedKind K; } FixedPairs[] = {
-        {MOp::MovImm, MOp::MovImm, FK_MovImm_MovImm},
-        {MOp::MovImm, MOp::Mov, FK_MovImm_Mov},
-        {MOp::Mov, MOp::MovImm, FK_Mov_MovImm},
-        {MOp::Mov, MOp::Mov, FK_Mov_Mov},
-        {MOp::MovImm, MOp::LdrSlot, FK_MovImm_LdrSlot},
-        {MOp::LdrSlot, MOp::Mov, FK_LdrSlot_Mov},
-        {MOp::Mov, MOp::LdrSlot, FK_Mov_LdrSlot},
-        {MOp::LdrSlot, MOp::LdrSlot, FK_LdrSlot_LdrSlot},
-        {MOp::StrSlot, MOp::MovImm, FK_StrSlot_MovImm},
-        {MOp::StrSlot, MOp::Mov, FK_StrSlot_Mov},
-        {MOp::Mov, MOp::StrSlot, FK_Mov_StrSlot},
-        {MOp::StrSlot, MOp::LdrSlot, FK_StrSlot_LdrSlot},
-        {MOp::LdrSlot, MOp::Str, FK_LdrSlot_Str},
-        {MOp::Str, MOp::LdrSlot, FK_Str_LdrSlot},
-        {MOp::Mov, MOp::Ldr, FK_Mov_Ldr},
-        {MOp::Mov, MOp::Str, FK_Mov_Str},
-        {MOp::SetCond, MOp::CBr, FK_SetCond_CBr},
-    };
-    for (const auto &FX : FixedPairs)
-      if (Op0 == FX.A && Op1 == FX.B)
-        return make(FX.K, 2);
+    const uint8_t E = PairTable[size_t(I0.Op)][size_t(Prog[pc + 1].Op)];
+    if (R >= 3 && (E & TriplePrefix))
+      for (size_t K = 0; K != NumPatterns; ++K)
+        if (Catalog[K].Len == 3 && Catalog[K].Ops[0] == I0.Op &&
+            Catalog[K].Ops[1] == Prog[pc + 1].Op &&
+            Catalog[K].Ops[2] == Prog[pc + 2].Op)
+          return make(FK_FirstFused + K, 3);
+    if (E & ~TriplePrefix)
+      return make(E & ~TriplePrefix, 2);
   }
   // Identity group: the kind is the MOp itself; singles compute their
   // own cycle cost in the engine, so Cost is unused here.
-  return {uint16_t(Op0), 1, 0};
+  return {uint16_t(I0.Op), 1, 0};
 }
 
 } // namespace

@@ -17,9 +17,15 @@
 /// executes exactly the interpreter's transition — it only collapses
 /// dispatches.
 ///
-/// The catalog is expanded from the X-macros below in two places (the
-/// FusedKind enum and the threaded engine's dispatch table), so the two
-/// can never disagree on numbering.
+/// WARIO_EMU_FUSED_KINDS below is the one declaration of the catalog:
+/// one line per pattern, named by its component MOps. The FusedKind
+/// enum, the matcher's pattern table (Fusion.cpp), the threaded
+/// engine's dispatch table and every fused handler (ThreadedEngine.cpp)
+/// are expanded from it, so adding or dropping a pattern is a one-line
+/// edit. Handlers are composed from per-component bodies, and every
+/// cycle figure of a group — the cost the matcher pre-sums, a storing
+/// component's stamp base, the prefix a mid-group bail retires — comes
+/// from componentCost.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,59 +33,90 @@
 #define WARIO_EMU_FUSION_H
 
 #include "emu/Decode.h"
+#include "emu/Emulator.h"
 
 #include <vector>
 
 namespace wario::emu_detail {
 
-/// The nine single-cycle binary ALU ops that participate in fused
-/// families (UDiv/SDiv can trap and are never fused).
-#define WARIO_EMU_ALU9(A, FAM)                                                 \
-  A(FAM, Add) A(FAM, Sub) A(FAM, Mul) A(FAM, And) A(FAM, Orr)                  \
-  A(FAM, Eor) A(FAM, Lsl) A(FAM, Lsr) A(FAM, Asr)
+/// The nine single-cycle binary ALU ops the catalog's ALU families range
+/// over (UDiv/SDiv can trap and are never fused): F(Op, Args...) once
+/// per op.
+#define WARIO_EMU_ALU9(F, ...)                                                 \
+  F(Add, __VA_ARGS__) F(Sub, __VA_ARGS__) F(Mul, __VA_ARGS__)                  \
+  F(And, __VA_ARGS__) F(Orr, __VA_ARGS__) F(Eor, __VA_ARGS__)                  \
+  F(Lsl, __VA_ARGS__) F(Lsr, __VA_ARGS__) F(Asr, __VA_ARGS__)
 
-/// The full superinstruction catalog. X(Name) introduces a fixed kind;
-/// A(Family, AluOp) introduces one kind per ALU op of a parameterized
-/// family. Order here *is* the kind numbering — all three expansions
-/// (enum, matcher, dispatch table) consume this list.
-#define WARIO_EMU_FUSED_KINDS(X, A)                                            \
-  /* ALU-parameterized pairs (value flows left to right). */                   \
-  WARIO_EMU_ALU9(A, MovImm_Alu)         /* d0=imm ; d1 = a op b        */      \
-  WARIO_EMU_ALU9(A, Alu_Mov)            /* d0 = a op b ; d1 = s        */      \
-  WARIO_EMU_ALU9(A, Alu_MovImm)         /* d0 = a op b ; d1 = imm      */      \
-  WARIO_EMU_ALU9(A, LdrSlot_Alu)        /* d0 = slot ; d1 = a op b     */      \
-  WARIO_EMU_ALU9(A, Alu_StrSlot)        /* d0 = a op b ; slot = s      */      \
-  /* ALU-parameterized triples (the CRC/SHA/AES inner-loop shapes). */         \
-  WARIO_EMU_ALU9(A, LdrSlot_Alu_StrSlot)                                       \
-  WARIO_EMU_ALU9(A, MovImm_LdrSlot_Alu)                                        \
-  /* Fixed pairs: register/immediate traffic. */                               \
-  X(MovImm_MovImm) X(MovImm_Mov) X(Mov_MovImm) X(Mov_Mov)                      \
-  X(MovImm_LdrSlot) X(LdrSlot_Mov) X(Mov_LdrSlot) X(LdrSlot_LdrSlot)           \
-  X(StrSlot_MovImm) X(StrSlot_Mov) X(Mov_StrSlot) X(StrSlot_LdrSlot)           \
-  X(LdrSlot_Str) X(Str_LdrSlot) X(Mov_Ldr) X(Mov_Str)                          \
-  /* Fixed ALU-ALU pairs the histograms rank (shift/accumulate mills). */      \
-  X(Lsl_Lsr) X(Lsr_Lsl) X(Lsl_Add) X(Mul_Add) X(Eor_Lsl) X(Add_Add)           \
+// Place an ALU family's op among its fixed components (x: a fixed
+// component, A: the ALU op), so WARIO_EMU_ALU9 can expand the family.
+#define WARIO_EMU_xA(OP, P, X) P(X, OP)
+#define WARIO_EMU_Ax(OP, P, X) P(OP, X)
+#define WARIO_EMU_xAx(OP, T, X, Y) T(X, OP, Y)
+#define WARIO_EMU_xxA(OP, T, X, Y) T(X, Y, OP)
+
+/// The superinstruction catalog: P(A, B) is a pair pattern, T(A, B, C)
+/// a triple, each named by its component MOps in execution order. Order
+/// here *is* the kind numbering. No two patterns of one length may share
+/// their ops (checked at compile time), so the longest match at a pc is
+/// unique.
+#define WARIO_EMU_FUSED_KINDS(P, T)                                            \
+  /* ALU families, one kind per ALU op (value flows left to right). */         \
+  WARIO_EMU_ALU9(WARIO_EMU_xA, P, MovImm)  /* d0 = imm ; d1 = a op b */        \
+  WARIO_EMU_ALU9(WARIO_EMU_Ax, P, Mov)     /* d0 = a op b ; d1 = s */          \
+  WARIO_EMU_ALU9(WARIO_EMU_Ax, P, MovImm)  /* d0 = a op b ; d1 = imm */        \
+  WARIO_EMU_ALU9(WARIO_EMU_xA, P, LdrSlot) /* d0 = slot ; d1 = a op b */       \
+  WARIO_EMU_ALU9(WARIO_EMU_Ax, P, StrSlot) /* d0 = a op b ; slot = s */        \
+  /* ALU-family triples (the CRC/SHA/AES inner-loop shapes). */                \
+  WARIO_EMU_ALU9(WARIO_EMU_xAx, T, LdrSlot, StrSlot)                           \
+  WARIO_EMU_ALU9(WARIO_EMU_xxA, T, MovImm, LdrSlot)                            \
+  /* Register/immediate traffic. */                                           \
+  P(MovImm, MovImm) P(MovImm, Mov) P(Mov, MovImm) P(Mov, Mov)                  \
+  P(MovImm, LdrSlot) P(LdrSlot, Mov) P(Mov, LdrSlot) P(LdrSlot, LdrSlot)       \
+  P(StrSlot, MovImm) P(StrSlot, Mov) P(Mov, StrSlot) P(StrSlot, LdrSlot)       \
+  P(LdrSlot, Str) P(Str, LdrSlot) P(Mov, Ldr) P(Mov, Str)                      \
+  /* ALU-ALU pairs the histograms rank (shift/accumulate mills). */           \
+  P(Lsl, Lsr) P(Lsr, Lsl) P(Lsl, Add) P(Mul, Add) P(Eor, Lsl) P(Add, Add)      \
   /* Compare+branch, and the immediate-compare-branch triple. */               \
-  X(SetCond_CBr) X(MovImm_SetCond_CBr)                                         \
+  P(SetCond, CBr) T(MovImm, SetCond, CBr)                                      \
   /* Remaining measured triples. */                                           \
-  X(Lsl_Lsr_StrSlot) X(Add_Mov_Ldr)
+  T(Lsl, Lsr, StrSlot) T(Add, Mov, Ldr)
 
-/// Group kinds. Values [0, 64) are identity groups — the kind is the
-/// instruction's own MOp value, so the threaded engine's dispatch table
-/// doubles as its per-op handler table. Fused kinds start at 64.
+/// Group kinds. Kinds [0, FK_FirstFused) are identity groups — the kind
+/// is the instruction's own MOp value, so the threaded engine's dispatch
+/// table doubles as its per-op handler table. The fused kinds follow in
+/// catalog order.
 enum FusedKind : uint16_t {
-  FK_FirstFused = 64,
-  FK_Seed_ = FK_FirstFused - 1, // Placeholder so the list starts at 64.
-#define WARIO_FK_X(NAME) FK_##NAME,
-#define WARIO_FK_A(FAM, OP) FK_##FAM##_##OP,
-  WARIO_EMU_FUSED_KINDS(WARIO_FK_X, WARIO_FK_A)
-#undef WARIO_FK_X
-#undef WARIO_FK_A
+  FK_LastIdentity = uint16_t(MOp::Nop), ///< Nop's; the fused kinds follow.
+#define WARIO_FK_P(A, B) FK_##A##_##B,
+#define WARIO_FK_T(A, B, C) FK_##A##_##B##_##C,
+  WARIO_EMU_FUSED_KINDS(WARIO_FK_P, WARIO_FK_T)
+#undef WARIO_FK_P
+#undef WARIO_FK_T
   FK_KindLimit,
+  FK_FirstFused = FK_LastIdentity + 1,
 };
 
-static_assert(int(MOp::Nop) < int(FK_FirstFused),
-              "identity kinds must not collide with fused kinds");
+/// Cycle cost of one group component, as Machine::step spends it
+/// (\p MovCost is a MovImm's decoded 1 or 2). The matcher pre-sums it
+/// into a group's cost, a handler passes the sum over the components
+/// before a store as that store's stamp base, and a mid-group bail
+/// retires the sum over the completed prefix.
+constexpr unsigned componentCost(MOp Op, unsigned MovCost) {
+  switch (Op) {
+  case MOp::MovImm:
+    return MovCost;
+  case MOp::SetCond:
+  case MOp::Ldr:
+  case MOp::Str:
+  case MOp::LdrSlot:
+  case MOp::StrSlot:
+    return 2;
+  case MOp::CBr:
+    return 1 + unsigned(cycles::PipelineRefill);
+  default:
+    return 1; // Mov and the single-cycle ALU ops.
+  }
+}
 
 /// Interior instruction boundaries of a dispatched group never carry an
 /// interpreter-visible event, provided the engine stops dispatching

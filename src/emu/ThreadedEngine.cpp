@@ -39,12 +39,16 @@
 ///    through commitCheckpoint itself (the one commit both engines
 ///    share) and reloads, leaving the loop only under ExitOnCommit.
 ///
-/// Handler bodies are composed from per-component WB_* macros: WB_X(k)
-/// executes component k of the group the cursor points at, reading its
-/// operands from J[k] (the merged stream keeps every pc's decoded
-/// fields even inside a group, so interior components are one indexed
-/// load away). A component that cannot complete invokes
-/// WARIO_PARTIAL(k): retire the k-component prefix and bail.
+/// Every fused handler is expanded from the catalog (Fusion.h), one per
+/// pattern, and composed from per-component WB_<MOp>(k, PRE) bodies:
+/// WB_X(k, PRE) executes component k of the group the cursor points at,
+/// reading its operands from J[k] (the merged stream keeps every pc's
+/// decoded fields even inside a group, so interior components are one
+/// indexed load away). PRE, the storing component's StoreCycles stamp
+/// base, is the componentCost sum over the components before it — a
+/// constant per pattern unless a MovImm precedes the store. A component
+/// that cannot complete invokes WARIO_PARTIAL(k): retire the k-component
+/// prefix and bail.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,23 +110,8 @@ inline uint32_t evalSDiv(uint32_t A, uint32_t B) {
 __attribute__((noinline)) uint64_t retiredPrefix(const DecodedInst *I,
                                                  unsigned N) {
   uint64_t C = 0;
-  for (unsigned K = 0; K != N; ++K) {
-    switch (I[K].Op) {
-    case MOp::MovImm:
-      C += I[K].MovCost;
-      break;
-    case MOp::SetCond:
-    case MOp::Ldr:
-    case MOp::Str:
-    case MOp::LdrSlot:
-    case MOp::StrSlot:
-      C += 2;
-      break;
-    default:
-      C += 1; // Mov / single-cycle ALU; branches never precede a bail.
-      break;
-    }
-  }
+  for (unsigned K = 0; K != N; ++K)
+    C += componentCost(I[K].Op, I[K].MovCost);
   return C;
 }
 
@@ -151,19 +140,6 @@ __attribute__((noinline)) void noteStoreSlow(Machine &M, uint32_t Addr,
 
 } // namespace
 
-// Per-op ALU evaluation, kept in lockstep with constEvalBinary. The
-// macro form lets the X-macro handler families bake the operation into
-// each handler instead of re-dispatching on an opcode.
-#define WARIO_EVAL_Add(A, B) ((A) + (B))
-#define WARIO_EVAL_Sub(A, B) ((A) - (B))
-#define WARIO_EVAL_Mul(A, B) ((A) * (B))
-#define WARIO_EVAL_And(A, B) ((A) & (B))
-#define WARIO_EVAL_Orr(A, B) ((A) | (B))
-#define WARIO_EVAL_Eor(A, B) ((A) ^ (B))
-#define WARIO_EVAL_Lsl(A, B) ((B) >= 32 ? 0u : (A) << (B))
-#define WARIO_EVAL_Lsr(A, B) ((B) >= 32 ? 0u : (A) >> (B))
-#define WARIO_EVAL_Asr(A, B) evalAsr((A), (B))
-
 #define WARIO_ALWAYS_INLINE __attribute__((always_inline))
 
 #define OP_CASE(N) H_Op_##N:
@@ -181,28 +157,15 @@ __attribute__((noinline)) void noteStoreSlow(Machine &M, uint32_t Addr,
   } while (0)
 
 // Group retirement: cycles from the precomputed group cost (read BEFORE
-// the cursor moves), then the cursor past every component.
+// the cursor moves), then the cursor to Next — past every component, or
+// the target a tail CBr chose.
 #define WARIO_RETIRE(n)                                                        \
   do {                                                                         \
     Active += J->Cost;                                                         \
     Insts += (n);                                                              \
-    J += (n);                                                                  \
+    J = Next;                                                                  \
     ++St.FusedDispatches;                                                      \
     St.FusedInstructions += (n);                                               \
-  } while (0)
-
-// Branch-ending group retirement: the tail component is a CBr at index
-// n-1; the whole group's cost (branch included) was precomputed. The
-// condition and both targets are read before the cursor is reassigned.
-#define WARIO_RETIRE_BR(n)                                                     \
-  do {                                                                         \
-    uint32_t T_ =                                                              \
-        fwdSrc(J[(n)-1].Src0, FwdD, FwdV, R) != 0 ? J[(n)-1].T0 : J[(n)-1].A;  \
-    Active += J->Cost;                                                         \
-    Insts += (n);                                                              \
-    ++St.FusedDispatches;                                                      \
-    St.FusedInstructions += (n);                                               \
-    J = Fast + T_;                                                             \
   } while (0)
 
 // Component k of the current group could not complete: retire the
@@ -241,19 +204,31 @@ fwdSrc(int32_t S, int32_t FwdD, uint32_t FwdV, const uint32_t *R) {
 #define WB_SRC0(k) fwdSrc(J[k].Src0, FwdD, FwdV, R)
 #define WB_SRC1(k) fwdSrc(J[k].Src1, FwdD, FwdV, R)
 #define WB_SET(k, V) (FwdV = (V), FwdD = J[k].Dst, R[FwdD] = FwdV)
-#define WB_MovImm(k) WB_SET(k, J[k].A);
-#define WB_Mov(k) WB_SET(k, WB_SRC0(k));
-#define WB_Alu(k, OP) WB_SET(k, WARIO_EVAL_##OP(WB_SRC0(k), WB_SRC1(k)));
-#define WB_SetCond(k)                                                          \
+// One body per component MOp; the ALU ones are kept in lockstep with
+// constEvalBinary. PRE (see the file comment) matters to stores only.
+#define WB_MovImm(k, PRE) WB_SET(k, J[k].A);
+#define WB_Mov(k, PRE) WB_SET(k, WB_SRC0(k));
+#define WB_Add(k, PRE) WB_SET(k, WB_SRC0(k) + WB_SRC1(k));
+#define WB_Sub(k, PRE) WB_SET(k, WB_SRC0(k) - WB_SRC1(k));
+#define WB_Mul(k, PRE) WB_SET(k, WB_SRC0(k) * WB_SRC1(k));
+#define WB_And(k, PRE) WB_SET(k, WB_SRC0(k) & WB_SRC1(k));
+#define WB_Orr(k, PRE) WB_SET(k, WB_SRC0(k) | WB_SRC1(k));
+#define WB_Eor(k, PRE) WB_SET(k, WB_SRC0(k) ^ WB_SRC1(k));
+#define WB_Lsl(k, PRE)                                                         \
+  WB_SET(k, WB_SRC1(k) >= 32 ? 0u : WB_SRC0(k) << WB_SRC1(k));
+#define WB_Lsr(k, PRE)                                                         \
+  WB_SET(k, WB_SRC1(k) >= 32 ? 0u : WB_SRC0(k) >> WB_SRC1(k));
+#define WB_Asr(k, PRE) WB_SET(k, evalAsr(WB_SRC0(k), WB_SRC1(k)));
+#define WB_SetCond(k, PRE)                                                     \
   WB_SET(k, constEvalPred(CmpPred(J[k].Aux), WB_SRC0(k), WB_SRC1(k)) ? 1 : 0);
-#define WB_LdrSlot(k)                                                          \
+#define WB_LdrSlot(k, PRE)                                                     \
   {                                                                            \
     uint32_t V_;                                                               \
     if (!fastLoad(R[SP] + J[k].A, 4, false, V_))                               \
       WARIO_PARTIAL(k);                                                        \
     WB_SET(k, V_);                                                             \
   }
-#define WB_Ldr(k)                                                              \
+#define WB_Ldr(k, PRE)                                                         \
   {                                                                            \
     uint32_t V_;                                                               \
     if (!fastLoad(WB_SRC0(k) + J[k].A, J[k].Aux & 0xFF,                        \
@@ -261,9 +236,6 @@ fwdSrc(int32_t S, int32_t FwdD, uint32_t FwdV, const uint32_t *R) {
       WARIO_PARTIAL(k);                                                        \
     WB_SET(k, V_);                                                             \
   }
-// PRE = pre-summed cycle cost of components [0, k) (the StoreCycles
-// stamp base for the storing component). Static per pattern, except a
-// J[i].Aux term when a MovImm precedes the store.
 #define WB_StrSlot(k, PRE)                                                     \
   if (!fastStore(R[SP] + J[k].A, 4, WB_SRC0(k), Active + (PRE)))               \
     WARIO_PARTIAL(k);
@@ -271,6 +243,8 @@ fwdSrc(int32_t S, int32_t FwdD, uint32_t FwdV, const uint32_t *R) {
   if (!fastStore(WB_SRC1(k) + J[k].A, J[k].Aux & 0xFF, WB_SRC0(k),             \
                  Active + (PRE)))                                              \
     WARIO_PARTIAL(k);
+// A tail CBr picks the group's successor (its cost is in the group's).
+#define WB_CBr(k, PRE) Next = Fast + (WB_SRC0(k) != 0 ? J[k].T0 : J[k].A);
 
 void Machine::runThreaded(uint64_t Limit) {
   const FastInst *const Fast = P.Fast.data();
@@ -446,9 +420,8 @@ void Machine::runThreaded(uint64_t Limit) {
   // matching) in lockstep even when this loop exits at the margin.
   RegionFresh = false;
 
-  // Dispatch table, indexed by FastInst::Kind. [0, 37): identity
-  // groups in MOp declaration order; [37, 64): unreachable padding;
-  // [64, FK_KindLimit): fused kinds in catalog order.
+  // Dispatch table, indexed by FastInst::Kind: identity groups in MOp
+  // declaration order, then the fused kinds in catalog order.
   static const void *const Tbl[] = {
       &&H_Op_MovImm, &&H_Op_MovGlobal, &&H_Op_Mov,
       &&H_Op_Add, &&H_Op_Sub, &&H_Op_Mul, &&H_Op_UDiv, &&H_Op_SDiv,
@@ -459,27 +432,22 @@ void Machine::runThreaded(uint64_t Limit) {
       &&H_Op_B, &&H_Op_CBr, &&H_Op_Ret, &&H_Op_Push, &&H_Op_Pop,
       &&H_Op_PopLoads, &&H_Op_SpAdjust, &&H_Op_Checkpoint, &&H_Op_Out,
       &&H_Op_IntMask, &&H_Op_IntUnmask, &&H_Op_Nop,
-      // Padding up to FK_FirstFused.
-      &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad,
-      &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad,
-      &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad,
-      &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad, &&H_Bad,
-#define WARIO_TBL_X(NAME) &&H_FK_##NAME,
-#define WARIO_TBL_A(FAM, OP) &&H_FK_##FAM##_##OP,
-      WARIO_EMU_FUSED_KINDS(WARIO_TBL_X, WARIO_TBL_A)
-#undef WARIO_TBL_X
-#undef WARIO_TBL_A
+#define WARIO_TBL_P(A, B) &&H_FK_##A##_##B,
+#define WARIO_TBL_T(A, B, C) &&H_FK_##A##_##B##_##C,
+      WARIO_EMU_FUSED_KINDS(WARIO_TBL_P, WARIO_TBL_T)
+#undef WARIO_TBL_P
+#undef WARIO_TBL_T
   };
   static_assert(sizeof(Tbl) / sizeof(Tbl[0]) == FK_KindLimit,
                 "dispatch table out of sync with the kind numbering");
-  static_assert(int(MOp::Nop) == 36, "identity block out of sync with MOp");
+  static_assert(FK_FirstFused == 37, "identity block out of sync with MOp");
 
   DISPATCH();
 
   // --- Identity groups (one instruction; step()'s transition inlined) ------
 
   OP_CASE(MovImm) {
-    WB_MovImm(0)
+    WB_MovImm(0, 0)
     Active += J->Aux; // Pre-decoded MovImm cycle cost (1 or 2).
     ++Insts;
     ++J;
@@ -487,16 +455,16 @@ void Machine::runThreaded(uint64_t Limit) {
   DISPATCH();
 
   OP_CASE(Mov) {
-    WB_Mov(0)
+    WB_Mov(0, 0)
     Active += 1;
     ++Insts;
     ++J;
   }
   DISPATCH();
 
-#define WARIO_H_ALUOP(_, OP)                                                   \
+#define WARIO_H_ALUOP(OP, ...)                                                 \
   OP_CASE(OP) {                                                                \
-    WB_Alu(0, OP)                                                              \
+    WB_##OP(0, 0)                                                              \
     Active += 1;                                                               \
     ++Insts;                                                                   \
     ++J;                                                                       \
@@ -527,7 +495,7 @@ void Machine::runThreaded(uint64_t Limit) {
   DISPATCH();
 
   OP_CASE(SetCond) {
-    WB_SetCond(0)
+    WB_SetCond(0, 0)
     Active += 2;
     ++Insts;
     ++J;
@@ -543,7 +511,7 @@ void Machine::runThreaded(uint64_t Limit) {
   DISPATCH();
 
   OP_CASE(Ldr) {
-    WB_Ldr(0)
+    WB_Ldr(0, 0)
     Active += 2;
     ++Insts;
     ++J;
@@ -561,7 +529,7 @@ void Machine::runThreaded(uint64_t Limit) {
   DISPATCH();
 
   OP_CASE(LdrSlot) {
-    WB_LdrSlot(0)
+    WB_LdrSlot(0, 0)
     Active += 2;
     ++Insts;
     ++J;
@@ -730,237 +698,31 @@ void Machine::runThreaded(uint64_t Limit) {
 
   // --- Fused groups (components retire strictly in order) ------------------
 
-#define WARIO_H_MovImm_Alu(_, OP)                                              \
-  FK_CASE(MovImm_Alu_##OP) {                                                   \
-    WB_MovImm(0)                                                               \
-    WB_Alu(1, OP)                                                              \
+// One handler per catalog pattern. PRE sums componentCost over the
+// components before k; J[i].Aux is a MovImm's decoded cost and is read
+// only when component i is a MovImm.
+#define WARIO_COST(OP, i) componentCost(MOp::OP, J[i].Aux)
+#define WARIO_H_P(A, B)                                                        \
+  FK_CASE(A##_##B) {                                                           \
+    const FastInst *Next = J + 2;                                              \
+    WB_##A(0, 0)                                                               \
+    WB_##B(1, WARIO_COST(A, 0))                                                \
     WARIO_RETIRE(2);                                                           \
   }                                                                            \
   DISPATCH();
-  WARIO_EMU_ALU9(WARIO_H_MovImm_Alu, _)
-#undef WARIO_H_MovImm_Alu
-
-#define WARIO_H_Alu_Mov(_, OP)                                                 \
-  FK_CASE(Alu_Mov_##OP) {                                                      \
-    WB_Alu(0, OP)                                                              \
-    WB_Mov(1)                                                                  \
-    WARIO_RETIRE(2);                                                           \
-  }                                                                            \
-  DISPATCH();
-  WARIO_EMU_ALU9(WARIO_H_Alu_Mov, _)
-#undef WARIO_H_Alu_Mov
-
-#define WARIO_H_Alu_MovImm(_, OP)                                              \
-  FK_CASE(Alu_MovImm_##OP) {                                                   \
-    WB_Alu(0, OP)                                                              \
-    WB_MovImm(1)                                                               \
-    WARIO_RETIRE(2);                                                           \
-  }                                                                            \
-  DISPATCH();
-  WARIO_EMU_ALU9(WARIO_H_Alu_MovImm, _)
-#undef WARIO_H_Alu_MovImm
-
-#define WARIO_H_LdrSlot_Alu(_, OP)                                             \
-  FK_CASE(LdrSlot_Alu_##OP) {                                                  \
-    WB_LdrSlot(0)                                                              \
-    WB_Alu(1, OP)                                                              \
-    WARIO_RETIRE(2);                                                           \
-  }                                                                            \
-  DISPATCH();
-  WARIO_EMU_ALU9(WARIO_H_LdrSlot_Alu, _)
-#undef WARIO_H_LdrSlot_Alu
-
-#define WARIO_H_Alu_StrSlot(_, OP)                                             \
-  FK_CASE(Alu_StrSlot_##OP) {                                                  \
-    WB_Alu(0, OP)                                                              \
-    WB_StrSlot(1, 1)                                                           \
-    WARIO_RETIRE(2);                                                           \
-  }                                                                            \
-  DISPATCH();
-  WARIO_EMU_ALU9(WARIO_H_Alu_StrSlot, _)
-#undef WARIO_H_Alu_StrSlot
-
-#define WARIO_H_LdrSlot_Alu_StrSlot(_, OP)                                     \
-  FK_CASE(LdrSlot_Alu_StrSlot_##OP) {                                          \
-    WB_LdrSlot(0)                                                              \
-    WB_Alu(1, OP)                                                              \
-    WB_StrSlot(2, 3)                                                           \
+#define WARIO_H_T(A, B, C)                                                     \
+  FK_CASE(A##_##B##_##C) {                                                     \
+    const FastInst *Next = J + 3;                                              \
+    WB_##A(0, 0)                                                               \
+    WB_##B(1, WARIO_COST(A, 0))                                                \
+    WB_##C(2, WARIO_COST(A, 0) + WARIO_COST(B, 1))                             \
     WARIO_RETIRE(3);                                                           \
   }                                                                            \
   DISPATCH();
-  WARIO_EMU_ALU9(WARIO_H_LdrSlot_Alu_StrSlot, _)
-#undef WARIO_H_LdrSlot_Alu_StrSlot
-
-#define WARIO_H_MovImm_LdrSlot_Alu(_, OP)                                      \
-  FK_CASE(MovImm_LdrSlot_Alu_##OP) {                                           \
-    WB_MovImm(0)                                                               \
-    WB_LdrSlot(1)                                                              \
-    WB_Alu(2, OP)                                                              \
-    WARIO_RETIRE(3);                                                           \
-  }                                                                            \
-  DISPATCH();
-  WARIO_EMU_ALU9(WARIO_H_MovImm_LdrSlot_Alu, _)
-#undef WARIO_H_MovImm_LdrSlot_Alu
-
-  FK_CASE(MovImm_MovImm) {
-    WB_MovImm(0)
-    WB_MovImm(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_Mov) {
-    WB_MovImm(0)
-    WB_Mov(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_MovImm) {
-    WB_Mov(0)
-    WB_MovImm(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_Mov) {
-    WB_Mov(0)
-    WB_Mov(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_LdrSlot) {
-    WB_MovImm(0)
-    WB_LdrSlot(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Mov) {
-    WB_LdrSlot(0)
-    WB_Mov(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_LdrSlot) {
-    WB_Mov(0)
-    WB_LdrSlot(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_LdrSlot) {
-    WB_LdrSlot(0)
-    WB_LdrSlot(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(StrSlot_MovImm) {
-    WB_StrSlot(0, 0)
-    WB_MovImm(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(StrSlot_Mov) {
-    WB_StrSlot(0, 0)
-    WB_Mov(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_StrSlot) {
-    WB_Mov(0)
-    WB_StrSlot(1, 1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(StrSlot_LdrSlot) {
-    WB_StrSlot(0, 0)
-    WB_LdrSlot(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(LdrSlot_Str) {
-    WB_LdrSlot(0)
-    WB_Str(1, 2)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(Str_LdrSlot) {
-    WB_Str(0, 0)
-    WB_LdrSlot(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_Ldr) {
-    WB_Mov(0)
-    WB_Ldr(1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-  FK_CASE(Mov_Str) {
-    WB_Mov(0)
-    WB_Str(1, 1)
-    WARIO_RETIRE(2);
-  }
-  DISPATCH();
-
-#define WARIO_H_AA(NAME, OP0, OP1)                                             \
-  FK_CASE(NAME) {                                                              \
-    WB_Alu(0, OP0)                                                             \
-    WB_Alu(1, OP1)                                                             \
-    WARIO_RETIRE(2);                                                           \
-  }                                                                            \
-  DISPATCH();
-  WARIO_H_AA(Lsl_Lsr, Lsl, Lsr)
-  WARIO_H_AA(Lsr_Lsl, Lsr, Lsl)
-  WARIO_H_AA(Lsl_Add, Lsl, Add)
-  WARIO_H_AA(Mul_Add, Mul, Add)
-  WARIO_H_AA(Eor_Lsl, Eor, Lsl)
-  WARIO_H_AA(Add_Add, Add, Add)
-#undef WARIO_H_AA
-
-  FK_CASE(SetCond_CBr) {
-    WB_SetCond(0)
-    WARIO_RETIRE_BR(2);
-  }
-  DISPATCH();
-
-  FK_CASE(MovImm_SetCond_CBr) {
-    WB_MovImm(0)
-    WB_SetCond(1)
-    WARIO_RETIRE_BR(3);
-  }
-  DISPATCH();
-
-  FK_CASE(Lsl_Lsr_StrSlot) {
-    WB_Alu(0, Lsl)
-    WB_Alu(1, Lsr)
-    WB_StrSlot(2, 2)
-    WARIO_RETIRE(3);
-  }
-  DISPATCH();
-
-  FK_CASE(Add_Mov_Ldr) {
-    WB_Alu(0, Add)
-    WB_Mov(1)
-    WB_Ldr(2)
-    WARIO_RETIRE(3);
-  }
-  DISPATCH();
-
-H_Bad:
-  assert(false && "padding kind dispatched");
-  goto bail;
+  WARIO_EMU_FUSED_KINDS(WARIO_H_P, WARIO_H_T)
+#undef WARIO_H_P
+#undef WARIO_H_T
+#undef WARIO_COST
 
 bail:
   // Something irregular at the current pc (counters already advanced

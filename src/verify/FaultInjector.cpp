@@ -227,8 +227,8 @@ wario::verify::runCrashCampaigns(const MModule &MM,
   GoldenEO.CollectRegionSizes = false;
   GoldenEO.TraceWindowLo = GoldenEO.TraceWindowHi = 0;
   SnapshotChain Chain;
-  EmulatorResult Golden = Snaps ? E.record(GoldenEO, Chain, Opts.Entry)
-                                : E.run(GoldenEO, Opts.Entry);
+  EmulatorResult Golden = Snaps ? E.record(GoldenEO, Chain)
+                                : E.run(GoldenEO);
   for (CrashReport &R : Reports)
     ++R.EmulationsRun;
   if (!Golden.Ok) {
@@ -277,13 +277,13 @@ wario::verify::runCrashCampaigns(const MModule &MM,
     EO.Power = singleCrash(CrashCycle);
     ++Physical;
     if (!Snaps)
-      return compareRun(Golden, E.run(EO, Opts.Entry), CrashCycle);
+      return compareRun(Golden, E.run(EO), CrashCycle);
     ReplayPlan Plan;
     Plan.Chain = &Chain;
     Plan.AllowTailSplice = true;
     Plan.OmitFinalMemoryOnSplice = true;
     ReplayOutcome Out;
-    EmulatorResult Res = E.replay(EO, Plan, Opts.Entry, Scr, &Out);
+    EmulatorResult Res = E.replay(EO, Plan, "main", Scr, &Out);
     Resumed += Out.Resumed;
     Spliced += Out.Spliced;
     return compareRun(Golden, Res, CrashCycle,
@@ -370,9 +370,9 @@ wario::verify::runCrashCampaigns(const MModule &MM,
           ReplayPlan WinPlan;
           WinPlan.Chain = &Chain;
           WinPlan.StopAtActiveCycle = WinEO.TraceWindowHi + 1;
-          D.Window = E.replay(WinEO, WinPlan, Opts.Entry, &SeqScr).Window;
+          D.Window = E.replay(WinEO, WinPlan, "main", &SeqScr).Window;
         } else {
-          D.Window = E.run(WinEO, Opts.Entry).Window;
+          D.Window = E.run(WinEO).Window;
         }
         ++R.EmulationsRun;
       }

@@ -66,7 +66,6 @@ struct FaultInjectorOptions {
   /// WarIsFatal = false when campaigning against a deliberately weakened
   /// build (PipelineOptions::ResolveMiddleEndWars = false).
   EmulatorOptions BaseEO;
-  std::string Entry = "main";
   /// Bisect each divergence to the earliest diverging crash budget.
   bool Bisect = true;
   /// Worker threads for the campaign fan-out (0 = WARIO_JOBS / cores).
@@ -82,9 +81,9 @@ struct FaultInjectorOptions {
   std::string Config;
 };
 
-/// Runs one fault-injection campaign over \p MM per entry of \p Modes,
-/// all over a single shared golden run, deduplicating crash points
-/// across modes before the fan-out (adversarial pre-commit/post-store
+/// Runs one fault-injection campaign over \p MM's `main` per entry of
+/// \p Modes, all over a single shared golden run, deduplicating crash
+/// points across modes before the fan-out (adversarial pre-commit/post-store
 /// points frequently coincide with exhaustive region-boundary points;
 /// each distinct point is injected once). Deterministic: equal modules
 /// and options produce byte-identical reports regardless of Jobs, and

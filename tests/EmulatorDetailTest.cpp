@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "emu/Emulator.h"
+#include "emu/Fusion.h"
 #include "emu/ThreadedEngine.h"
 
 #include <gtest/gtest.h>
@@ -431,6 +432,117 @@ TEST(EmulatorDetailTest, FusedGroupBailsMidGroupLikeTheInterpreter) {
     EXPECT_EQ(Threaded.Output, Interp.Output) << C.Name;
     EXPECT_EQ(Threaded.WarViolations, Interp.WarViolations) << C.Name;
     EXPECT_TRUE(Threaded == Interp) << C.Name;
+  }
+}
+
+TEST(EmulatorDetailTest, EveryCatalogKindRunsLikeTheInterpreter) {
+  // Every catalog pattern, kinds no workload reaches included: its
+  // components alone in a block entered by a branch and left by an op
+  // that is no component, so the threaded run dispatches exactly that
+  // group. Each component reads the value its predecessor wrote (the
+  // in-group forwarding path) and writes its own register, which the
+  // tail outputs. LdrSlot reads slot 0 and Ldr DataWord; StrSlot writes
+  // slot 1 and Str DataWord + 4, so no component completes a WAR.
+  struct Kind {
+    const char *Name;
+    std::vector<MOp> Ops;
+  };
+  const Kind Kinds[] = {
+#define WARIO_TEST_P(A, B) {#A "," #B, {MOp::A, MOp::B}},
+#define WARIO_TEST_T(A, B, C) {#A "," #B "," #C, {MOp::A, MOp::B, MOp::C}},
+      WARIO_EMU_FUSED_KINDS(WARIO_TEST_P, WARIO_TEST_T)
+#undef WARIO_TEST_P
+#undef WARIO_TEST_T
+  };
+
+  constexpr int A = R1, Shift = R2, Addr = R3, FirstDst = R4;
+  for (const Kind &K : Kinds) {
+    MBuilder B("main");
+    // Set-up: each op alone between Nops, so nothing before the block
+    // under test fuses.
+    B.block("entry").emit(MOp::SpAdjust).Imm = -8;
+    B.movImm(A, 0x9E3779B9).emit(MOp::Nop);
+    B.movImm(Shift, 5).emit(MOp::Nop);
+    B.movImm(Addr, DataWord).emit(MOp::Nop);
+    MInst &Fill = B.emit(MOp::StrSlot); // Slot 0 = A.
+    Fill.Src[0] = A;
+    Fill.Slot = 0;
+    B.emit(MOp::Nop);
+    B.b(1);
+
+    B.block("group");
+    int Last = A; // The register the previous component wrote.
+    for (size_t I = 0; I != K.Ops.size(); ++I) {
+      const int Dst = FirstDst + int(I);
+      MInst &C = B.emit(K.Ops[I]);
+      switch (K.Ops[I]) {
+      case MOp::MovImm:
+        C.Imm = I == 0 ? 0x12345 : 0x77; // Cost 2, then cost 1.
+        C.Dst = Dst;
+        break;
+      case MOp::CBr:
+        C.Src[0] = Last;
+        C.Target[0] = 2;
+        C.Target[1] = 3;
+        break;
+      case MOp::LdrSlot:
+        C.Dst = Dst;
+        C.Slot = 0;
+        break;
+      case MOp::StrSlot:
+        C.Src[0] = Last;
+        C.Slot = 1;
+        break;
+      case MOp::Ldr:
+        C.Dst = Dst;
+        C.Src[0] = Addr;
+        break;
+      case MOp::Str:
+        C.Src[0] = Last;
+        C.Src[1] = Addr;
+        C.Imm = 4;
+        break;
+      default: // Mov, SetCond and the ALU ops.
+        C.Pred = CmpPred::UGT;
+        C.Dst = Dst;
+        C.Src[0] = Last;
+        C.Src[1] = Shift;
+        break;
+      }
+      if (C.Dst >= 0)
+        Last = Dst;
+    }
+    if (K.Ops.back() != MOp::CBr)
+      B.b(2);
+
+    B.block("tail");
+    for (int Reg = FirstDst; Reg != FirstDst + 3; ++Reg)
+      B.emit(MOp::Out).Src[0] = Reg;
+    B.emit(MOp::Ret);
+    B.block("not-taken");
+    B.emit(MOp::Out).Src[0] = A;
+    B.b(2);
+
+    MModule M = B.module();
+    M.Functions[0].Slots = {{FrameSlot::Kind::Spill, 4, 0},
+                            {FrameSlot::Kind::Spill, 4, 4}};
+    M.Functions[0].FrameSize = 8;
+    for (unsigned I = 0; I != 4; ++I)
+      M.InitImage[DataWord + I] = uint8_t(0x0BADF00Du >> (8 * I));
+
+    EmulatorOptions EO;
+    EO.CollectEventTrace = true; // Compares the stores' stamp cycles too.
+    EO.Engine = EngineKind::Interp;
+    const EmulatorResult Interp = emulate(M, EO);
+    EO.Engine = EngineKind::Threaded;
+    EngineStats St;
+    const EmulatorResult Threaded = Emulator(M).run(EO, "main", nullptr, &St);
+    ASSERT_TRUE(Interp.Ok) << K.Name << ": " << Interp.Error;
+    EXPECT_EQ(St.FusedDispatches, 1u) << K.Name;
+    EXPECT_EQ(St.FusedInstructions, K.Ops.size()) << K.Name;
+    EXPECT_EQ(Threaded.Output, Interp.Output) << K.Name;
+    EXPECT_EQ(Threaded.TotalCycles, Interp.TotalCycles) << K.Name;
+    EXPECT_TRUE(Threaded == Interp) << K.Name;
   }
 }
 

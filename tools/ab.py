@@ -31,6 +31,10 @@ table it gives each side's median [Q1, Q3] of every metric the timed
 runs' report lines carry under `named` (the workload's own metrics,
 such as serve_mixed's serve.hit_p50_ms and serve.miss_p50_ms) and the
 ratio of medians; these have no direction or bound in BENCHMARK.json.
+It also compares each pair's report-line `counts` (perfbench's
+deterministic per-layer work counts, equal for equal seeds when both
+sides do the same work) and prints `counts identical (N seeds)` or
+every count that differs, with its seed and both values.
 For each per-layer time of the traced runs (every BENCHMARK.json
 per_layer metric in seconds but the trace.* totals) it gives the median
 seconds per operation, after both sides' median operation count and
@@ -149,6 +153,24 @@ def summarize(metric, base, cand):
     return s
 
 
+def compare_counts(seeds, base, cand):
+    """Every report-line count a pair's two runs disagree on; pairs
+    with a failed run are not compared."""
+    differences = []
+    compared = 0
+    for seed, b, c in zip(seeds, base, cand):
+        if b is None or c is None:
+            continue
+        compared += 1
+        for name in sorted(set(b) | set(c)):
+            if b.get(name) != c.get(name):
+                differences.append({"seed": seed, "count": name,
+                                    "base": b.get(name),
+                                    "candidate": c.get(name)})
+    return {"seeds": compared, "identical": compared > 0 and not differences,
+            "differences": differences}
+
+
 def verdict(metric, s):
     """`worse`, `unresolved` or `ok` for one end-to-end metric's summary,
     judged against the metric's relative bound (module docstring)."""
@@ -246,6 +268,7 @@ def main():
     for workload in workloads:
         values = {"base": [], "candidate": []}
         named = {"base": [], "candidate": []}
+        work = {"base": [], "candidate": []}
         counts = {s["name"]: {"attempted": 0, "failed": 0} for s in sides}
         for i, seed, side in interleave(sides, seeds):
             print(f"ab: {workload} pair {i + 1}/{args.pairs} "
@@ -257,6 +280,7 @@ def main():
                 c["failed"] += 1
                 values[side["name"]].append({})
                 named[side["name"]].append({})
+                work[side["name"]].append(None)
                 continue
             report, result = got
             c["attempted"] += result["attempted"]
@@ -264,7 +288,12 @@ def main():
             values[side["name"]].append(
                 {k: v["value"] for k, v in result["metrics"].items()})
             named[side["name"]].append(report.get("named") or {})
-        entry = {"runs": counts, "end_to_end": {}, "named": {}, "trace": {}}
+            work[side["name"]].append({
+                k: v["value"] for k, v in (report.get("counts") or {}).items()})
+        entry = {"runs": counts,
+                 "counts": compare_counts(seeds, work["base"],
+                                          work["candidate"]),
+                 "end_to_end": {}, "named": {}, "trace": {}}
         for metric in bench["end_to_end"]:
             name = metric["name"]
             s = summarize(metric, [r.get(name) for r in values["base"]],
@@ -341,6 +370,16 @@ def print_workload(workload, entry):
     print(f"\n{workload}: failed base {runs['base']['failed']}/"
           f"{runs['base']['attempted']}, candidate "
           f"{runs['candidate']['failed']}/{runs['candidate']['attempted']}")
+    work = entry["counts"]
+    if work["identical"]:
+        print(f"  counts identical ({work['seeds']} seeds)")
+    elif not work["differences"]:
+        print("  counts not compared (no pair ran on both sides)")
+    else:
+        print(f"  counts differ ({work['seeds']} seeds compared):")
+        for d in work["differences"]:
+            print(f"    seed {d['seed']} {d['count']}: base {fmt(d['base'])}, "
+                  f"candidate {fmt(d['candidate'])}")
     print(f"  {'metric':<24}{'base median [Q1, Q3]':<34}"
           f"{'candidate median [Q1, Q3]':<34}{'ratio':>7}{'wins':>7}  >IQR"
           "  verdict")

@@ -5,18 +5,17 @@
 #
 #   default  configure + build the default tree, run the full ctest
 #            suite;
-#   engine   differential-engine pass: the `engine`-labeled suites
-#            (threaded engine vs interpreter oracle under every strategy,
-#            emulation results pinned to recorded values, the hand-built
-#            emulator tests) and the `strategy` suite (rollback-strategy
-#            crash campaigns, negative controls, and golden differences —
-#            docs/STRATEGIES.md) on the default tree and again under
-#            WARIO_ENGINE=interp, so the campaigns also run on the oracle
-#            engine; then the `engine` suite under WARIO_ENGINE=threaded
-#            to prove the environment override changes nothing
-#            observable;
-#   serve    the `serve` suite on the default tree plus a one-connection
-#            loadgen smoke against an in-process daemon;
+#   engine   the `engine`-labeled suites (threaded engine vs interpreter
+#            oracle under every strategy, emulation results pinned to
+#            recorded values, the hand-built emulator tests) and the
+#            `strategy` suite (rollback-strategy crash campaigns, negative
+#            controls, and golden differences — docs/STRATEGIES.md) under
+#            WARIO_ENGINE=interp, so every test that leaves the engine to
+#            the environment also runs on the oracle engine (the default
+#            pass already runs both labels on the threaded engine, and
+#            WARIO_ENGINE=threaded resolves exactly like unset);
+#   serve    a one-connection loadgen smoke against an in-process daemon
+#            (the default pass runs the `serve` suite);
 #   tsan     rebuild under ThreadSanitizer and run the `tsan`- and
 #            `serve`-labeled tests (the bench harness's parallel matrix
 #            driver, parallelFor's contract in ParallelForTest, the
@@ -93,19 +92,15 @@ pass_default() {
 }
 
 pass_engine() {
-  echo "==> differential engine suite (engine + strategy labels, default and interp)"
+  echo "==> engine + strategy labels on the interpreter (WARIO_ENGINE=interp)"
   build_default
-  ctest --test-dir "$build" --output-on-failure -j "$jobs" -L 'engine|strategy'
   WARIO_ENGINE=interp \
     ctest --test-dir "$build" --output-on-failure -j "$jobs" -L 'engine|strategy'
-  WARIO_ENGINE=threaded \
-    ctest --test-dir "$build" --output-on-failure -j "$jobs" -L engine
 }
 
 pass_serve() {
-  echo "==> serve suite + loadgen smoke"
+  echo "==> loadgen smoke"
   build_default
-  ctest --test-dir "$build" --output-on-failure -j "$jobs" -L serve
   WARIO_CI_FAST=1 "$build/tools/wario_loadgen" --serve --connections 1 \
     --requests 4 --workloads crc
 }
