@@ -2,28 +2,8 @@
 
 using namespace wario;
 
-namespace {
-
-/// Deterministic xorshift32; traces must be reproducible across runs.
-struct XorShift {
-  uint32_t State;
-  explicit XorShift(uint32_t Seed) : State(Seed ? Seed : 1) {}
-  uint32_t next() {
-    State ^= State << 13;
-    State ^= State >> 17;
-    State ^= State << 5;
-    return State;
-  }
-  /// Uniform in [Lo, Hi].
-  uint64_t range(uint64_t Lo, uint64_t Hi) {
-    return Lo + next() % (Hi - Lo + 1);
-  }
-};
-
-} // namespace
-
 PowerSchedule wario::harvesterTraceAlpha(unsigned Periods) {
-  XorShift Rng(0xA11CE5);
+  XorShift32 Rng(0xA11CE5);
   std::vector<uint64_t> D;
   D.reserve(Periods);
   for (unsigned I = 0; I != Periods; ++I) {
@@ -37,7 +17,7 @@ PowerSchedule wario::harvesterTraceAlpha(unsigned Periods) {
 }
 
 PowerSchedule wario::harvesterTraceBeta(unsigned Periods) {
-  XorShift Rng(0xBEE5);
+  XorShift32 Rng(0xBEE5);
   std::vector<uint64_t> D;
   D.reserve(Periods);
   for (unsigned I = 0; I != Periods; ++I) {

@@ -17,6 +17,25 @@
 
 namespace wario {
 
+/// Deterministic xorshift32: the synthetic harvester traces and the
+/// fault injector's stratified crash points draw from it, so both are
+/// reproducible from their seed alone.
+struct XorShift32 {
+  uint32_t State;
+  /// Zero is the generator's one fixed point, so a zero seed starts at 1.
+  explicit XorShift32(uint32_t Seed) : State(Seed ? Seed : 1) {}
+  uint32_t next() {
+    State ^= State << 13;
+    State ^= State >> 17;
+    State ^= State << 5;
+    return State;
+  }
+  /// Uniform in [Lo, Hi].
+  uint64_t range(uint64_t Lo, uint64_t Hi) {
+    return Lo + next() % (Hi - Lo + 1);
+  }
+};
+
 /// Decides how long each boot's on-period lasts, in CPU cycles.
 class PowerSchedule {
 public:

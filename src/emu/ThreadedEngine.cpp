@@ -214,10 +214,18 @@ fwdSrc(int32_t S, int32_t FwdD, uint32_t FwdV, const uint32_t *R) {
 #define WB_And(k, PRE) WB_SET(k, WB_SRC0(k) & WB_SRC1(k));
 #define WB_Orr(k, PRE) WB_SET(k, WB_SRC0(k) | WB_SRC1(k));
 #define WB_Eor(k, PRE) WB_SET(k, WB_SRC0(k) ^ WB_SRC1(k));
+// The shift amount is read once: fwdSrc's asm keeps two reads from
+// merging, so each would cost its own forwarding branch.
 #define WB_Lsl(k, PRE)                                                         \
-  WB_SET(k, WB_SRC1(k) >= 32 ? 0u : WB_SRC0(k) << WB_SRC1(k));
+  {                                                                            \
+    const uint32_t Sh_ = WB_SRC1(k);                                           \
+    WB_SET(k, Sh_ >= 32 ? 0u : WB_SRC0(k) << Sh_);                             \
+  }
 #define WB_Lsr(k, PRE)                                                         \
-  WB_SET(k, WB_SRC1(k) >= 32 ? 0u : WB_SRC0(k) >> WB_SRC1(k));
+  {                                                                            \
+    const uint32_t Sh_ = WB_SRC1(k);                                           \
+    WB_SET(k, Sh_ >= 32 ? 0u : WB_SRC0(k) >> Sh_);                             \
+  }
 #define WB_Asr(k, PRE) WB_SET(k, evalAsr(WB_SRC0(k), WB_SRC1(k)));
 #define WB_SetCond(k, PRE)                                                     \
   WB_SET(k, constEvalPred(CmpPred(J[k].Aux), WB_SRC0(k), WB_SRC1(k)) ? 1 : 0);

@@ -96,12 +96,14 @@ struct CompileResult {
 };
 
 /// One cache request: a tenant's workload compiled under a full pipeline
-/// configuration and emulated under an emulator configuration.
+/// configuration and emulated under an emulator configuration. The
+/// daemon's RunRequest is this type (serve/Protocol.h).
 struct CacheRequest {
   std::string Tenant; ///< Namespace; "" is the default tenant.
   std::string Workload;
   PipelineOptions PO;
   EmulatorOptions EO;
+  bool operator==(const CacheRequest &) const = default;
 };
 
 /// The counter levels, in dependency order (indexes into the counter

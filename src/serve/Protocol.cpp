@@ -4,7 +4,9 @@
 #include <array>
 #include <bit>
 #include <cerrno>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -132,39 +134,53 @@ RunReplyMsg wario::serve::makeRunReply(const RunResult &R, Provenance Prov) {
 
 namespace {
 
+/// The last value of each enum on the wire: a byte past it fails the
+/// decode. An enum field without an overload here does not compile.
+constexpr uint8_t lastValue(Environment) {
+  return uint8_t(Environment::WarioExpander);
+}
+constexpr uint8_t lastValue(CheckpointStrategy) {
+  return uint8_t(CheckpointStrategy::Speculative);
+}
+
+/// Appends fields in wire form: W(A, B) writes A, then B.
 struct Writer {
   std::vector<uint8_t> Buf;
 
-  void u8(uint8_t V) { Buf.push_back(V); }
-  void u32(uint32_t V) {
-    for (int B = 0; B != 4; ++B)
-      Buf.push_back(uint8_t(V >> (8 * B)));
+  template <class... Ts> void operator()(const Ts &...Vs) { (put(Vs), ...); }
+
+  template <std::integral T> void put(T V) { // A bool is one byte.
+    for (size_t B = 0; B != sizeof(T); ++B)
+      Buf.push_back(uint8_t(uint64_t(V) >> (8 * B)));
   }
-  void u64(uint64_t V) {
-    for (int B = 0; B != 8; ++B)
-      Buf.push_back(uint8_t(V >> (8 * B)));
+  template <class E>
+    requires std::is_enum_v<E>
+  void put(E V) {
+    put(uint8_t(V));
   }
-  void i32(int32_t V) { u32(uint32_t(V)); }
-  void f64(double V) { u64(std::bit_cast<uint64_t>(V)); }
-  void str(const std::string &S) {
-    u32(uint32_t(S.size()));
+  void put(double V) { put(std::bit_cast<uint64_t>(V)); }
+  void put(const std::string &S) {
+    put(uint32_t(S.size()));
     Buf.insert(Buf.end(), S.begin(), S.end());
   }
-  void vecU64(const std::vector<uint64_t> &V) {
-    u32(uint32_t(V.size()));
-    for (uint64_t X : V)
-      u64(X);
+  template <std::integral T> void put(const std::vector<T> &V) {
+    put(uint32_t(V.size()));
+    for (const T &X : V)
+      put(X);
   }
-  void vecI32(const std::vector<int32_t> &V) {
-    u32(uint32_t(V.size()));
-    for (int32_t X : V)
-      i32(X);
+  template <class T, size_t N> void put(const T (&A)[N]) {
+    for (const T &X : A)
+      put(X);
+  }
+  void put(const PowerSchedule &P) {
+    (*this)(P.fixedPeriod(), P.traceDurations(), P.name());
   }
 };
 
-/// Bounds-checked cursor: every read clamps to the buffer; the first
-/// out-of-range read latches Failed and every later read returns zero
-/// values, so decoders can read straight through and check once.
+/// Fills fields from wire form: R(A, B) reads A, then B. Every read is
+/// bounds-checked; the first one that fails latches Failed and later
+/// reads consume nothing, so a decoder reads its whole field list and
+/// checks once (done()).
 struct Reader {
   const uint8_t *P;
   const uint8_t *End;
@@ -173,6 +189,8 @@ struct Reader {
   explicit Reader(const std::vector<uint8_t> &B)
       : P(B.data()), End(B.data() + B.size()) {}
 
+  template <class... Ts> void operator()(Ts &...Vs) { (get(Vs), ...); }
+
   bool take(size_t N) {
     if (Failed || size_t(End - P) < N) {
       Failed = true;
@@ -180,97 +198,143 @@ struct Reader {
     }
     return true;
   }
-  uint8_t u8() {
-    if (!take(1))
-      return 0;
-    return *P++;
+  template <std::integral T> void get(T &V) {
+    if (!take(sizeof(T)))
+      return;
+    uint64_t X = 0;
+    for (size_t B = 0; B != sizeof(T); ++B)
+      X |= uint64_t(*P++) << (8 * B);
+    V = T(X);
   }
-  uint32_t u32() {
-    if (!take(4))
-      return 0;
-    uint32_t V = 0;
-    for (int B = 0; B != 4; ++B)
-      V |= uint32_t(*P++) << (8 * B);
-    return V;
+  /// One byte of at most \p Last; a larger one fails the decode.
+  uint8_t byteUpTo(uint8_t Last) {
+    uint8_t X = 0;
+    get(X);
+    if (X > Last)
+      Failed = true;
+    return Failed ? 0 : X;
   }
-  uint64_t u64() {
-    if (!take(8))
-      return 0;
-    uint64_t V = 0;
-    for (int B = 0; B != 8; ++B)
-      V |= uint64_t(*P++) << (8 * B);
-    return V;
+  void get(bool &V) { V = byteUpTo(1) != 0; }
+  template <class E>
+    requires std::is_enum_v<E>
+  void get(E &V) {
+    V = E(byteUpTo(lastValue(E{})));
   }
-  int32_t i32() { return int32_t(u32()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    uint32_t N = u32();
+  void get(double &V) {
+    uint64_t X = 0;
+    get(X);
+    V = std::bit_cast<double>(X);
+  }
+  void get(std::string &S) {
+    uint32_t N = 0;
+    get(N);
     if (!take(N))
-      return {};
-    std::string S(reinterpret_cast<const char *>(P), N);
+      return;
+    S.assign(reinterpret_cast<const char *>(P), N);
     P += N;
-    return S;
   }
-  std::vector<uint64_t> vecU64() {
-    uint32_t N = u32();
-    // Element count is validated against the remaining bytes before
+  template <std::integral T> void get(std::vector<T> &V) {
+    uint32_t N = 0;
+    get(N);
+    // The count is checked against the remaining bytes before
     // allocating: a forged count must not trigger a huge allocation.
-    if (!take(size_t(N) * 8))
-      return {};
-    std::vector<uint64_t> V(N);
-    for (uint32_t I = 0; I != N; ++I) {
-      uint64_t X = 0;
-      for (int B = 0; B != 8; ++B)
-        X |= uint64_t(*P++) << (8 * B);
-      V[I] = X;
-    }
-    return V;
+    if (!take(size_t(N) * sizeof(T)))
+      return;
+    V.resize(N);
+    for (T &X : V)
+      get(X);
   }
-  std::vector<int32_t> vecI32() {
-    uint32_t N = u32();
-    if (!take(size_t(N) * 4))
-      return {};
-    std::vector<int32_t> V(N);
-    for (uint32_t I = 0; I != N; ++I) {
-      uint32_t X = 0;
-      for (int B = 0; B != 4; ++B)
-        X |= uint32_t(*P++) << (8 * B);
-      V[I] = int32_t(X);
-    }
-    return V;
+  template <class T, size_t N> void get(T (&A)[N]) {
+    for (T &X : A)
+      get(X);
+  }
+  /// Rebuilds a schedule exactly (every state the factories can build
+  /// round-trips: fixed() always names itself "fixed", and
+  /// trace({}, "fixed") is bitwise the continuous schedule).
+  void get(PowerSchedule &Power) {
+    uint64_t Period = 0;
+    std::vector<uint64_t> Durations;
+    std::string Name;
+    (*this)(Period, Durations, Name);
+    if (!Durations.empty())
+      Power = PowerSchedule::trace(std::move(Durations), std::move(Name));
+    else if (Period != 0)
+      Power = PowerSchedule::fixed(Period);
+    else
+      Power = Name == "fixed" ? PowerSchedule::continuous()
+                              : PowerSchedule::trace({}, std::move(Name));
   }
   bool done() const { return !Failed && P == End; }
 };
 
-std::vector<uint8_t> finishFrame(MsgType T, uint64_t Id, Writer Body) {
+//===----------------------------------------------------------------------===//
+// Message layouts
+//===----------------------------------------------------------------------===//
+
+/// \p M is the message type \p T or its const form: the encoder lists a
+/// const message's fields, the decoder a mutable one's.
+template <class M, class T>
+concept MsgOf = std::same_as<std::remove_const_t<M>, T>;
+
+// Each message's fields in wire order: the one layout its encoder
+// (IO = Writer) and its decoder (IO = Reader) share.
+
+template <class IO, MsgOf<RunRequestMsg> M> void fields(IO &F, M &R) {
+  F(R.Tenant, R.Workload, R.PO.Env, R.PO.Strat, R.PO.UnrollFactor,
+    R.PO.MiddleEndHittingSet, R.PO.DepthWeightedCost,
+    R.PO.ForceConservativeAA, R.PO.BoundRegions, R.PO.ResolveMiddleEndWars,
+    R.PO.DiffFullRollback, R.PO.SpecLogWars, R.PO.MaxRegionCycles,
+    R.EO.Power, R.EO.InterruptPeriod, R.EO.MaxCycles, R.EO.MaxStalledBoots,
+    R.EO.CollectRegionSizes, R.EO.WarIsFatal);
+}
+
+template <class IO, MsgOf<RunReplyMsg> M> void fields(IO &F, M &R) {
+  F(R.Ok, R.Error, R.ReturnValue, R.Output, R.TotalCycles,
+    R.InstructionsExecuted, R.CheckpointsExecuted, R.CauseMiddleEndWar,
+    R.CauseBackendSpill, R.CauseFunctionEntry, R.CauseFunctionExit,
+    R.PowerFailures, R.InterruptsTaken, R.WarViolations, R.TextBytes,
+    R.MemHash, R.RegionCount, R.RegionHash, R.FrontendSeconds,
+    R.FrontHalfSeconds, R.MiddleEndSeconds, R.BackendSeconds,
+    R.EmulateSeconds, R.ProvenanceBits);
+}
+
+template <class IO, MsgOf<StatsReplyMsg> M> void fields(IO &F, M &S) {
+  F(S.Counters.Hits, S.Counters.Misses, S.Counters.Evictions,
+    S.Counters.BytesUsed, S.Counters.ByteBudget, S.Counters.BytesEvicted,
+    S.Counters.Entries, S.RequestsServed, S.ConnectionsAccepted);
+}
+
+/// An ErrorReply's body is its message alone.
+template <class IO, MsgOf<std::string> M> void fields(IO &F, M &Text) {
+  F(Text);
+}
+
+std::vector<uint8_t> finishFrame(MsgType Type, uint64_t Id,
+                                 const Writer &Body) {
   Writer F;
-  F.u32(uint32_t(Body.Buf.size() + 10)); // version + type + id.
-  F.u8(ProtocolVersion);
-  F.u8(uint8_t(T));
-  F.u64(Id);
+  // The length counts the version, type and id bytes too.
+  F(uint32_t(Body.Buf.size() + 10), ProtocolVersion, Type, Id);
   F.Buf.insert(F.Buf.end(), Body.Buf.begin(), Body.Buf.end());
   return std::move(F.Buf);
 }
 
-void putPower(Writer &W, const PowerSchedule &P) {
-  W.u64(P.fixedPeriod());
-  W.vecU64(P.traceDurations());
-  W.str(P.name());
+template <class M>
+std::vector<uint8_t> encodeMsg(MsgType Type, uint64_t Id, const M &Msg) {
+  Writer W;
+  fields(W, Msg);
+  return finishFrame(Type, Id, W);
 }
 
-/// Reconstructs a schedule exactly (every state the factories can build
-/// round-trips: fixed() always names itself "fixed", and trace({}, "fixed")
-/// is bitwise the continuous schedule).
-PowerSchedule getPower(Reader &R) {
-  uint64_t Period = R.u64();
-  std::vector<uint64_t> Durations = R.vecU64();
-  std::string Name = R.str();
-  if (!Durations.empty())
-    return PowerSchedule::trace(std::move(Durations), std::move(Name));
-  if (Period != 0)
-    return PowerSchedule::fixed(Period);
-  return Name == "fixed" ? PowerSchedule::continuous()
-                         : PowerSchedule::trace({}, std::move(Name));
+/// \p Body decoded as an \p M, or nullopt unless its fields consume it
+/// exactly.
+template <class M>
+std::optional<M> decodeMsg(const std::vector<uint8_t> &Body) {
+  Reader R(Body);
+  M Msg;
+  fields(R, Msg);
+  if (!R.done())
+    return std::nullopt;
+  return Msg;
 }
 
 } // namespace
@@ -281,136 +345,22 @@ PowerSchedule getPower(Reader &R) {
 
 std::vector<uint8_t> wario::serve::encodeRunRequest(uint64_t Id,
                                                     const RunRequestMsg &M) {
-  Writer W;
-  W.str(M.Tenant);
-  W.str(M.Workload);
-  W.u8(uint8_t(M.PO.Env));
-  W.u8(uint8_t(M.PO.Strat));
-  W.u32(M.PO.UnrollFactor);
-  W.u8(uint8_t(M.PO.MiddleEndHittingSet) |
-       uint8_t(M.PO.DepthWeightedCost) << 1 |
-       uint8_t(M.PO.ForceConservativeAA) << 2 |
-       uint8_t(M.PO.BoundRegions) << 3 |
-       uint8_t(M.PO.ResolveMiddleEndWars) << 4 |
-       uint8_t(M.PO.DiffFullRollback) << 5 |
-       uint8_t(M.PO.SpecLogWars) << 6);
-  W.u64(M.PO.MaxRegionCycles);
-  putPower(W, M.EO.Power);
-  W.u64(M.EO.InterruptPeriod);
-  W.u64(M.EO.MaxCycles);
-  W.u32(M.EO.MaxStalledBoots);
-  W.u8(uint8_t(M.EO.CollectRegionSizes) | uint8_t(M.EO.WarIsFatal) << 1 |
-       uint8_t(M.EO.CollectEventTrace) << 2);
-  W.u64(M.EO.TraceWindowLo);
-  W.u64(M.EO.TraceWindowHi);
-  W.u8(uint8_t(M.EO.Engine));
-  return finishFrame(MsgType::RunRequest, Id, std::move(W));
+  return encodeMsg(MsgType::RunRequest, Id, M);
 }
 
 std::optional<RunRequestMsg>
 wario::serve::decodeRunRequest(const std::vector<uint8_t> &Body) {
-  Reader R(Body);
-  RunRequestMsg M;
-  M.Tenant = R.str();
-  M.Workload = R.str();
-  uint8_t Env = R.u8();
-  uint8_t Strat = R.u8();
-  M.PO.UnrollFactor = R.u32();
-  uint8_t PFlags = R.u8();
-  M.PO.MiddleEndHittingSet = PFlags & 1;
-  M.PO.DepthWeightedCost = PFlags & 2;
-  M.PO.ForceConservativeAA = PFlags & 4;
-  M.PO.BoundRegions = PFlags & 8;
-  M.PO.ResolveMiddleEndWars = PFlags & 16;
-  M.PO.DiffFullRollback = PFlags & 32;
-  M.PO.SpecLogWars = PFlags & 64;
-  M.PO.MaxRegionCycles = R.u64();
-  M.EO.Power = getPower(R);
-  M.EO.InterruptPeriod = R.u64();
-  M.EO.MaxCycles = R.u64();
-  M.EO.MaxStalledBoots = R.u32();
-  uint8_t EFlags = R.u8();
-  M.EO.CollectRegionSizes = EFlags & 1;
-  M.EO.WarIsFatal = EFlags & 2;
-  M.EO.CollectEventTrace = EFlags & 4;
-  M.EO.TraceWindowLo = R.u64();
-  M.EO.TraceWindowHi = R.u64();
-  uint8_t Engine = R.u8();
-  if (!R.done())
-    return std::nullopt;
-  if (Env > uint8_t(Environment::WarioExpander))
-    return std::nullopt;
-  M.PO.Env = Environment(Env);
-  if (Strat > uint8_t(CheckpointStrategy::Speculative))
-    return std::nullopt;
-  M.PO.Strat = CheckpointStrategy(Strat);
-  if (Engine > uint8_t(EngineKind::Threaded))
-    return std::nullopt;
-  M.EO.Engine = EngineKind(Engine);
-  return M;
+  return decodeMsg<RunRequestMsg>(Body);
 }
 
 std::vector<uint8_t> wario::serve::encodeRunReply(uint64_t Id,
                                                   const RunReplyMsg &M) {
-  Writer W;
-  W.u8(M.Ok);
-  W.str(M.Error);
-  W.i32(M.ReturnValue);
-  W.vecI32(M.Output);
-  W.u64(M.TotalCycles);
-  W.u64(M.InstructionsExecuted);
-  W.u64(M.CheckpointsExecuted);
-  W.u64(M.CauseMiddleEndWar);
-  W.u64(M.CauseBackendSpill);
-  W.u64(M.CauseFunctionEntry);
-  W.u64(M.CauseFunctionExit);
-  W.u32(M.PowerFailures);
-  W.u64(M.InterruptsTaken);
-  W.u64(M.WarViolations);
-  W.u32(M.TextBytes);
-  W.u64(M.MemHash);
-  W.u64(M.RegionCount);
-  W.u64(M.RegionHash);
-  W.f64(M.FrontendSeconds);
-  W.f64(M.FrontHalfSeconds);
-  W.f64(M.MiddleEndSeconds);
-  W.f64(M.BackendSeconds);
-  W.f64(M.EmulateSeconds);
-  W.u8(M.ProvenanceBits);
-  return finishFrame(MsgType::RunReply, Id, std::move(W));
+  return encodeMsg(MsgType::RunReply, Id, M);
 }
 
 std::optional<RunReplyMsg>
 wario::serve::decodeRunReply(const std::vector<uint8_t> &Body) {
-  Reader R(Body);
-  RunReplyMsg M;
-  M.Ok = R.u8();
-  M.Error = R.str();
-  M.ReturnValue = R.i32();
-  M.Output = R.vecI32();
-  M.TotalCycles = R.u64();
-  M.InstructionsExecuted = R.u64();
-  M.CheckpointsExecuted = R.u64();
-  M.CauseMiddleEndWar = R.u64();
-  M.CauseBackendSpill = R.u64();
-  M.CauseFunctionEntry = R.u64();
-  M.CauseFunctionExit = R.u64();
-  M.PowerFailures = R.u32();
-  M.InterruptsTaken = R.u64();
-  M.WarViolations = R.u64();
-  M.TextBytes = R.u32();
-  M.MemHash = R.u64();
-  M.RegionCount = R.u64();
-  M.RegionHash = R.u64();
-  M.FrontendSeconds = R.f64();
-  M.FrontHalfSeconds = R.f64();
-  M.MiddleEndSeconds = R.f64();
-  M.BackendSeconds = R.f64();
-  M.EmulateSeconds = R.f64();
-  M.ProvenanceBits = R.u8();
-  if (!R.done())
-    return std::nullopt;
-  return M;
+  return decodeMsg<RunReplyMsg>(Body);
 }
 
 std::vector<uint8_t> wario::serve::encodeStatsRequest(uint64_t Id) {
@@ -419,57 +369,22 @@ std::vector<uint8_t> wario::serve::encodeStatsRequest(uint64_t Id) {
 
 std::vector<uint8_t> wario::serve::encodeStatsReply(uint64_t Id,
                                                     const StatsReplyMsg &M) {
-  Writer W;
-  for (unsigned L = 0; L != NumCacheLevels; ++L)
-    W.u64(M.Counters.Hits[L]);
-  for (unsigned L = 0; L != NumCacheLevels; ++L)
-    W.u64(M.Counters.Misses[L]);
-  for (unsigned L = 0; L != NumCacheLevels; ++L)
-    W.u64(M.Counters.Evictions[L]);
-  W.u64(M.Counters.BytesUsed);
-  W.u64(M.Counters.ByteBudget);
-  W.u64(M.Counters.BytesEvicted);
-  W.u64(M.Counters.Entries);
-  W.u64(M.RequestsServed);
-  W.u64(M.ConnectionsAccepted);
-  return finishFrame(MsgType::StatsReply, Id, std::move(W));
+  return encodeMsg(MsgType::StatsReply, Id, M);
 }
 
 std::optional<StatsReplyMsg>
 wario::serve::decodeStatsReply(const std::vector<uint8_t> &Body) {
-  Reader R(Body);
-  StatsReplyMsg M;
-  for (unsigned L = 0; L != NumCacheLevels; ++L)
-    M.Counters.Hits[L] = R.u64();
-  for (unsigned L = 0; L != NumCacheLevels; ++L)
-    M.Counters.Misses[L] = R.u64();
-  for (unsigned L = 0; L != NumCacheLevels; ++L)
-    M.Counters.Evictions[L] = R.u64();
-  M.Counters.BytesUsed = R.u64();
-  M.Counters.ByteBudget = R.u64();
-  M.Counters.BytesEvicted = R.u64();
-  M.Counters.Entries = R.u64();
-  M.RequestsServed = R.u64();
-  M.ConnectionsAccepted = R.u64();
-  if (!R.done())
-    return std::nullopt;
-  return M;
+  return decodeMsg<StatsReplyMsg>(Body);
 }
 
 std::vector<uint8_t> wario::serve::encodeErrorReply(uint64_t Id,
                                                     const std::string &Msg) {
-  Writer W;
-  W.str(Msg);
-  return finishFrame(MsgType::ErrorReply, Id, std::move(W));
+  return encodeMsg(MsgType::ErrorReply, Id, Msg);
 }
 
 std::optional<std::string>
 wario::serve::decodeErrorReply(const std::vector<uint8_t> &Body) {
-  Reader R(Body);
-  std::string S = R.str();
-  if (!R.done())
-    return std::nullopt;
-  return S;
+  return decodeMsg<std::string>(Body);
 }
 
 std::vector<uint8_t> wario::serve::encodePing(uint64_t Id) {
@@ -482,20 +397,18 @@ std::vector<uint8_t> wario::serve::encodePong(uint64_t Id) {
 
 std::optional<Frame>
 wario::serve::parseFrame(const std::vector<uint8_t> &Payload) {
-  if (Payload.size() < 10)
-    return std::nullopt;
   Reader R(Payload);
-  uint8_t Version = R.u8();
-  uint8_t Type = R.u8();
-  uint64_t Id = R.u64();
-  if (Version != ProtocolVersion)
+  uint8_t Version = 0, Type = 0;
+  uint64_t Id = 0;
+  R(Version, Type, Id);
+  if (R.Failed || Version != ProtocolVersion)
     return std::nullopt;
   if (Type < uint8_t(MsgType::RunRequest) || Type > uint8_t(MsgType::Pong))
     return std::nullopt;
   Frame F;
   F.Type = MsgType(Type);
   F.Id = Id;
-  F.Body.assign(Payload.begin() + 10, Payload.end());
+  F.Body.assign(R.P, R.End);
   return F;
 }
 

@@ -10,11 +10,15 @@
 ///   [u32 payload length (LE)] [payload]
 ///   payload = [u8 version] [u8 MsgType] [u64 request id] [body]
 ///
-/// All integers are little-endian; strings are a u32 length followed by
-/// raw bytes; vectors are a u32 element count followed by the elements;
-/// doubles travel as their IEEE-754 bit pattern in a u64. The payload
-/// length excludes the 4-byte prefix and is capped at MaxFrameBytes —
-/// an oversized length is a protocol error, not an allocation request.
+/// All integers are little-endian at their C++ width; bools and enums
+/// are one byte, and a byte past the type's last value fails the decode;
+/// strings are a u32 length followed by raw bytes; vectors are a u32
+/// element count followed by the elements; doubles travel as their
+/// IEEE-754 bit pattern in a u64. Each message's body is its fields in
+/// the order one list in Protocol.cpp gives, shared by the message's
+/// encoder and decoder. The payload length excludes the 4-byte prefix
+/// and is capped at MaxFrameBytes — an oversized length is a protocol
+/// error, not an allocation request.
 ///
 /// Request ids are chosen by the client and echoed verbatim in the
 /// response, so each reply pairs with its request. The server answers a
@@ -42,11 +46,14 @@
 
 namespace wario::serve {
 
-/// Version 2 added the checkpoint-strategy axis to RunRequestMsg: a
-/// Strat byte after Env, and PFlags bits 5/6 carrying DiffFullRollback
-/// and SpecLogWars. Peers reject any other version outright (no
-/// negotiation — both ends ship from this tree).
-inline constexpr uint8_t ProtocolVersion = 2;
+/// Version 3 took EmulatorOptions::CollectEventTrace, TraceWindowLo,
+/// TraceWindowHi and Engine off RunRequest (no reply field depends on
+/// them, and the trace window let one request allocate without bound),
+/// and sends each bool as one byte instead of packing them into flag
+/// bytes. Version 2 added the checkpoint strategy. Peers reject any
+/// other version outright (no negotiation — both ends ship from this
+/// tree).
+inline constexpr uint8_t ProtocolVersion = 3;
 
 /// Hard ceiling on one frame's payload. Large artifacts (final memory
 /// images) never travel: replies carry hashes instead.
@@ -62,16 +69,14 @@ enum class MsgType : uint8_t {
   Pong = 7,         ///< empty body
 };
 
-/// One compile-and-simulate request: a tenant's workload under a full
-/// pipeline + emulator configuration (the power schedule rides inside
-/// EmulatorOptions).
-struct RunRequestMsg {
-  std::string Tenant;
-  std::string Workload;
-  PipelineOptions PO;
-  EmulatorOptions EO;
-  bool operator==(const RunRequestMsg &) const = default;
-};
+/// One compile-and-simulate request is a cache request: the daemon hands
+/// the decoded message to StagedCache::run as it is. The wire carries
+/// the tenant, the workload, every PipelineOptions field and the
+/// EmulatorOptions fields a reply depends on (the power schedule rides
+/// among them). The fault injector's event trace and instruction window
+/// and the engine choice stay in process: a decoded request has their
+/// defaults.
+using RunRequestMsg = CacheRequest;
 
 /// Everything a RunRequest produces, flattened for the wire. Bulk fields
 /// (final memory image, per-region sizes) are summarized as FNV-1a

@@ -140,8 +140,7 @@ struct Server::Impl {
     // The permit covers the compute only: it is back before the reply is
     // written, so a client slow to read never holds one.
     Permits.acquire();
-    std::shared_ptr<const RunResult> R =
-        Cache.run({M.Tenant, M.Workload, M.PO, M.EO}, &Prov);
+    std::shared_ptr<const RunResult> R = Cache.run(M, &Prov);
     Permits.release();
     // Count before replying: a client that has our reply in hand must
     // see itself reflected in an immediately-following stats request.

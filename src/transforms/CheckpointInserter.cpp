@@ -126,16 +126,3 @@ wario::insertCheckpoints(Function &F, const CheckpointInserterOptions &Opts) {
     InsertBefore(Insts[P]);
   return Stats;
 }
-
-CheckpointInserterStats
-wario::insertCheckpoints(Module &M, const CheckpointInserterOptions &Opts) {
-  CheckpointInserterStats Total;
-  for (auto &F : M.functions()) {
-    CheckpointInserterStats S = insertCheckpoints(*F, Opts);
-    Total.WarsFound += S.WarsFound;
-    Total.WarsAlreadyCut += S.WarsAlreadyCut;
-    Total.Inserted += S.Inserted;
-    Total.StoresMarked += S.StoresMarked;
-  }
-  return Total;
-}

@@ -62,10 +62,6 @@ struct CheckpointInserterStats {
 CheckpointInserterStats
 insertCheckpoints(Function &F, const CheckpointInserterOptions &Opts);
 
-/// Module-wide convenience wrapper.
-CheckpointInserterStats
-insertCheckpoints(Module &M, const CheckpointInserterOptions &Opts);
-
 } // namespace wario
 
 #endif // WARIO_TRANSFORMS_CHECKPOINTINSERTER_H

@@ -9,6 +9,11 @@ using namespace wario;
 
 namespace {
 
+/// Callee size cap (instructions). The paper notes the Expander's
+/// heuristic is profile-free and can occasionally inline unprofitably;
+/// the cap keeps worst-case code growth bounded.
+constexpr unsigned MaxCalleeSize = 600;
+
 /// Heuristic from Section 4.3: a function "contains pointers" when one of
 /// its arguments flows (directly or through address arithmetic) into the
 /// address of a load or store.
@@ -38,7 +43,7 @@ bool usesArgumentAsPointer(const Function &F) {
 
 } // namespace
 
-ExpanderStats wario::runExpander(Module &M, const ExpanderOptions &Opts) {
+ExpanderStats wario::runExpander(Module &M) {
   ExpanderStats Stats;
 
   // Phase 1: candidate list.
@@ -70,7 +75,7 @@ ExpanderStats wario::runExpander(Module &M, const ExpanderOptions &Opts) {
             continue;
           Function *Callee = I->getCallee();
           if (!Candidates.count(Callee) || Callee == F ||
-              Callee->countInstructions() > Opts.MaxCalleeSize)
+              Callee->countInstructions() > MaxCalleeSize)
             continue;
           if (inlineCall(I)) {
             ++Stats.CallsInlined;

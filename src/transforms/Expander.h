@@ -17,20 +17,13 @@
 
 namespace wario {
 
-struct ExpanderOptions {
-  /// Callee size cap (instructions). The paper notes the Expander's
-  /// heuristic is profile-free and can occasionally inline unprofitably;
-  /// the cap keeps worst-case code growth bounded.
-  unsigned MaxCalleeSize = 600;
-};
-
 struct ExpanderStats {
   unsigned CandidateFunctions = 0;
   unsigned CallsInlined = 0;
 };
 
 /// Runs the Expander over the whole module.
-ExpanderStats runExpander(Module &M, const ExpanderOptions &Opts = {});
+ExpanderStats runExpander(Module &M);
 
 } // namespace wario
 

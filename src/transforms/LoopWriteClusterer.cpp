@@ -448,17 +448,3 @@ wario::runLoopWriteClusterer(Function &F,
   }
   return Stats;
 }
-
-LoopWriteClustererStats
-wario::runLoopWriteClusterer(Module &M,
-                             const LoopWriteClustererOptions &Opts) {
-  LoopWriteClustererStats Total;
-  for (auto &F : M.functions()) {
-    LoopWriteClustererStats S = runLoopWriteClusterer(*F, Opts);
-    Total.LoopsTransformed += S.LoopsTransformed;
-    Total.StoresPostponed += S.StoresPostponed;
-    Total.ExitCopies += S.ExitCopies;
-    Total.RuntimeChecks += S.RuntimeChecks;
-  }
-  return Total;
-}

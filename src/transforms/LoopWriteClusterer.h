@@ -34,10 +34,6 @@ struct LoopWriteClustererStats {
 LoopWriteClustererStats
 runLoopWriteClusterer(Function &F, const LoopWriteClustererOptions &Opts);
 
-/// Module-wide convenience wrapper.
-LoopWriteClustererStats
-runLoopWriteClusterer(Module &M, const LoopWriteClustererOptions &Opts);
-
 } // namespace wario
 
 #endif // WARIO_TRANSFORMS_LOOPWRITECLUSTERER_H

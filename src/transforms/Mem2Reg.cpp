@@ -89,10 +89,3 @@ unsigned wario::promoteAllocasToSSA(Function &F) {
   }
   return Promoted;
 }
-
-unsigned wario::promoteAllocasToSSA(Module &M) {
-  unsigned N = 0;
-  for (auto &F : M.functions())
-    N += promoteAllocasToSSA(*F);
-  return N;
-}

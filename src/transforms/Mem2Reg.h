@@ -22,9 +22,6 @@ namespace wario {
 /// itself (no geps, no escapes). Returns the number promoted.
 unsigned promoteAllocasToSSA(Function &F);
 
-/// Runs promoteAllocasToSSA on every function.
-unsigned promoteAllocasToSSA(Module &M);
-
 } // namespace wario
 
 #endif // WARIO_TRANSFORMS_MEM2REG_H

@@ -166,11 +166,3 @@ RegionBounderStats wario::boundRegions(Function &F,
   }
   return Stats;
 }
-
-RegionBounderStats wario::boundRegions(Module &M,
-                                       const RegionBounderOptions &Opts) {
-  RegionBounderStats Total;
-  for (auto &F : M.functions())
-    Total.LoopsBounded += boundRegions(*F, Opts).LoopsBounded;
-  return Total;
-}

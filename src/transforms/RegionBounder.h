@@ -50,7 +50,6 @@ struct RegionBounderStats {
 /// checkpoints also count as region cuts for later passes.
 RegionBounderStats boundRegions(Function &F,
                                 const RegionBounderOptions &Opts);
-RegionBounderStats boundRegions(Module &M, const RegionBounderOptions &Opts);
 
 /// The static per-instruction cycle estimate the bounder uses (a
 /// conservative mirror of the emulator's cycle model).

@@ -405,8 +405,3 @@ void wario::cleanup(Function &F) {
     Changed |= simplifyCFG(F);
   }
 }
-
-void wario::cleanupModule(Module &M) {
-  for (auto &F : M.functions())
-    cleanup(*F);
-}

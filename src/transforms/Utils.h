@@ -49,7 +49,6 @@ bool foldConstants(Function &F);
 /// Runs the standard cleanup sequence (constant folding, DCE, CFG
 /// simplification) to a combined fixed point.
 void cleanup(Function &F);
-void cleanupModule(Module &M);
 
 } // namespace wario
 

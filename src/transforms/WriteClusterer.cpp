@@ -88,10 +88,3 @@ unsigned wario::runWriteClusterer(Function &F, const AliasAnalysis &AA) {
   }
   return Sunk;
 }
-
-unsigned wario::runWriteClusterer(Module &M, const AliasAnalysis &AA) {
-  unsigned N = 0;
-  for (auto &F : M.functions())
-    N += runWriteClusterer(*F, AA);
-  return N;
-}

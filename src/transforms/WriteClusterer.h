@@ -21,9 +21,6 @@ namespace wario {
 /// stores sunk.
 unsigned runWriteClusterer(Function &F, const AliasAnalysis &AA);
 
-/// Module-wide convenience wrapper.
-unsigned runWriteClusterer(Module &M, const AliasAnalysis &AA);
-
 } // namespace wario
 
 #endif // WARIO_TRANSFORMS_WRITECLUSTERER_H

@@ -22,20 +22,6 @@ constexpr unsigned MaxDivergences = 4;
 constexpr unsigned MaxReportedAddrs = 8;
 constexpr uint64_t WindowRadius = 24;
 
-/// Deterministic xorshift32 for the stratified sampler (same generator
-/// family as the synthetic harvester traces; campaigns must be
-/// reproducible from the seed alone).
-struct XorShift {
-  uint32_t State;
-  explicit XorShift(uint32_t Seed) : State(Seed ? Seed : 1) {}
-  uint32_t next() {
-    State ^= State << 13;
-    State ^= State >> 17;
-    State ^= State << 5;
-    return State;
-  }
-};
-
 /// A power schedule that fails exactly once, at active-cycle budget
 /// \p CrashCycle, and then stays up for the rest of the run.
 PowerSchedule singleCrash(uint64_t CrashCycle) {
@@ -166,7 +152,7 @@ std::vector<uint64_t> modePoints(CampaignMode Mode,
     }
     break;
   case CampaignMode::Stratified: {
-    XorShift Rng(Opts.Seed);
+    XorShift32 Rng(Opts.Seed);
     uint64_t Range = std::max<uint64_t>(Golden.TotalCycles, 1);
     unsigned Samples = std::max(Opts.Samples, 1u);
     for (unsigned S = 0; S != Samples; ++S) {

@@ -455,95 +455,99 @@ TEST(EmulatorDetailTest, EveryCatalogKindRunsLikeTheInterpreter) {
 #undef WARIO_TEST_T
   };
 
+  // The ALU components shift by the Shift register: 5 takes the
+  // in-range arm of Lsl/Lsr/Asr, 33 the arm for amounts of 32 or more.
   constexpr int A = R1, Shift = R2, Addr = R3, FirstDst = R4;
-  for (const Kind &K : Kinds) {
-    MBuilder B("main");
-    // Set-up: each op alone between Nops, so nothing before the block
-    // under test fuses.
-    B.block("entry").emit(MOp::SpAdjust).Imm = -8;
-    B.movImm(A, 0x9E3779B9).emit(MOp::Nop);
-    B.movImm(Shift, 5).emit(MOp::Nop);
-    B.movImm(Addr, DataWord).emit(MOp::Nop);
-    MInst &Fill = B.emit(MOp::StrSlot); // Slot 0 = A.
-    Fill.Src[0] = A;
-    Fill.Slot = 0;
-    B.emit(MOp::Nop);
-    B.b(1);
+  for (const uint32_t ShiftBy : {5u, 33u})
+    for (const Kind &K : Kinds) {
+      SCOPED_TRACE(testing::Message() << K.Name << ", shift " << ShiftBy);
+      MBuilder B("main");
+      // Set-up: each op alone between Nops, so nothing before the block
+      // under test fuses.
+      B.block("entry").emit(MOp::SpAdjust).Imm = -8;
+      B.movImm(A, 0x9E3779B9).emit(MOp::Nop);
+      B.movImm(Shift, ShiftBy).emit(MOp::Nop);
+      B.movImm(Addr, DataWord).emit(MOp::Nop);
+      MInst &Fill = B.emit(MOp::StrSlot); // Slot 0 = A.
+      Fill.Src[0] = A;
+      Fill.Slot = 0;
+      B.emit(MOp::Nop);
+      B.b(1);
 
-    B.block("group");
-    int Last = A; // The register the previous component wrote.
-    for (size_t I = 0; I != K.Ops.size(); ++I) {
-      const int Dst = FirstDst + int(I);
-      MInst &C = B.emit(K.Ops[I]);
-      switch (K.Ops[I]) {
-      case MOp::MovImm:
-        C.Imm = I == 0 ? 0x12345 : 0x77; // Cost 2, then cost 1.
-        C.Dst = Dst;
-        break;
-      case MOp::CBr:
-        C.Src[0] = Last;
-        C.Target[0] = 2;
-        C.Target[1] = 3;
-        break;
-      case MOp::LdrSlot:
-        C.Dst = Dst;
-        C.Slot = 0;
-        break;
-      case MOp::StrSlot:
-        C.Src[0] = Last;
-        C.Slot = 1;
-        break;
-      case MOp::Ldr:
-        C.Dst = Dst;
-        C.Src[0] = Addr;
-        break;
-      case MOp::Str:
-        C.Src[0] = Last;
-        C.Src[1] = Addr;
-        C.Imm = 4;
-        break;
-      default: // Mov, SetCond and the ALU ops.
-        C.Pred = CmpPred::UGT;
-        C.Dst = Dst;
-        C.Src[0] = Last;
-        C.Src[1] = Shift;
-        break;
+      B.block("group");
+      int Last = A; // The register the previous component wrote.
+      for (size_t I = 0; I != K.Ops.size(); ++I) {
+        const int Dst = FirstDst + int(I);
+        MInst &C = B.emit(K.Ops[I]);
+        switch (K.Ops[I]) {
+        case MOp::MovImm:
+          C.Imm = I == 0 ? 0x12345 : 0x77; // Cost 2, then cost 1.
+          C.Dst = Dst;
+          break;
+        case MOp::CBr:
+          C.Src[0] = Last;
+          C.Target[0] = 2;
+          C.Target[1] = 3;
+          break;
+        case MOp::LdrSlot:
+          C.Dst = Dst;
+          C.Slot = 0;
+          break;
+        case MOp::StrSlot:
+          C.Src[0] = Last;
+          C.Slot = 1;
+          break;
+        case MOp::Ldr:
+          C.Dst = Dst;
+          C.Src[0] = Addr;
+          break;
+        case MOp::Str:
+          C.Src[0] = Last;
+          C.Src[1] = Addr;
+          C.Imm = 4;
+          break;
+        default: // Mov, SetCond and the ALU ops.
+          C.Pred = CmpPred::UGT;
+          C.Dst = Dst;
+          C.Src[0] = Last;
+          C.Src[1] = Shift;
+          break;
+        }
+        if (C.Dst >= 0)
+          Last = Dst;
       }
-      if (C.Dst >= 0)
-        Last = Dst;
-    }
-    if (K.Ops.back() != MOp::CBr)
+      if (K.Ops.back() != MOp::CBr)
+        B.b(2);
+
+      B.block("tail");
+      for (int Reg = FirstDst; Reg != FirstDst + 3; ++Reg)
+        B.emit(MOp::Out).Src[0] = Reg;
+      B.emit(MOp::Ret);
+      B.block("not-taken");
+      B.emit(MOp::Out).Src[0] = A;
       B.b(2);
 
-    B.block("tail");
-    for (int Reg = FirstDst; Reg != FirstDst + 3; ++Reg)
-      B.emit(MOp::Out).Src[0] = Reg;
-    B.emit(MOp::Ret);
-    B.block("not-taken");
-    B.emit(MOp::Out).Src[0] = A;
-    B.b(2);
+      MModule M = B.module();
+      M.Functions[0].Slots = {{FrameSlot::Kind::Spill, 4, 0},
+                              {FrameSlot::Kind::Spill, 4, 4}};
+      M.Functions[0].FrameSize = 8;
+      for (unsigned I = 0; I != 4; ++I)
+        M.InitImage[DataWord + I] = uint8_t(0x0BADF00Du >> (8 * I));
 
-    MModule M = B.module();
-    M.Functions[0].Slots = {{FrameSlot::Kind::Spill, 4, 0},
-                            {FrameSlot::Kind::Spill, 4, 4}};
-    M.Functions[0].FrameSize = 8;
-    for (unsigned I = 0; I != 4; ++I)
-      M.InitImage[DataWord + I] = uint8_t(0x0BADF00Du >> (8 * I));
-
-    EmulatorOptions EO;
-    EO.CollectEventTrace = true; // Compares the stores' stamp cycles too.
-    EO.Engine = EngineKind::Interp;
-    const EmulatorResult Interp = emulate(M, EO);
-    EO.Engine = EngineKind::Threaded;
-    EngineStats St;
-    const EmulatorResult Threaded = Emulator(M).run(EO, "main", nullptr, &St);
-    ASSERT_TRUE(Interp.Ok) << K.Name << ": " << Interp.Error;
-    EXPECT_EQ(St.FusedDispatches, 1u) << K.Name;
-    EXPECT_EQ(St.FusedInstructions, K.Ops.size()) << K.Name;
-    EXPECT_EQ(Threaded.Output, Interp.Output) << K.Name;
-    EXPECT_EQ(Threaded.TotalCycles, Interp.TotalCycles) << K.Name;
-    EXPECT_TRUE(Threaded == Interp) << K.Name;
-  }
+      EmulatorOptions EO;
+      EO.CollectEventTrace = true; // Compares the stores' stamp cycles too.
+      EO.Engine = EngineKind::Interp;
+      const EmulatorResult Interp = emulate(M, EO);
+      EO.Engine = EngineKind::Threaded;
+      EngineStats St;
+      const EmulatorResult Threaded = Emulator(M).run(EO, "main", nullptr, &St);
+      ASSERT_TRUE(Interp.Ok) << K.Name << ": " << Interp.Error;
+      EXPECT_EQ(St.FusedDispatches, 1u) << K.Name;
+      EXPECT_EQ(St.FusedInstructions, K.Ops.size()) << K.Name;
+      EXPECT_EQ(Threaded.Output, Interp.Output) << K.Name;
+      EXPECT_EQ(Threaded.TotalCycles, Interp.TotalCycles) << K.Name;
+      EXPECT_TRUE(Threaded == Interp) << K.Name;
+    }
 }
 
 TEST(PowerTraceTest, SchedulesAreDeterministicAndSane) {

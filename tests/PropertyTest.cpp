@@ -235,7 +235,10 @@ TEST_P(FuzzSuite, AlreadyCutWarsMatchPathScanner) {
       CheckpointInserterOptions Opts;
       Opts.Precision = P;
       Opts.Mode = Mode;
-      EXPECT_EQ(insertCheckpoints(*C, Opts).WarsAlreadyCut, AlreadyCut)
+      CheckpointInserterStats S;
+      for (auto &F : C->functions())
+        S.WarsAlreadyCut += insertCheckpoints(*F, Opts).WarsAlreadyCut;
+      EXPECT_EQ(S.WarsAlreadyCut, AlreadyCut)
           << "seed " << Seed << ", "
           << (P == AliasPrecision::Precise ? "precise" : "conservative")
           << ", " << checkpointStrategyName(Mode);
@@ -250,25 +253,31 @@ TEST_P(FuzzSuite, PassesPreserveVerification) {
   std::string Err;
   ASSERT_TRUE(verifyModule(*M, &Err)) << "seed " << Seed << "\n" << Err;
 
-  promoteAllocasToSSA(*M);
+  for (auto &F : M->functions())
+    promoteAllocasToSSA(*F);
   ASSERT_TRUE(verifyModule(*M, &Err))
       << "seed " << Seed << " after mem2reg\n" << Err;
-  cleanupModule(*M);
+  for (auto &F : M->functions())
+    cleanup(*F);
   ASSERT_TRUE(verifyModule(*M, &Err))
       << "seed " << Seed << " after cleanup\n" << Err;
 
   LoopWriteClustererOptions LWC;
-  runLoopWriteClusterer(*M, LWC);
+  for (auto &F : M->functions())
+    runLoopWriteClusterer(*F, LWC);
   ASSERT_TRUE(verifyModule(*M, &Err))
       << "seed " << Seed << " after loop write clusterer\n" << Err;
-  cleanupModule(*M);
+  for (auto &F : M->functions())
+    cleanup(*F);
 
   AliasAnalysis AA(AliasPrecision::Precise);
-  runWriteClusterer(*M, AA);
+  for (auto &F : M->functions())
+    runWriteClusterer(*F, AA);
   ASSERT_TRUE(verifyModule(*M, &Err))
       << "seed " << Seed << " after write clusterer\n" << Err;
 
-  insertCheckpoints(*M, {});
+  for (auto &F : M->functions())
+    insertCheckpoints(*F, {});
   ASSERT_TRUE(verifyModule(*M, &Err))
       << "seed " << Seed << " after checkpoint insertion\n" << Err;
 }

@@ -32,9 +32,9 @@ using namespace wario::serve;
 
 namespace {
 
-/// A RunRequest with every field off its default (trace power, trace
-/// window, threaded engine) — the worst case for a field dropped from
-/// the codec.
+/// A RunRequest with its wire fields off their defaults (a trace power
+/// schedule, flipped flags) — the worst case for a field dropped from
+/// the codec. The in-process-only fields keep their defaults.
 RunRequestMsg fancyRequest() {
   RunRequestMsg M;
   M.Tenant = "tenant-7";
@@ -56,10 +56,17 @@ RunRequestMsg fancyRequest() {
   M.EO.MaxStalledBoots = 9;
   M.EO.CollectRegionSizes = true;
   M.EO.WarIsFatal = false;
+  return M;
+}
+
+/// \p M with every EmulatorOptions field that stays in process set off
+/// its default: the fault injector's event trace and an instruction
+/// window opened to the whole run, and the oracle engine.
+RunRequestMsg withInProcessFields(RunRequestMsg M) {
   M.EO.CollectEventTrace = true;
-  M.EO.TraceWindowLo = 1'000;
-  M.EO.TraceWindowHi = 2'000;
-  M.EO.Engine = EngineKind::Threaded;
+  M.EO.TraceWindowLo = 0;
+  M.EO.TraceWindowHi = UINT64_MAX;
+  M.EO.Engine = EngineKind::Interp;
   return M;
 }
 
@@ -77,6 +84,22 @@ TEST(ServeProtocol, RunRequestRoundTripsEveryField) {
     EXPECT_EQ(F->Type, MsgType::RunRequest);
     EXPECT_EQ(F->Id, 77u);
     std::optional<RunRequestMsg> Back = decodeRunRequest(F->Body);
+    ASSERT_TRUE(Back);
+    EXPECT_EQ(*Back, M);
+  }
+}
+
+TEST(ServeProtocol, InProcessOnlyFieldsDoNotTravel) {
+  // The trace fields and the engine reach no reply field, so they are
+  // not on the wire: setting them changes no byte, and the decoder
+  // hands back their defaults (which M holds).
+  for (const RunRequestMsg &M : {RunRequestMsg{}, fancyRequest()}) {
+    const RunRequestMsg InProcess = withInProcessFields(M);
+    ASSERT_NE(InProcess, M);
+    EXPECT_EQ(encodeRunRequest(7, InProcess), encodeRunRequest(7, M));
+    std::optional<RunRequestMsg> Back =
+        decodeRunRequest(parseFrame(payloadOf(encodeRunRequest(7, InProcess)))
+                             ->Body);
     ASSERT_TRUE(Back);
     EXPECT_EQ(*Back, M);
   }
@@ -420,9 +443,11 @@ TEST(ServeProtocol, CorruptEnumValuesAreRejected) {
   std::vector<uint8_t> BadStrat = Body;
   BadStrat[9] = 17; // The strategy byte follows env; past Speculative.
   EXPECT_FALSE(decodeRunRequest(BadStrat));
-  std::vector<uint8_t> BadEngine = Body;
-  BadEngine.back() = 99; // Engine is the final byte.
-  EXPECT_FALSE(decodeRunRequest(BadEngine));
+  // A bool is one byte, 0 or 1; WarIsFatal is the final one.
+  std::vector<uint8_t> BadBool = Body;
+  ASSERT_EQ(BadBool.back(), 1);
+  BadBool.back() = 2;
+  EXPECT_FALSE(decodeRunRequest(BadBool));
 }
 
 //===----------------------------------------------------------------------===//
@@ -593,6 +618,35 @@ TEST_F(ServeDaemonTest, CachedStagesReportZeroSeconds) {
   EXPECT_GT(Front.MiddleEndSeconds, 0.0);
 }
 
+TEST_F(ServeDaemonTest, InProcessOnlyFieldsShareTheRunLevelEntry) {
+  // A request that sets the trace fields and the engine in process is
+  // the plain request on the wire, so the daemon answers it from the
+  // plain request's run-level entry: no trace is recorded, no engine
+  // namespaces a second entry, and the reply is the same.
+  Client C;
+  ASSERT_TRUE(C.connect(Path));
+  RunRequestMsg Plain;
+  Plain.Tenant = "in-process";
+  Plain.Workload = "crc";
+  RunReplyMsg First;
+  std::string Error;
+  ASSERT_TRUE(C.run(Plain, First, &Error)) << Error;
+  ASSERT_TRUE(First.Ok) << First.Error;
+  EXPECT_FALSE(Provenance::fromBits(First.ProvenanceBits).RunHit);
+
+  RunReplyMsg Second;
+  ASSERT_TRUE(C.run(withInProcessFields(Plain), Second, &Error)) << Error;
+  EXPECT_TRUE(Provenance::fromBits(Second.ProvenanceBits).RunHit);
+
+  // Every field but the stage seconds and the provenance must match.
+  for (RunReplyMsg *R : {&First, &Second}) {
+    R->FrontendSeconds = R->FrontHalfSeconds = R->MiddleEndSeconds = 0;
+    R->BackendSeconds = R->EmulateSeconds = 0;
+    R->ProvenanceBits = 0;
+  }
+  EXPECT_EQ(Second, First);
+}
+
 TEST_F(ServeDaemonTest, OversizedFrameIsRejectedNotAllocated) {
   int Fd = rawConnect();
   uint32_t Len = MaxFrameBytes + 1;
@@ -636,8 +690,7 @@ TEST_F(ServeDaemonTest, RequestResponseFieldFidelity) {
 
   StagedCache Local(CacheConfig{});
   Provenance Prov;
-  std::shared_ptr<const RunResult> R =
-      Local.run({M.Tenant, M.Workload, M.PO, M.EO}, &Prov);
+  std::shared_ptr<const RunResult> R = Local.run(M, &Prov);
   ASSERT_TRUE(R->Error.empty()) << R->Error;
   RunReplyMsg Direct = makeRunReply(*R, Prov);
 

@@ -14,8 +14,13 @@
 #            the environment also runs on the oracle engine (the default
 #            pass already runs both labels on the threaded engine, and
 #            WARIO_ENGINE=threaded resolves exactly like unset);
-#   serve    a one-connection loadgen smoke against an in-process daemon
-#            (the default pass runs the `serve` suite);
+#   serve    a one-connection loadgen smoke against an in-process
+#            daemon, then `wario_served` started as a process of its own
+#            and driven by `wario_loadgen --socket` (2 connections x 4
+#            requests), so the two binaries' protocol versions are
+#            checked against each other; SIGTERM then stops the daemon,
+#            and both processes must exit with status 0 (the default
+#            pass runs the `serve` suite);
 #   tsan     rebuild under ThreadSanitizer and run the `tsan`- and
 #            `serve`-labeled tests (the bench harness's parallel matrix
 #            driver, parallelFor's contract in ParallelForTest, the
@@ -103,6 +108,23 @@ pass_serve() {
   build_default
   WARIO_CI_FAST=1 "$build/tools/wario_loadgen" --serve --connections 1 \
     --requests 4 --workloads crc
+
+  echo "==> loadgen against a separate wario_served"
+  local sock="${TMPDIR:-/tmp}/wario_ci_serve_$$.sock"
+  rm -f "$sock"
+  "$build/tools/wario_served" --socket "$sock" &
+  local daemon=$!
+  # Whatever step fails, the daemon does not outlive the pass.
+  trap "kill $daemon 2>/dev/null || true" EXIT
+  for _ in $(seq 100); do
+    [ -S "$sock" ] && break
+    sleep 0.1
+  done
+  "$build/tools/wario_loadgen" --socket "$sock" --connections 2 \
+    --requests 4 --workloads crc
+  kill -TERM "$daemon"
+  wait "$daemon" # Under set -e a nonzero exit status fails the pass.
+  trap - EXIT
 }
 
 pass_tsan() {
